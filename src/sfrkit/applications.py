@@ -64,10 +64,12 @@ class SecurityPolicy:
     delta_f_max: float    # Hz; negative for under-frequency limits
 
     def __post_init__(self):
-        if not self.k_policy > 0:
-            raise InvalidInputError(f"k_policy must be > 0, got {self.k_policy}")
-        if self.delta_f_max == 0:
-            raise InvalidInputError("delta_f_max must be nonzero")
+        if not (self.k_policy > 0 and math.isfinite(self.k_policy)):
+            raise InvalidInputError(f"k_policy must be finite and > 0, got {self.k_policy}")
+        if not (math.isfinite(self.delta_f_max) and self.delta_f_max != 0):
+            raise InvalidInputError(
+                f"delta_f_max must be finite and nonzero, got {self.delta_f_max}"
+            )
 
 
 def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConstants:

@@ -1,29 +1,28 @@
 """Two-band lag PFR reduced to a single equivalent band, plus accuracy maps.
 
 A response p(t) = PFR1*(1 - exp(-t/tau1)) + PFR2*(1 - exp(-t/tau2)) has no
-closed-form nadir, so it is approximated by one lag band whose parameters are
-fitted by damped nonlinear least squares. Over a grid of magnitudes the fitted
-magnitude stays close to PFR1 + PFR2 while the fitted time constant follows
+closed-form nadir, so it is approximated by the least-squares single lag band.
+Over a grid of magnitudes the fitted magnitude stays close to PFR1 + PFR2
+while the fitted time constant follows
 
     tau_eq = a * (1 - exp(-b * PFR2/PFR1)) + tau1
 
-whose coefficients (a, b) are themselves fitted. The canonical fast/standard
-pair tau1 = 0.4 s, tau2 = 2.0 s ships with pre-fitted coefficients.
+whose coefficients (a, b) are themselves fitted. Both fits are separable: the
+magnitude is linear given tau and `a` is linear given `b`, so each is solved by
+variable projection as a 1-D root search. The canonical fast/standard pair
+tau1 = 0.4 s, tau2 = 2.0 s ships with pre-fitted coefficients.
 
 Approximation quality is reported as the mean absolute percentage error
 between the exact and equivalent response curves, per grid cell.
 """
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError, InvalidInputError
-from .leastsq import levenberg_marquardt
 from .model import FrequencyTrace, LagBand
 
 __all__ = [
@@ -59,6 +58,11 @@ DEFAULT_SWEEP_PFR_GRID = tuple(float(v) for v in range(20, 201, 20))  # MW
 DEFAULT_TAU1_RANGE = (0.2, 0.4, 0.6, 0.8, 1.0)                        # s
 DEFAULT_TAU2_RANGE = (1.0, 1.1, 1.5, 2.0, 2.5, 3.0)                   # s
 _FIT_DT = 0.01  # s
+# the root search halves its bracket until it is this narrow relative to its ends
+_XTOL_REL = 1e-13
+# a stationarity condition within this share of its terms' size counts as zero
+_FLAT_REL = 1e-12
+_B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ CANONICAL_SURFACE = TauSurfaceModel(a=1.3141629, b=0.63075533, tau1=0.4, tau2=2.
 
 def default_fit_times(tau2: float) -> np.ndarray:
     """Sampling grid for curve fits and accuracy maps: [0, max(30, 5*tau2)] s."""
-    n = int(round(max(30.0, 5.0 * tau2) / _FIT_DT))
-    return np.arange(n + 1) * _FIT_DT
+    n, dt = _fit_grid(None, tau2)
+    return np.arange(n) * dt
 
 
 def _check_times(times: np.ndarray, tau2: float) -> np.ndarray:
@@ -137,111 +141,182 @@ def _check_times(times: np.ndarray, tau2: float) -> np.ndarray:
     return times
 
 
-def fit_equivalent_band(tb: TwoBandPfr, times=None) -> EquivalentBand:
-    """Fit one lag band to the sum of two by damped least squares.
+def _fit_grid(times, tau2: float):
+    """Grid of a fit: (n, dt) when it is t_k = k*dt for k < n, else the times.
 
-    The residual in tau is unimodal over the bounded box, so a coarse scan of
-    candidate time constants (with the magnitude solved analytically at each)
-    supplies the start; the result does not depend on that choice.
+    The default grid samples [0, max(30, 5*tau2)] s every _FIT_DT.
+    """
+    if times is None:
+        return int(round(max(30.0, 5.0 * tau2) / _FIT_DT)) + 1, _FIT_DT
+    t = _check_times(times, tau2)
+    n, dt = len(t), float(t[1])
+    return (n, dt) if np.array_equal(t, np.arange(n) * dt) else t
+
+
+def _exp_sums(alpha, grid):
+    """E(alpha) = sum_k exp(-alpha t_k) and F(alpha) = sum_k t_k exp(-alpha t_k).
+
+    The only code that looks at the grid. On a uniform grid (n, dt) both are
+    geometric series in q = exp(-alpha dt), summed in closed form; on an array
+    of times they are summed sample by sample.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if isinstance(grid, tuple):
+        n, dt = grid
+        x = alpha * dt
+        one_q = -np.expm1(-x)
+        q_n = np.exp(-n * x)
+        e = -np.expm1(-n * x) / one_q
+        f = dt * (np.exp(-x) - q_n * (1.0 + (n - 1) * one_q)) / one_q**2
+        return e, f
+    w = np.exp(-alpha[..., None] * grid)
+    return w.sum(axis=-1), w @ grid
+
+
+def _bisect(stationarity, lo, hi, what):
+    """Root of a projected fit's stationarity condition on [lo, hi], elementwise.
+
+    stationarity(x) returns (p, q) with p > q where the projected fit improves
+    as x grows. A difference within _FLAT_REL of |p| + |q| counts as zero, so
+    a direction in which the fit is flat settles at lo instead of following
+    rounding. lo and hi must be finite and positive. Raises FitError unless the
+    box brackets a sign change and the condition is finite at the root.
+    """
+    def gap(x):
+        p, q = stationarity(x)
+        d = p - q
+        return np.where(np.abs(d) <= _FLAT_REL * (np.abs(p) + np.abs(q)), 0.0, d)
+
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not (np.all(gap(lo) >= 0.0) and np.all(gap(hi) <= 0.0)):
+        raise FitError(f"{what}: no sign change of the stationarity condition in the box")
+    while np.any(hi - lo > _XTOL_REL * hi):
+        mid = 0.5 * (lo + hi)
+        up = gap(mid) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    root = 0.5 * (lo + hi)
+    if not np.all(np.isfinite(gap(root))):
+        raise FitError(f"{what}: non-finite optimum")
+    return root
+
+
+def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
+    """Least-squares single lag band for the targets y = p1*s(tau1) + p2*s(tau2).
+
+    With s(tau) = 1 - exp(-t/tau), the best magnitude for a given tau is
+    <s,y>/<s,s>, clipped at 0, which leaves a 1-D search over the box
+    [tau1/2, 2*tau2]. Every inner product <s_lam, s_mu> of rates lam = 1/tau
+    is n - E(lam) - E(mu) + E(lam + mu), so no sample array is built on a
+    uniform grid. p1 and p2 broadcast; returns arrays (pfr, tau, ssr).
+    """
+    n = grid[0] if isinstance(grid, tuple) else len(grid)
+    l1, l2 = 1.0 / tau1, 1.0 / tau2
+    (e1, e2, e11, e12, e22), _ = _exp_sums([l1, l2, 2 * l1, l1 + l2, 2 * l2], grid)
+    yy = p1**2 * (n - 2 * e1 + e11) + 2 * p1 * p2 * (n - e1 - e2 + e12) + p2**2 * (n - 2 * e2 + e22)
+    # rates lam, 2*lam, lam + l1 and lam + l2 are scale*lam + shift
+    scale, shift = np.array([1.0, 2.0, 1.0, 1.0]), np.array([0.0, 0.0, l1, l2])
+
+    def products(tau):
+        lam = 1.0 / tau
+        alpha = np.multiply.outer(scale, lam) + shift.reshape((4,) + (1,) * lam.ndim)
+        (el, ell, el1, el2), (fl, fll, fl1, fl2) = _exp_sums(alpha, grid)
+        ss, sy = n - 2 * el + ell, p1 * (n - el - e1 + el1) + p2 * (n - el - e2 + el2)
+        # derivatives in lam, which falls as tau grows
+        d_ss, d_sy = 2 * (fl - fll), p1 * (fl - fl1) + p2 * (fl - fl2)
+        return ss, sy, d_ss, d_sy
+
+    def stationarity(tau):
+        # the projected fit gains <s,y>^2/<s,s>; its lam-derivative has the sign of
+        # 2<s,y>'<s,s> - <s,y><s,s>', and tau runs against lam
+        ss, sy, d_ss, d_sy = products(tau)
+        return sy * d_ss, 2 * d_sy * ss
+
+    shape = np.broadcast(p1, p2).shape
+    tau = _bisect(stationarity, np.full(shape, tau1 / 2.0), np.full(shape, 2.0 * tau2),
+                  "equivalent-band fit")
+    ss, sy, _, _ = products(tau)
+    pfr = np.maximum(sy / ss, 0.0)
+    return pfr, tau, np.maximum(yy - pfr * (2 * sy - pfr * ss), 0.0)
+
+
+def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
+    """Weighted least-squares (a, b) of tau_eq = a*(1 - exp(-b*ratio)) + tau1.
+
+    a = <phi,y>/<phi,phi>, clipped at 0, for phi = 1 - exp(-b*ratio) and
+    y = tau_eq - tau1, leaves a 1-D search in b over [1e-6, 1e3].
+    Returns (a, b, ssr).
+    """
+    y = tau_eqs - tau1
+
+    def projections(b):
+        e = np.exp(-b * ratios)
+        phi, d_phi = 1.0 - e, ratios * e
+        return weights @ (phi * phi), weights @ (phi * y), weights @ (d_phi * phi), \
+            weights @ (d_phi * y)
+
+    def stationarity(b):
+        # (<phi,y>+)^2/<phi,phi> is the gain; zero, and flat, where a is clipped
+        pp, py, dp, dy = projections(b)
+        py_pos = max(py, 0.0)
+        return py_pos * dy * pp, py_pos * py * dp
+
+    b = float(_bisect(stationarity, _B_BOX[0], _B_BOX[1], "tau-surface fit"))
+    pp, py, _, _ = projections(b)
+    a = max(float(py / pp), 0.0)
+    res = y - a * (1.0 - np.exp(-b * ratios))
+    return a, b, float(weights @ (res * res))
+
+
+def fit_equivalent_band(tb: TwoBandPfr, times=None) -> EquivalentBand:
+    """Fit one lag band to the sum of two by least squares.
+
+    The magnitude is projected out, and the time constant is the root of the
+    fit's stationarity condition within [tau1/2, 2*tau2]; FitError reports a
+    box that brackets no root. fit_residual is the sum of squared residuals
+    over the sampling grid.
     """
     p_total = tb.band1.pfr + tb.band2.pfr
     if not p_total > 0:
         raise InvalidInputError("total PFR must be > 0 to fit an equivalent band")
-    tau1, tau2 = tb.band1.tau, tb.band2.tau
-    t = default_fit_times(tau2) if times is None else _check_times(times, tau2)
-    y = tb.value(t)
-
-    cands = np.unique(np.concatenate([np.geomspace(tau1 / 2.0, 2.0 * tau2, 25), [tau1, tau2]]))
-    best = (np.inf, p_total, tau1)
-    for tau_c in cands:
-        shape = 1.0 - np.exp(-t / tau_c)
-        denom = float(shape @ shape)
-        pfr_c = max(float(shape @ y) / denom, 0.0) if denom > 0 else 0.0
-        res = pfr_c * shape - y
-        ssr = float(res @ res)
-        if ssr < best[0]:
-            best = (ssr, pfr_c, tau_c)
-
-    def model_jac(x):
-        pfr, tau = x
-        e = np.exp(-t / tau)
-        return pfr * (1.0 - e), np.stack([1.0 - e, -pfr * t / tau**2 * e], axis=1)
-
-    fit = levenberg_marquardt(
-        model_jac,
-        y,
-        x0=[best[1], best[2]],
-        lower=[0.0, tau1 / 2.0],
-        upper=[np.inf, 2.0 * tau2],
-    )
-    if not fit.converged:
-        raise FitError(
-            f"equivalent-band fit did not converge in {fit.iterations} iterations",
-            best_params=fit.params,
-            best_cost=fit.cost,
-        )
-    return EquivalentBand(pfr_eq=float(fit.params[0]), tau_eq=float(fit.params[1]),
-                          fit_residual=fit.cost)
+    pfr, tau, ssr = _fit_lag_bands(tb.band1.pfr, tb.band1.tau, tb.band2.pfr, tb.band2.tau,
+                                   _fit_grid(times, tb.band2.tau))
+    return EquivalentBand(pfr_eq=float(pfr), tau_eq=float(tau), fit_residual=float(ssr))
 
 
 def build_tau_surface(tau1: float, tau2: float, pfr_grid=None, times=None) -> TauSurfaceModel:
     """Fit the tau model to equivalent bands over a magnitude grid.
 
     Grid cells with PFR1 = 0 have an undefined magnitude ratio and are skipped
-    with a warning. The fitted magnitudes are checked against the PFR1 + PFR2
+    with a warning. The equivalent band depends on the cell only through
+    PFR2/PFR1, so each distinct ratio is fitted once and weighted by its
+    number of cells. The fitted magnitudes are checked against the PFR1 + PFR2
     plane; drift beyond 1% is reported as a warning and recorded on the model.
     """
     grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(grid < 0):
         raise InvalidInputError("pfr grid must be a non-empty sequence of magnitudes >= 0")
-    t = default_fit_times(tau2) if times is None else _check_times(times, tau2)
+    fit_grid = _fit_grid(times, tau2)
 
-    ratios, tau_eqs, plane_dev = [], [], 0.0
-    for p1 in grid:
-        if p1 == 0.0:
-            warnings.warn("skipping PFR1 = 0 cells: magnitude ratio is undefined")
-            continue
-        for p2 in grid:
-            eq = fit_equivalent_band(
-                TwoBandPfr(LagBand(p1, tau1), LagBand(p2, tau2)), times=t
-            )
-            ratios.append(p2 / p1)
-            tau_eqs.append(eq.tau_eq)
-            plane_dev = max(plane_dev, abs(eq.pfr_eq - (p1 + p2)) / (p1 + p2))
-    if not ratios:
+    if np.any(grid == 0.0):
+        warnings.warn("skipping PFR1 = 0 cells: magnitude ratio is undefined")
+    p1 = grid[grid != 0.0]
+    if len(p1) == 0:
         raise InvalidInputError("pfr grid left no usable cells")
+    ratios, counts = np.unique(np.divide.outer(grid, p1), return_counts=True)
+    pfr, tau_eqs, _ = _fit_lag_bands(1.0, tau1, ratios, tau2, fit_grid)
+    plane_dev = float(np.max(np.abs(pfr - (1.0 + ratios)) / (1.0 + ratios)))
     if plane_dev > PLANE_DEV_WARN:
         warnings.warn(
             f"fitted magnitudes drift {plane_dev:.2%} from the PFR1+PFR2 plane"
         )
 
-    r = np.asarray(ratios)
-    y = np.asarray(tau_eqs)
-
-    def model_jac(x):
-        a, b = x
-        e = np.exp(-b * r)
-        return a * (1.0 - e) + tau1, np.stack([1.0 - e, a * r * e], axis=1)
-
-    fit = levenberg_marquardt(
-        model_jac,
-        y,
-        x0=[max(float(y.max()) - tau1, 0.0), 1.0],
-        lower=[0.0, 1e-6],
-        upper=[np.inf, 1e3],
-    )
-    if not fit.converged:
-        raise FitError(
-            f"tau-surface fit did not converge in {fit.iterations} iterations",
-            best_params=fit.params,
-            best_cost=fit.cost,
-        )
+    a, b, ssr = _fit_tau_model(tau1, ratios, counts.astype(float), tau_eqs)
     return TauSurfaceModel(
-        a=float(fit.params[0]),
-        b=float(fit.params[1]),
+        a=a,
+        b=b,
         tau1=tau1,
         tau2=tau2,
-        rms_residual=float(np.sqrt(fit.cost / len(y))),
+        rms_residual=float(np.sqrt(ssr / counts.sum())),
         pfr_plane_dev=plane_dev,
     )
 
@@ -349,42 +424,24 @@ class TauSweepReport:
     max_pct: float   # max of the per-cell maxima
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SFRKIT_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
-def _sweep_cell(args):
-    tau1, tau2, grid = args
-    model = build_tau_surface(tau1, tau2, pfr_grid=grid)
-    report = mape_map(tau1, tau2, pfr_grid=grid, model=model)
-    return TauSweepCell(tau1=tau1, tau2=tau2,
-                        mean_mape_pct=report.mean_pct, max_mape_pct=report.max_pct)
-
-
 def mape_tau_sweep(tau1_range=None, tau2_range=None, pfr_grid=None) -> TauSweepReport:
     """Rebuild the surface and map its accuracy for each (tau1, tau2) pair.
 
-    Only pairs with tau2 >= tau1 are evaluated. Cells are independent; the
-    SFRKIT_THREADS environment variable caps how many run concurrently, and
-    the report ordering never depends on the schedule.
+    Only pairs with tau2 >= tau1 are evaluated, in the order of the ranges.
     """
     tau1s = DEFAULT_TAU1_RANGE if tau1_range is None else tuple(tau1_range)
     tau2s = DEFAULT_TAU2_RANGE if tau2_range is None else tuple(tau2_range)
     grid = DEFAULT_SWEEP_PFR_GRID if pfr_grid is None else pfr_grid
-    jobs = [(t1, t2, grid) for t1 in tau1s for t2 in tau2s if t2 >= t1]
-    if not jobs:
+    pairs = [(t1, t2) for t1 in tau1s for t2 in tau2s if t2 >= t1]
+    if not pairs:
         raise InvalidInputError("tau ranges produced no cells with tau2 >= tau1")
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_sweep_cell, jobs))
-    else:
-        cells = [_sweep_cell(job) for job in jobs]
+    cells = []
+    for tau1, tau2 in pairs:
+        model = build_tau_surface(tau1, tau2, pfr_grid=grid)
+        report = mape_map(tau1, tau2, pfr_grid=grid, model=model)
+        cells.append(TauSweepCell(tau1=tau1, tau2=tau2, mean_mape_pct=report.mean_pct,
+                                  max_mape_pct=report.max_pct))
     return TauSweepReport(
         cells=tuple(cells),
         mean_pct=float(np.mean([c.mean_mape_pct for c in cells])),

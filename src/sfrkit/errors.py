@@ -15,9 +15,4 @@ class BranchError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """A least-squares fit did not converge. Carries the best iterate."""
-
-    def __init__(self, message, best_params=None, best_cost=None):
-        super().__init__(message)
-        self.best_params = best_params
-        self.best_cost = best_cost
+    """A least-squares fit found no finite optimum inside its parameter box."""

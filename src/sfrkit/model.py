@@ -265,6 +265,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(system=system, bands=tuple(bands), t_end=t_end, dt=dt)
 
 
+def _reject_non_finite(where):
+    """A json parse_constant hook: NaN, Infinity and -Infinity are bad input."""
+    def reject(token):
+        raise InvalidInputError(f"{where}: non-finite value {token}")
+    return reject
+
+
 def load_scenario(path, overrides=()) -> Scenario:
     """Load and validate a scenario JSON file.
 
@@ -273,7 +280,7 @@ def load_scenario(path, overrides=()) -> Scenario:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_non_finite(path))
     except OSError as exc:
         raise InvalidInputError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -287,15 +294,16 @@ def load_scenario(path, overrides=()) -> Scenario:
 def apply_overrides(doc: dict, assignments) -> dict:
     """Apply 'dotted.path=value' assignments to a scenario document.
 
-    Values are parsed as JSON literals, falling back to plain strings.
-    List elements are addressed by integer index (e.g. bands.0.tau_s=1.5).
+    Values are parsed as JSON literals, falling back to plain strings; the
+    non-finite tokens NaN, Infinity and -Infinity are rejected. List elements
+    are addressed by integer index (e.g. bands.0.tau_s=1.5).
     """
     for assignment in assignments:
         if "=" not in assignment:
             raise InvalidInputError(f"override '{assignment}': expected path=value")
         path, raw = assignment.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_reject_non_finite(f"override '{path}'"))
         except json.JSONDecodeError:
             value = raw
         keys = path.split(".")

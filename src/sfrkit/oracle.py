@@ -18,6 +18,8 @@ __all__ = ["RK4", "FORWARD_EULER", "IntegrationSpec", "integrate", "trace_nadir"
 
 RK4 = "rk4"
 FORWARD_EULER = "euler"
+# RK4 evaluates the forcing at 2 * steps + 1 points: 10 million steps take 160 MB
+_MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,9 @@ class IntegrationSpec:
             raise InvalidInputError(f"dt must be in (0, 0.01], got {self.dt}")
         if self.t_end < self.dt:
             raise InvalidInputError(f"t_end must be >= dt, got {self.t_end}")
+        if not self.t_end / self.dt <= _MAX_STEPS:
+            raise InvalidInputError(f"t_end/dt must be <= {_MAX_STEPS} steps, "
+                                    f"got t_end={self.t_end}, dt={self.dt}")
         if self.method not in (RK4, FORWARD_EULER):
             raise InvalidInputError(f"method must be '{RK4}' or '{FORWARD_EULER}'")
 

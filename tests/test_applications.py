@@ -336,3 +336,12 @@ class TestPolicyValidation:
             SecurityPolicy(k_policy=0.0, delta_f_max=-1.25)
         with pytest.raises(InvalidInputError):
             SecurityPolicy(k_policy=1.4, delta_f_max=0.0)
+
+    @pytest.mark.parametrize("delta_f_max", [math.nan, -math.inf])
+    def test_non_finite_deviation_limit(self, delta_f_max):
+        with pytest.raises(InvalidInputError, match="delta_f_max"):
+            SecurityPolicy(k_policy=1.4, delta_f_max=delta_f_max)
+
+    def test_infinite_policy_ratio(self):
+        with pytest.raises(InvalidInputError, match="k_policy"):
+            SecurityPolicy(k_policy=math.inf, delta_f_max=-1.25)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sfrkit import (
     CANONICAL_SURFACE,
+    FitError,
     FrequencyTrace,
     InvalidInputError,
     LagBand,
@@ -16,6 +19,7 @@ from sfrkit import (
     mape_map,
     mape_tau_sweep,
 )
+from sfrkit import bandfit
 
 CANONICAL_PAIR = TwoBandPfr(LagBand(130.0, 0.4), LagBand(80.0, 2.0))
 SMALL_GRID = (50.0, 100.0, 150.0, 200.0)
@@ -228,3 +232,119 @@ class TestTauSweep:
         monkeypatch.setenv("SFRKIT_THREADS", "2")
         threaded = mape_tau_sweep((0.4, 0.8), (1.0, 2.0), pfr_grid=(60.0, 120.0))
         assert serial == threaded
+
+
+def sampled_ssr(t, y, pfr, tau):
+    res = pfr * (1.0 - np.exp(-t / tau)) - y
+    return float(res @ res)
+
+
+def dense_scan_ssr(t, y, tau_lo, tau_hi, n=1200):
+    """Least sum of squares over a dense tau scan, the magnitude projected at each."""
+    best = np.inf
+    for taus in np.array_split(np.geomspace(tau_lo, tau_hi, n), 12):
+        s = 1.0 - np.exp(-t[None, :] / taus[:, None])
+        pfr = np.maximum(s @ y / np.einsum("ij,ij->i", s, s), 0.0)
+        res = pfr[:, None] * s - y
+        best = min(best, float(np.min(np.einsum("ij,ij->i", res, res))))
+    return best
+
+
+class TestVariableProjection:
+    def test_closed_form_sums_match_sampled(self):
+        t = bandfit.default_fit_times(2.0)
+        n, dt = bandfit._fit_grid(t, 2.0)
+        assert (n, dt) == (len(t), 0.01)
+        alpha = np.geomspace(0.05, 50.0, 200)
+        e_closed, f_closed = bandfit._exp_sums(alpha, (n, dt))
+        e_sampled, f_sampled = bandfit._exp_sums(alpha, t)
+        np.testing.assert_allclose(e_closed, e_sampled, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f_closed, f_sampled, rtol=1e-12, atol=0)
+
+    def test_surface_ratios_match_cell_fits(self):
+        grid = (40.0, 80.0, 120.0, 160.0)
+        tau1, tau2 = 0.3, 1.7
+        model = build_tau_surface(tau1, tau2, pfr_grid=grid)
+        ratios, taus, devs = [], [], []
+        for p1 in grid:
+            for p2 in grid:
+                eq = fit_equivalent_band(TwoBandPfr(LagBand(p1, tau1), LagBand(p2, tau2)))
+                ratios.append(p2 / p1)
+                taus.append(eq.tau_eq)
+                devs.append(abs(eq.pfr_eq - (p1 + p2)) / (p1 + p2))
+        # the per-ratio fits behind the surface are the cell fits up to rounding
+        _, tau_r, _ = bandfit._fit_lag_bands(1.0, tau1, np.array(ratios), tau2,
+                                             bandfit._fit_grid(None, tau2))
+        np.testing.assert_allclose(tau_r, taus, rtol=1e-10, atol=0)
+        assert model.pfr_plane_dev == pytest.approx(max(devs), rel=1e-9)
+
+        # (a, b) is the least-squares optimum over every cell, not over the ratios
+        def ssr(a, b):
+            fitted = a * (1.0 - np.exp(-b * np.array(ratios))) + tau1
+            return float(np.sum((fitted - taus) ** 2))
+
+        best = ssr(model.a, model.b)
+        assert model.rms_residual == pytest.approx(np.sqrt(best / len(taus)), rel=1e-9)
+        for step in (1 - 1e-4, 1 + 1e-4):
+            assert best < ssr(model.a * step, model.b)
+            assert best < ssr(model.a, model.b * step)
+
+    def test_uniform_times_argument_is_the_default_grid(self):
+        t = np.arange(0, 3001) * 0.01
+        assert fit_equivalent_band(CANONICAL_PAIR, times=t) == fit_equivalent_band(CANONICAL_PAIR)
+
+    def test_nonuniform_grid_uses_sampled_sums(self):
+        t = np.concatenate([np.arange(0.0, 2.0, 0.002), np.arange(2.0, 30.001, 0.05)])
+        eq = fit_equivalent_band(CANONICAL_PAIR, times=t)
+        y = CANONICAL_PAIR.value(t)
+        ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
+        assert eq.fit_residual == pytest.approx(ssr, rel=1e-9)
+        assert ssr <= dense_scan_ssr(t, y, 0.2, 4.0) * (1.0 + 1e-9)
+        assert eq.tau_eq != fit_equivalent_band(CANONICAL_PAIR).tau_eq
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tau1=st.floats(0.1, 2.0),
+        tau_ratio=st.sampled_from([1.0, 1.0001]) | st.floats(1.0, 8.0),
+        pfr1=st.sampled_from([0.0]) | st.floats(0.0, 500.0),
+        pfr2=st.sampled_from([0.0]) | st.floats(0.0, 500.0),
+    )
+    @example(tau1=0.4, tau_ratio=5.0, pfr1=0.0, pfr2=80.0)
+    @example(tau1=0.4, tau_ratio=5.0, pfr1=130.0, pfr2=0.0)
+    @example(tau1=0.8, tau_ratio=1.0, pfr1=50.0, pfr2=100.0)
+    def test_fit_no_worse_than_dense_scan(self, tau1, tau_ratio, pfr1, pfr2):
+        assume(pfr1 + pfr2 > 1e-3)
+        tau2 = tau1 * tau_ratio
+        tb = TwoBandPfr(LagBand(pfr1, tau1), LagBand(pfr2, tau2))
+        eq = fit_equivalent_band(tb)
+        t = bandfit.default_fit_times(tau2)
+        y = tb.value(t)
+        ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
+        floor = 1e-14 * float(y @ y)
+        assert tau1 / 2.0 <= eq.tau_eq <= 2.0 * tau2
+        assert ssr <= dense_scan_ssr(t, y, tau1 / 2.0, 2.0 * tau2) * (1.0 + 1e-9) + floor
+        assert eq.fit_residual == pytest.approx(ssr, rel=1e-6, abs=floor)
+
+
+class TestFitErrors:
+    def test_no_sign_change_in_the_box(self):
+        # tau_eq convex in the ratio: the best b lies below the box
+        ratios = np.linspace(0.1, 10.0, 25)
+        with pytest.raises(FitError, match="no sign change"):
+            bandfit._fit_tau_model(0.4, ratios, np.ones(25), 0.4 + 0.01 * ratios**2)
+
+    def test_non_finite_input(self):
+        ratios = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(FitError):
+            bandfit._fit_tau_model(0.4, ratios, np.ones(3), np.array([0.6, np.nan, 0.9]))
+
+    def test_non_finite_sums(self, monkeypatch):
+        def nan_sums(alpha, grid):
+            nan = np.full(np.shape(alpha), np.nan)
+            return nan, nan
+
+        monkeypatch.setattr(bandfit, "_exp_sums", nan_sums)
+        with pytest.raises(FitError):
+            fit_equivalent_band(CANONICAL_PAIR)
+        with pytest.raises(FitError):
+            build_tau_surface(0.4, 2.0, pfr_grid=SMALL_GRID)

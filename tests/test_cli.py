@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from sfrkit import bandfit
 from sfrkit.cli import _FIGURES, main
 
 BASE = {
@@ -158,6 +160,20 @@ class TestFits:
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert "mean_mape_pct=" in summary
 
+    @pytest.mark.parametrize("command", ["fit-band", "fit-surface"])
+    def test_fit_error_exits_2(self, command, scenario, tmp_path, monkeypatch, capsys):
+        def nan_sums(alpha, grid):
+            nan = np.full(np.shape(alpha), np.nan)
+            return nan, nan
+
+        monkeypatch.setattr(bandfit, "_exp_sums", nan_sums)
+        out = tmp_path / "fit.json"
+        args = ["--scenario", scenario(TWO_BAND)] if command == "fit-band" else \
+            ["--tau1", "0.4", "--tau2", "2.0"]
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "fit" in capsys.readouterr().err
+
 
 class TestMapeMapCli:
     def test_canonical_default_surface(self, tmp_path, capsys):
@@ -257,6 +273,26 @@ class TestOverridesAndErrors:
         assert main(["min-tau", "--scenario", scenario(BASE),
                      "--set", "bands.7.tau_s=1", "--k", "1.4",
                      "--out", str(tmp_path / "x.json")]) == 1
+
+    @pytest.mark.parametrize("doc, assignment", [
+        (BASE, "system.p_cont_mw=NaN"),
+        (TWO_BAND, "bands.1.tau_s=Infinity"),
+    ])
+    def test_non_finite_override_exits_1(self, doc, assignment, scenario, tmp_path, capsys):
+        out = tmp_path / "nadir.json"
+        assert main(["nadir", "--scenario", scenario(doc), "--set", assignment,
+                     "--method", "oracle", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert assignment.split("=")[0] in capsys.readouterr().err
+
+    def test_non_finite_deviation_limit_exits_1(self, scenario, tmp_path, capsys):
+        out = tmp_path / "cap.json"
+        assert main(["max-contingency", "--scenario", scenario(BASE),
+                     "--set", "system.ke_mws=7000", "--set", "system.p_load_mw=2500",
+                     "--set", "system.d_relief=0.05", "--delta-f-max", "nan",
+                     "--tau", "1.0", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "delta_f_max" in capsys.readouterr().err
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

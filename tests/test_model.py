@@ -208,3 +208,17 @@ class TestScenario:
             apply_overrides(doc, ["no_equals_sign"])
         with pytest.raises(InvalidInputError):
             apply_overrides(doc, ["bands.9.tau_s=1.0"])
+
+    @pytest.mark.parametrize("assignment", [
+        "system.p_cont_mw=NaN", "bands.1.t_r_s=Infinity", "system.ke_mws=-Infinity",
+    ])
+    def test_non_finite_override_names_the_field(self, assignment):
+        doc = json.loads(json.dumps(SCENARIO))
+        with pytest.raises(InvalidInputError, match=assignment.split("=")[0]):
+            apply_overrides(doc, [assignment])
+
+    def test_non_finite_file_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(SCENARIO).replace("300", "NaN"))
+        with pytest.raises(InvalidInputError, match="NaN"):
+            load_scenario(path)

@@ -34,6 +34,14 @@ class TestIntegrationSpec:
         with pytest.raises(InvalidInputError):
             IntegrationSpec(**kwargs)
 
+    def test_sample_ceiling(self):
+        # validated on construction; nothing is integrated or allocated
+        with pytest.raises(InvalidInputError, match="t_end"):
+            IntegrationSpec(t_end=1e9, dt=0.001)
+        with pytest.raises(InvalidInputError, match="t_end"):
+            IntegrationSpec(t_end=float("inf"), dt=0.001)
+        assert IntegrationSpec(t_end=9e3, dt=0.001).t_end == 9e3
+
     def test_defaults(self):
         spec = IntegrationSpec(t_end=30)
         assert spec.dt == 0.001
