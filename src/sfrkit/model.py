@@ -8,6 +8,7 @@ code path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +216,11 @@ def _field(doc: dict, where: str, key: str, kind=float):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidInputError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
+        value = float(value)
+        # literals such as 1e999 parse to infinity without a NaN/Infinity token
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{where}.{key}: expected a finite number, got {value!r}")
+        return value
     return value
 
 

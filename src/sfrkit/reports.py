@@ -31,7 +31,12 @@ def write_trace_csv(path, trace: FrequencyTrace) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Stable JSON artifact: sorted keys, trailing newline."""
+    """Stable JSON artifact: sorted keys, trailing newline.
+
+    A non-finite float raises ValueError before the file is opened, so no
+    artifact ever holds the non-JSON tokens NaN or Infinity.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write(text)
         fh.write("\n")

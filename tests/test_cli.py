@@ -277,6 +277,7 @@ class TestOverridesAndErrors:
     @pytest.mark.parametrize("doc, assignment", [
         (BASE, "system.p_cont_mw=NaN"),
         (TWO_BAND, "bands.1.tau_s=Infinity"),
+        (BASE, "system.p_cont_mw=1e999"),
     ])
     def test_non_finite_override_exits_1(self, doc, assignment, scenario, tmp_path, capsys):
         out = tmp_path / "nadir.json"
@@ -293,6 +294,16 @@ class TestOverridesAndErrors:
                      "--tau", "1.0", "--out", str(out)]) == 1
         assert not out.exists()
         assert "delta_f_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, largest", [("rk4", "0.000696323"), ("euler", "0.0005")])
+    def test_unstable_step_exits_1(self, method, largest, scenario, tmp_path, capsys):
+        # H = 0.01 MW.s/Hz and D' = 80 MW/Hz: h * D'/(2H) = 4 at the 1 ms step
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--scenario", scenario(BASE), "--set", "system.ke_mws=0.5",
+                     "--method", method, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "dt=0.001" in err and f"largest stable step is {largest} s" in err
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

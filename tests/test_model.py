@@ -222,3 +222,12 @@ class TestScenario:
         path.write_text(json.dumps(SCENARIO).replace("300", "NaN"))
         with pytest.raises(InvalidInputError, match="NaN"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("assignment", [
+        "system.p_cont_mw=1e999", "bands.0.pfr_mw=-1e999", "sim.dt_s=1e999",
+    ])
+    def test_overflowing_literal_names_the_field(self, assignment):
+        # finite JSON literals that parse to infinity pass the token hook
+        doc = apply_overrides(json.loads(json.dumps(SCENARIO)), [assignment])
+        with pytest.raises(InvalidInputError, match=assignment.split("=")[0]):
+            scenario_from_dict(doc)

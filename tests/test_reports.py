@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sfrkit import FrequencyTrace
 from sfrkit.reports import fmt, write_csv, write_json, write_trace_csv
@@ -33,3 +34,10 @@ class TestFormatting:
         assert text.endswith("\n")
         assert json.loads(text) == {"a": None, "b": 1.5}
         assert text.index('"a"') < text.index('"b"')
+
+    def test_json_rejects_non_finite_without_writing(self, tmp_path):
+        path = tmp_path / "o.json"
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                write_json(path, {"delta_f_nadir_hz": value})
+            assert not path.exists()
