@@ -9,14 +9,21 @@ while the fitted time constant follows
 
 whose coefficients (a, b) are themselves fitted. Both fits are separable: the
 magnitude is linear given tau and `a` is linear given `b`, so each is solved by
-variable projection as a 1-D root search. The canonical fast/standard pair
-tau1 = 0.4 s, tau2 = 2.0 s ships with pre-fitted coefficients.
+variable projection as a 1-D root of its stationarity condition. The root is
+found by a bracketed superlinear search (Chandrupatla's method) that stops at
+the first point where the condition reads exactly zero; tau is searched over
+[tau1/2, 2*tau2] with tau1 and tau2 as inner knots, and b in log space. The
+canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships with pre-fitted
+coefficients.
 
 Approximation quality is reported as the mean absolute percentage error
-between the exact and equivalent response curves, per grid cell.
+between the exact and equivalent response curves, per grid cell. It depends
+on a cell only through PFR2/PFR1, so cells that are power-of-two multiples of
+one another share one computation.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -58,10 +65,14 @@ DEFAULT_SWEEP_PFR_GRID = tuple(float(v) for v in range(20, 201, 20))  # MW
 DEFAULT_TAU1_RANGE = (0.2, 0.4, 0.6, 0.8, 1.0)                        # s
 DEFAULT_TAU2_RANGE = (1.0, 1.1, 1.5, 2.0, 2.5, 3.0)                   # s
 _FIT_DT = 0.01  # s
-# the root search halves its bracket until it is this narrow relative to its ends
+# the root search stops at the first exact zero of the stationarity gap; a
+# bracket this narrow relative to the root is the backstop when none is met
 _XTOL_REL = 1e-13
 # a stationarity condition within this share of its terms' size counts as zero
 _FLAT_REL = 1e-12
+# both searches need at most 15 evaluations on the sweep grids, and bisection
+# alone would need about 50; more steps than this means a stalled search
+_MAX_STEPS = 100
 _B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
 
 
@@ -93,10 +104,12 @@ class EquivalentBand:
     fit_residual: float | None = None  # sum of squared residuals, MW^2
 
     def __post_init__(self):
-        if self.pfr_eq < 0:
-            raise InvalidInputError(f"pfr_eq must be >= 0, got {self.pfr_eq}")
-        if not self.tau_eq > 0:
-            raise InvalidInputError(f"tau_eq must be > 0, got {self.tau_eq}")
+        if not 0 <= self.pfr_eq < math.inf:
+            raise InvalidInputError(f"pfr_eq must be finite and >= 0, got {self.pfr_eq}")
+        if not 0 < self.tau_eq < math.inf:
+            raise InvalidInputError(f"tau_eq must be finite and > 0, got {self.tau_eq}")
+        if self.fit_residual is not None and not math.isfinite(self.fit_residual):
+            raise InvalidInputError(f"fit_residual must be finite, got {self.fit_residual}")
 
     def band(self) -> LagBand:
         return LagBand(pfr=self.pfr_eq, tau=self.tau_eq)
@@ -114,12 +127,18 @@ class TauSurfaceModel:
     pfr_plane_dev: float | None = None  # max relative drift of pfr_eq from PFR1+PFR2
 
     def __post_init__(self):
-        if self.a < 0:
-            raise InvalidInputError(f"a must be >= 0, got {self.a}")
-        if not self.b > 0:
-            raise InvalidInputError(f"b must be > 0, got {self.b}")
-        if not 0 < self.tau1 <= self.tau2:
-            raise InvalidInputError("need 0 < tau1 <= tau2")
+        if not 0 <= self.a < math.inf:
+            raise InvalidInputError(f"a must be finite and >= 0, got {self.a}")
+        if not 0 < self.b < math.inf:
+            raise InvalidInputError(f"b must be finite and > 0, got {self.b}")
+        if not 0 < self.tau1 <= self.tau2 < math.inf:
+            raise InvalidInputError(
+                f"need finite 0 < tau1 <= tau2, got tau1={self.tau1}, tau2={self.tau2}"
+            )
+        for name in ("rms_residual", "pfr_plane_dev"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
 # coefficients fitted once for the canonical fast/standard bands (0.4 s, 2.0 s)
@@ -173,31 +192,118 @@ def _exp_sums(alpha, grid):
     return w.sum(axis=-1), w @ grid
 
 
-def _bisect(stationarity, lo, hi, what):
-    """Root of a projected fit's stationarity condition on [lo, hi], elementwise.
+def _zeroed(p, q):
+    """The stationarity gap p - q, read as exactly 0 within _FLAT_REL of |p| + |q|.
 
-    stationarity(x) returns (p, q) with p > q where the projected fit improves
-    as x grows. A difference within _FLAT_REL of |p| + |q| counts as zero, so
-    a direction in which the fit is flat settles at lo instead of following
-    rounding. lo and hi must be finite and positive. Raises FitError unless the
-    box brackets a sign change and the condition is finite at the root.
+    A projected fit's stationarity condition is a pair (p, q) with p > q where
+    the fit improves as its parameter grows, so the gap is positive below the
+    root and negative above it. Zeroing differences at rounding level lets a
+    flat direction settle instead of following rounding.
+    """
+    d = p - q
+    return np.where(np.abs(d) <= _FLAT_REL * (np.abs(p) + np.abs(q)), 0.0, d)
+
+
+def _find_root(stationarity, knots, xtol, what):
+    """Root of a projected fit's stationarity condition on [knots[0], knots[-1]], elementwise.
+
+    knots ascend along the first axis and are evaluated in one call; the first
+    knot where the zeroed gap is <= 0 and the knot before it bracket the root.
+    Chandrupatla's method then narrows each bracket by inverse quadratic
+    interpolation through its last three points, or by bisection where that
+    interpolant is not monotone. An element stops at the first point where the
+    gap is exactly 0, so a direction that is flat at knots[0] settles there, or
+    when its bracket is narrower than xtol. Raises FitError unless the box
+    brackets a sign change, the condition is finite wherever it is evaluated
+    and every element stops within _MAX_STEPS evaluations after the knots.
     """
     def gap(x):
-        p, q = stationarity(x)
-        d = p - q
-        return np.where(np.abs(d) <= _FLAT_REL * (np.abs(p) + np.abs(q)), 0.0, d)
+        return _zeroed(*stationarity(x))
 
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if not (np.all(gap(lo) >= 0.0) and np.all(gap(hi) <= 0.0)):
+    knots = np.asarray(knots, dtype=float)
+    g = gap(knots)
+    if not (np.all(g[0] >= 0.0) and np.all(g[-1] <= 0.0)):
         raise FitError(f"{what}: no sign change of the stationarity condition in the box")
-    while np.any(hi - lo > _XTOL_REL * hi):
-        mid = 0.5 * (lo + hi)
-        up = gap(mid) > 0.0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    root = 0.5 * (lo + hi)
-    if not np.all(np.isfinite(gap(root))):
-        raise FitError(f"{what}: non-finite optimum")
+    if not np.all(np.isfinite(g)):
+        raise FitError(f"{what}: non-finite stationarity condition")
+    k = np.argmax(g <= 0.0, axis=0)[None]
+    j = np.maximum(k - 1, 0)
+    x1, f1 = np.take_along_axis(knots, k, 0)[0], np.take_along_axis(g, k, 0)[0]
+    x2, f2 = np.take_along_axis(knots, j, 0)[0], np.take_along_axis(g, j, 0)[0]
+    x3, f3, t = x2, f2, 0.5
+    done = (f1 == 0.0) | (np.abs(x2 - x1) <= xtol)
+    root = np.where(np.abs(f1) <= np.abs(f2), x1, x2)
+    steps = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while not done.all():
+            if steps == _MAX_STEPS:
+                raise FitError(f"{what}: no convergence in {_MAX_STEPS} steps")
+            steps += 1
+            # x1 is the newest point, [x1, x2] the bracket, x3 the point x1 replaced
+            x = np.where(done, x1, x1 + t * (x2 - x1))
+            f = gap(x)
+            if not np.all(np.isfinite(f)):
+                raise FitError(f"{what}: non-finite stationarity condition")
+            same = (f > 0.0) == (f1 > 0.0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            width = np.abs(x2 - x1)
+            stop = ~done & ((f1 == 0.0) | (width <= xtol))
+            root = np.where(stop, np.where(np.abs(f1) <= np.abs(f2), x1, x2), root)
+            done = done | stop
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            tl = 0.5 * xtol / width
+            t = np.clip(t, tl, 1.0 - tl)
     return root
+
+
+def _find_root_scalar(stationarity, lo, hi, xtol, what):
+    """_find_root for one root on [lo, hi], kept in Python floats.
+
+    The same steps as _find_root with the knots lo and hi. Its bookkeeping
+    is not done on 0-d arrays because numpy's per-call overhead there costs
+    more than a stationarity evaluation of the surface fit.
+    """
+    def gap(x):
+        return float(_zeroed(*stationarity(x)))
+
+    f_lo, f_hi = gap(lo), gap(hi)
+    if not (f_lo >= 0.0 and f_hi <= 0.0):
+        raise FitError(f"{what}: no sign change of the stationarity condition in the box")
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise FitError(f"{what}: non-finite stationarity condition")
+    if f_lo == 0.0:
+        return lo
+    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
+    x3, f3, t, steps = x2, f2, 0.5, 0
+    while abs(x2 - x1) > xtol:
+        if steps == _MAX_STEPS:
+            raise FitError(f"{what}: no convergence in {_MAX_STEPS} steps")
+        steps += 1
+        x = x1 + t * (x2 - x1)
+        f = gap(x)
+        if f == 0.0:
+            return x
+        if not math.isfinite(f):
+            raise FitError(f"{what}: non-finite stationarity condition")
+        if (f > 0.0) == (f1 > 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, f
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        if 0.0 < xi < 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        else:
+            t = 0.5
+        tl = 0.5 * xtol / abs(x2 - x1)
+        t = min(max(t, tl), 1.0 - tl)
+    return x1 if abs(f1) <= abs(f2) else x2
 
 
 def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
@@ -231,9 +337,11 @@ def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
         ss, sy, d_ss, d_sy = products(tau)
         return sy * d_ss, 2 * d_sy * ss
 
+    # tau1 and tau2 are knots inside the box: the root sits between them, and
+    # exactly on one when PFR2 = 0, PFR1 = 0 or tau1 = tau2
     shape = np.broadcast(p1, p2).shape
-    tau = _bisect(stationarity, np.full(shape, tau1 / 2.0), np.full(shape, 2.0 * tau2),
-                  "equivalent-band fit")
+    knots = [np.full(shape, x) for x in (tau1 / 2.0, tau1, tau2, 2.0 * tau2)]
+    tau = _find_root(stationarity, knots, _XTOL_REL * tau1 / 2.0, "equivalent-band fit")
     ss, sy, _, _ = products(tau)
     pfr = np.maximum(sy / ss, 0.0)
     return pfr, tau, np.maximum(yy - pfr * (2 * sy - pfr * ss), 0.0)
@@ -243,8 +351,9 @@ def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
     """Weighted least-squares (a, b) of tau_eq = a*(1 - exp(-b*ratio)) + tau1.
 
     a = <phi,y>/<phi,phi>, clipped at 0, for phi = 1 - exp(-b*ratio) and
-    y = tau_eq - tau1, leaves a 1-D search in b over [1e-6, 1e3].
-    Returns (a, b, ssr).
+    y = tau_eq - tau1, leaves a 1-D search in log b over [1e-6, 1e3]; a fit
+    that is flat at the lower end, as when every tau_eq is tau1, returns
+    b = 1e-6 exactly. Returns (a, b, ssr).
     """
     y = tau_eqs - tau1
 
@@ -260,7 +369,11 @@ def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
         py_pos = max(py, 0.0)
         return py_pos * dy * pp, py_pos * py * dp
 
-    b = float(_bisect(stationarity, _B_BOX[0], _B_BOX[1], "tau-surface fit"))
+    # the box spans nine decades, so b is searched in log space
+    lo, hi = _B_BOX
+    log_b = _find_root_scalar(lambda u: stationarity(math.exp(u)), math.log(lo), math.log(hi),
+                              _XTOL_REL, "tau-surface fit")
+    b = lo if log_b == math.log(lo) else math.exp(log_b)
     pp, py, _, _ = projections(b)
     a = max(float(py / pp), 0.0)
     res = y - a * (1.0 - np.exp(-b * ratios))
@@ -350,7 +463,10 @@ def _mape_arrays(exact: np.ndarray, approx: np.ndarray) -> float:
     mask = np.abs(exact) >= MAPE_EXCLUSION_REL * peak if peak > 0 else np.zeros(len(exact), bool)
     if not mask.any():
         raise InvalidInputError("MAPE undefined: every sample was excluded as near-zero")
-    return float(np.mean(np.abs((exact[mask] - approx[mask]) / exact[mask])) * 100.0)
+    kept = exact[mask]
+    rel = np.abs((kept - approx[mask]) / kept)
+    # np.mean's own sum and division, without its per-call overhead
+    return float(np.add.reduce(rel) / rel.size * 100.0)
 
 
 def mape(exact: FrequencyTrace, approx: FrequencyTrace) -> float:
@@ -380,7 +496,10 @@ class MapeReport:
 
 def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | None = None,
              times=None) -> MapeReport:
-    """Per-cell MAPE between exact two-band and equivalent response curves."""
+    """Per-cell MAPE between exact two-band and equivalent response curves.
+
+    Each value is the one a cell-by-cell computation gives, bit for bit.
+    """
     grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
     if model is None:
         if (tau1, tau2) != (CANONICAL_SURFACE.tau1, CANONICAL_SURFACE.tau2):
@@ -392,16 +511,25 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
     e1 = 1.0 - np.exp(-t / tau1)
     e2 = 1.0 - np.exp(-t / tau2)
 
+    # A cell's MAPE and exclusion mask depend on its magnitudes only through
+    # PFR2/PFR1, and a power-of-two rescaling of both magnitudes leaves every
+    # rounding step unchanged. So each class of cells that are exact
+    # power-of-two multiples of one another is computed once, bit for bit.
+    by_class = {}
     cells = []
-    for p1 in grid:
-        for p2 in grid:
+    magnitudes = grid.tolist()
+    for p1 in magnitudes:
+        for p2 in magnitudes:
             if p1 == 0 and p2 == 0:
                 continue
-            exact = p1 * e1 + p2 * e2
-            eq = canonical_equivalent(p1, p2, model)
-            approx = eq.pfr_eq * (1.0 - np.exp(-t / eq.tau_eq))
-            cells.append(MapeCell(pfr1=float(p1), pfr2=float(p2),
-                                  mape_pct=_mape_arrays(exact, approx)))
+            e = math.frexp(p1 + p2)[1]
+            key = (math.ldexp(p1, -e), math.ldexp(p2, -e))
+            if key not in by_class:
+                exact = p1 * e1 + p2 * e2
+                eq = canonical_equivalent(p1, p2, model)
+                approx = eq.pfr_eq * (1.0 - np.exp(-t / eq.tau_eq))
+                by_class[key] = _mape_arrays(exact, approx)
+            cells.append(MapeCell(pfr1=p1, pfr2=p2, mape_pct=by_class[key]))
     if not cells:
         raise InvalidInputError("pfr grid left no usable cells")
     values = [c.mape_pct for c in cells]

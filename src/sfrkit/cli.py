@@ -19,6 +19,7 @@ from .model import (
     LagBand,
     RampBand,
     SystemConditions,
+    _reject_non_finite,
     derive_params,
     load_scenario,
     total_pfr_value,
@@ -154,7 +155,7 @@ def _sim_grid(scenario):
 def _load_surface(path) -> bandfit.TauSurfaceModel:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_non_finite(path))
         return bandfit.TauSurfaceModel(
             a=float(doc["a"]), b=float(doc["b"]),
             tau1=float(doc["tau1_s"]), tau2=float(doc["tau2_s"]),

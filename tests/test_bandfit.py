@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -51,7 +54,7 @@ class TestEquivalentBandFit:
             t, tb.value(t), p0=[210.0, 1.0], bounds=([0.0, 0.2], [np.inf, 4.0]),
         )
         eq = fit_equivalent_band(tb)
-        # cost-based stopping leaves ~1e-5 parameter slack around the optimum
+        # curve_fit stops on its own cost tolerance, about 6e-6 from the exact optimum
         assert eq.pfr_eq == pytest.approx(popt[0], rel=1e-4)
         assert eq.tau_eq == pytest.approx(popt[1], rel=1e-4)
 
@@ -348,3 +351,209 @@ class TestFitErrors:
             fit_equivalent_band(CANONICAL_PAIR)
         with pytest.raises(FitError):
             build_tau_surface(0.4, 2.0, pfr_grid=SMALL_GRID)
+
+
+def reference_find_root(stationarity, knots, xtol, what):
+    """The bisection that the bracketed search replaced, kept as a reference.
+
+    It halves [knots[0], knots[-1]] on the sign of the same zeroed gap until
+    the bracket is 1e-13 of its upper end wide, and returns the midpoint.
+    """
+    def gap(x):
+        p, q = stationarity(x)
+        d = p - q
+        return np.where(np.abs(d) <= 1e-12 * (np.abs(p) + np.abs(q)), 0.0, d)
+
+    lo, hi = np.asarray(knots[0], dtype=float), np.asarray(knots[-1], dtype=float)
+    if not (np.all(gap(lo) >= 0.0) and np.all(gap(hi) <= 0.0)):
+        raise FitError(f"{what}: no sign change of the stationarity condition in the box")
+    while np.any(hi - lo > 1e-13 * hi):
+        mid = 0.5 * (lo + hi)
+        up = gap(mid) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def reference_find_root_scalar(stationarity, lo, hi, xtol, what):
+    """The reference for the surface's b search, which is in log b: bisection in b itself."""
+    b = reference_find_root(lambda b: stationarity(np.log(b)), [math.exp(lo), math.exp(hi)],
+                            xtol, what)
+    return math.log(float(b))
+
+
+def counting(search, counts, key):
+    """Wrap a root search so that each stationarity evaluation it makes is counted."""
+    def wrapped(stationarity, *args):
+        def counted(x):
+            counts[key] += 1
+            return stationarity(x)
+        return search(counted, *args)
+    return wrapped
+
+
+class TestBracketedSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tau1=st.floats(0.1, 2.0),
+        tau_ratio=st.sampled_from([1.0]) | st.floats(1.0, 8.0),
+        pfr1=st.sampled_from([0.0]) | st.floats(0.0, 500.0),
+        pfr2=st.sampled_from([0.0]) | st.floats(0.0, 500.0),
+    )
+    @example(tau1=0.4, tau_ratio=5.0, pfr1=130.0, pfr2=80.0)
+    @example(tau1=0.4, tau_ratio=5.0, pfr1=130.0, pfr2=0.0)
+    @example(tau1=0.4, tau_ratio=5.0, pfr1=0.0, pfr2=80.0)
+    @example(tau1=1.0, tau_ratio=1.0, pfr1=50.0, pfr2=100.0)
+    def test_fit_no_worse_than_reference_bisection(self, tau1, tau_ratio, pfr1, pfr2):
+        assume(pfr1 + pfr2 > 1e-3)
+        tau2 = tau1 * tau_ratio
+        tb = TwoBandPfr(LagBand(pfr1, tau1), LagBand(pfr2, tau2))
+        eq = fit_equivalent_band(tb)
+        original = bandfit._find_root
+        try:
+            bandfit._find_root = reference_find_root
+            ref = fit_equivalent_band(tb)
+        finally:
+            bandfit._find_root = original
+        t = bandfit.default_fit_times(tau2)
+        y = tb.value(t)
+        ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
+        ref_ssr = sampled_ssr(t, y, ref.pfr_eq, ref.tau_eq)
+        assert tau1 / 2.0 <= eq.tau_eq <= 2.0 * tau2
+        # the floor is rounding in the sampled sums of an exact or near-exact fit
+        assert ssr <= ref_ssr * (1.0 + 1e-12) + 1e-20 * float(y @ y)
+        assert eq.tau_eq == pytest.approx(ref.tau_eq, rel=1e-9)
+
+    def test_exact_cases_land_on_the_knots(self):
+        # PFR2 = 0, PFR1 = 0 and tau1 = tau2 fit one band exactly; the root is a knot
+        def tau_eq(p1, tau1, p2, tau2):
+            return fit_equivalent_band(TwoBandPfr(LagBand(p1, tau1), LagBand(p2, tau2))).tau_eq
+
+        assert tau_eq(120.0, 0.4, 0.0, 2.0) == 0.4
+        assert tau_eq(0.0, 0.4, 120.0, 2.0) == 2.0
+        assert tau_eq(50.0, 0.8, 70.0, 0.8) == 0.8
+
+    def test_flat_surface_settles_at_the_lower_end(self):
+        model = build_tau_surface(1.0, 1.0, pfr_grid=(50.0, 100.0))
+        assert model.b == 1e-6
+        assert model.a == 0.0
+
+    def test_surface_matches_reference_bisection(self, monkeypatch):
+        grid = bandfit.DEFAULT_SWEEP_PFR_GRID
+        model = build_tau_surface(0.3, 1.7, pfr_grid=grid)
+        monkeypatch.setattr(bandfit, "_find_root", reference_find_root)
+        monkeypatch.setattr(bandfit, "_find_root_scalar", reference_find_root_scalar)
+        ref = build_tau_surface(0.3, 1.7, pfr_grid=grid)
+        assert model.rms_residual <= ref.rms_residual * (1.0 + 1e-9)
+        assert model.a == pytest.approx(ref.a, rel=1e-8)
+        assert model.b == pytest.approx(ref.b, rel=1e-8)
+
+    def test_evaluation_counts(self, monkeypatch):
+        counts = {"lag": 0, "b": 0}
+        monkeypatch.setattr(bandfit, "_find_root", counting(bandfit._find_root, counts, "lag"))
+        monkeypatch.setattr(bandfit, "_find_root_scalar",
+                            counting(bandfit._find_root_scalar, counts, "b"))
+        fit_equivalent_band(CANONICAL_PAIR)
+        assert 0 < counts["lag"] <= 15
+        for tau1 in bandfit.DEFAULT_TAU1_RANGE:
+            for tau2 in bandfit.DEFAULT_TAU2_RANGE:
+                if tau2 < tau1:
+                    continue
+                counts["b"] = 0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    build_tau_surface(tau1, tau2, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
+                assert 0 < counts["b"] <= 15, (tau1, tau2)
+
+    def test_stalled_search_raises(self, monkeypatch):
+        monkeypatch.setattr(bandfit, "_MAX_STEPS", 2)
+        with pytest.raises(FitError, match="no convergence"):
+            fit_equivalent_band(CANONICAL_PAIR)
+        ratios = np.array([0.5, 1.0, 2.0, 4.0])
+        tau_eqs = 0.4 + 1.3 * (1.0 - np.exp(-0.6 * ratios))
+        with pytest.raises(FitError, match="no convergence"):
+            bandfit._fit_tau_model(0.4, ratios, np.ones(4), tau_eqs)
+
+    def test_vector_search_contract(self):
+        def search(stationarity, *knots):
+            return bandfit._find_root(stationarity, [np.array(k) for k in knots], 1e-13, "test")
+
+        with pytest.raises(FitError, match="no sign change"):
+            search(lambda x: (x, 0.0 * x), [-1.0, 0.5], [1.0, 2.0])
+        with pytest.raises(FitError, match="non-finite"):
+            search(lambda x: (np.where(np.abs(x) < 0.3, np.nan, -x), 0.0 * x), [-1.0], [1.0])
+        # exp(-x) = 1/2 at ln 2: on the lower end, on a middle knot, and inside
+        ln2 = math.log(2.0)
+        root = search(lambda x: (np.exp(-x), np.full_like(x, 0.5)),
+                      [ln2, 0.0, 0.0], [2.5, ln2, 1.0], [4.0, 4.0, 4.0])
+        assert root[0] == ln2
+        assert root[1] == ln2
+        assert root[2] == pytest.approx(ln2, rel=1e-12)
+
+    def test_scalar_search_contract(self):
+        def search(stationarity, lo, hi):
+            return bandfit._find_root_scalar(stationarity, lo, hi, 1e-13, "test")
+
+        with pytest.raises(FitError, match="no sign change"):
+            search(lambda x: (x, 0.0), -1.0, 1.0)
+        with pytest.raises(FitError, match="non-finite"):
+            search(lambda x: (math.nan if x == 0.0 else -x, 0.0), -1.0, 1.0)
+        assert search(lambda x: (1.0, 1.0), 2.0, 3.0) == 2.0
+        assert search(lambda x: (math.exp(-x), 0.5), 0.0, 4.0) == pytest.approx(math.log(2.0),
+                                                                               rel=1e-13)
+
+
+def per_cell_mape_map(tau1, tau2, grid, model, t):
+    """mape_map as it was: one MAPE per cell, through the public mape()."""
+    dt = float(t[1])
+    e1, e2 = 1.0 - np.exp(-t / tau1), 1.0 - np.exp(-t / tau2)
+    out = []
+    for p1 in grid:
+        for p2 in grid:
+            if p1 == 0 and p2 == 0:
+                continue
+            eq = canonical_equivalent(p1, p2, model)
+            exact = FrequencyTrace(0.0, dt, p1 * e1 + p2 * e2)
+            approx = FrequencyTrace(0.0, dt, eq.pfr_eq * (1.0 - np.exp(-t / eq.tau_eq)))
+            out.append(((p1, p2), mape(exact, approx)))
+    return out
+
+
+class TestMapeMapSharedRows:
+    def test_matches_per_cell_recomputation(self):
+        # 0 gives the PFR1 = 0 passthrough column and the PFR2 = 0 column; 30/90
+        # and 40/120 share a ratio without being power-of-two multiples
+        grid = (0.0, 30.0, 40.0, 60.0, 90.0, 120.0)
+        t = np.arange(0, 2401) * 0.005
+        report = mape_map(0.4, 2.0, pfr_grid=grid, times=t)
+        want = per_cell_mape_map(0.4, 2.0, grid, CANONICAL_SURFACE, t)
+        assert [(c.pfr1, c.pfr2) for c in report.cells] == [cell for cell, _ in want]
+        # cells share a row only with power-of-two multiples, so every value is
+        # the cell's own, bit for bit; cells that merely share a ratio agree to rounding
+        assert [c.mape_pct for c in report.cells] == [value for _, value in want]
+        by_cell = {(c.pfr1, c.pfr2): c.mape_pct for c in report.cells}
+        assert by_cell[(30.0, 90.0)] == pytest.approx(by_cell[(40.0, 120.0)], rel=1e-12)
+        values = [value for _, value in want]
+        assert report.mean_pct == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert report.max_pct == max(c.mape_pct for c in report.cells)
+
+
+SURFACE_FIELDS = dict(a=1.3, b=0.6, tau1=0.4, tau2=2.0, rms_residual=0.01, pfr_plane_dev=0.005)
+BAND_FIELDS = dict(pfr_eq=210.0, tau_eq=0.8, fit_residual=1.0)
+
+
+class TestFiniteFields:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", list(SURFACE_FIELDS))
+    def test_surface_model(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            TauSurfaceModel(**{**SURFACE_FIELDS, name: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", list(BAND_FIELDS))
+    def test_equivalent_band(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            bandfit.EquivalentBand(**{**BAND_FIELDS, name: value})
+
+    def test_unset_optional_fields_allowed(self):
+        TauSurfaceModel(a=1.3, b=0.6, tau1=0.4, tau2=2.0)
+        bandfit.EquivalentBand(pfr_eq=210.0, tau_eq=0.8)

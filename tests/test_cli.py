@@ -184,6 +184,20 @@ class TestMapeMapCli:
         assert header == ["pfr1_mw", "pfr2_mw", "mape_pct"]
         assert len(rows) == 16
 
+    @pytest.mark.parametrize("value, message", [
+        ("1e999", "a must be finite"),
+        ("Infinity", "non-finite value Infinity"),
+        ("NaN", "non-finite value NaN"),
+    ])
+    def test_non_finite_surface_exits_1(self, value, message, tmp_path, capsys):
+        surface = tmp_path / "surface.json"
+        surface.write_text('{"a": %s, "b": 0.5, "tau1_s": 0.4, "tau2_s": 2.0}' % value)
+        out = tmp_path / "map.csv"
+        assert main(["mape-map", "--tau1", "0.4", "--tau2", "2.0", "--surface", str(surface),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["mape-map", "--pfr-min", "50", "--pfr-max", "150", "--pfr-step", "50"]
         out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
