@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .bandfit import TauSurfaceModel, equivalent_tau
-from .closedform import B_EPS, REL_EPS, nadir_shape_factor
+from .closedform import ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _require_damping, _shape
 from .errors import BranchError, InvalidInputError
 from .model import DerivedParams, SystemConditions
 
@@ -76,14 +76,11 @@ def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConsta
     """K, A, B, C for a contingency met by a single lag response."""
     if not pfr > 0:
         raise InvalidInputError(f"pfr must be > 0, got {pfr}")
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    a = _a_ratio(sc, tau)
     k = sc.p_cont / pfr
-    a = sc.dprime * tau / (2.0 * sc.h)
-    b = 1.0 + k * (a - 1.0)
-    singular = abs(a - 1.0) <= REL_EPS
-    c = float("nan") if singular else a / (a - 1.0)
-    return NadirConstants(k=k, a=a, b=b, c=c, asymptotic=b <= B_EPS, singular=singular)
+    em1, kam1, branch, singular = _branch(k, a)
+    c = float("nan") if singular else a / em1
+    return NadirConstants(k, a, 1.0 + kam1, c, branch != INTERIOR_MINIMUM, singular)
 
 
 def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> float:
@@ -93,41 +90,37 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
     equals the asymptotic cap, and below it BranchError points the caller to
     asymptotic_max_contingency.
     """
-    if not dp.dprime > 0:
-        raise InvalidInputError("D' must be > 0")
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    _require_damping(dp)
     k = policy.k_policy
-    a = dp.dprime * tau / (2.0 * dp.h)
-    b = 1.0 + k * (a - 1.0)
-    if abs(b) <= B_EPS:
-        # the two branches meet at the boundary
-        return asymptotic_max_contingency(dp, k, policy.delta_f_max)
-    if b < 0:
+    a = _a_ratio(dp, tau)
+    em1, kam1, branch, singular = _branch(k, a)
+    if branch == ASYMPTOTIC:
         raise BranchError(
             "asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency"
         )
-    return k * dp.dprime * policy.delta_f_max / nadir_shape_factor(k, a)
+    if branch != INTERIOR_MINIMUM:
+        # the two branches meet at the boundary
+        return asymptotic_max_contingency(dp, k, policy.delta_f_max)
+    return k * dp.dprime * policy.delta_f_max / _shape(k, a, em1, kam1, singular)
 
 
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
     """System-independent factor f(A, K): the cap equals f * D'."""
     if not k > 0:
         raise InvalidInputError(f"K must be > 0, got {k}")
-    b = 1.0 + k * (a - 1.0)
-    if abs(b) <= B_EPS:
+    em1, kam1, branch, singular = _branch(k, a)
+    if branch == ASYMPTOTIC:
+        raise BranchError("f(A, K) is defined only for A >= 1 - 1/K")
+    if branch != INTERIOR_MINIMUM:
         if k <= 1.0:
             raise BranchError("no finite cap at the boundary when K <= 1")
         return delta_f_max / (1.0 / k - 1.0)
-    if b < 0:
-        raise BranchError("f(A, K) is defined only for A >= 1 - 1/K")
-    return k * delta_f_max / nadir_shape_factor(k, a)
+    return k * delta_f_max / _shape(k, a, em1, kam1, singular)
 
 
 def asymptotic_max_contingency(dp: DerivedParams, k_policy: float, delta_f_max: float) -> float:
     """Cap in the asymptotic regime: delta_f_max / (1/K - 1) * D', MW."""
-    if not dp.dprime > 0:
-        raise InvalidInputError("D' must be > 0")
+    _require_damping(dp)
     if k_policy <= 1.0:
         raise BranchError(
             "unbounded: with K <= 1 the settling deviation never crosses the limit"
@@ -141,8 +134,7 @@ def min_effective_tau(dp: DerivedParams, k: float) -> float:
     For K < 1 every tau already yields an interior nadir; the bound is
     clamped to zero.
     """
-    if not dp.dprime > 0:
-        raise InvalidInputError("D' must be > 0")
+    _require_damping(dp)
     if not k > 0:
         raise InvalidInputError(f"K must be > 0, got {k}")
     return max((1.0 - 1.0 / k) * 2.0 * dp.h / dp.dprime, 0.0)
@@ -169,11 +161,8 @@ def special_case_max_contingency(dp: DerivedParams, delta_f_max: float, tau: flo
 
     -D' * delta_f_max * A^(1/(A-1)); the A -> 1 limit is -D' * delta_f_max * e.
     """
-    if not dp.dprime > 0:
-        raise InvalidInputError("D' must be > 0")
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    a = dp.dprime * tau / (2.0 * dp.h)
+    _require_damping(dp)
+    a = _a_ratio(dp, tau)
     return -dp.dprime * delta_f_max * _a_power(a)
 
 
@@ -183,11 +172,8 @@ def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
     dP/dtau = -(D' df_max / tau) * [(A-1-A lnA)/(A-1)^2] * A^(1/(A-1))
     dP/dH   = +(D' df_max / H)   * [(A-1-A lnA)/(A-1)^2] * A^(1/(A-1))
     """
-    if not dp.dprime > 0:
-        raise InvalidInputError("D' must be > 0")
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    a = dp.dprime * tau / (2.0 * dp.h)
+    _require_damping(dp)
+    a = _a_ratio(dp, tau)
     common = _sensitivity_bracket(a) * _a_power(a) * dp.dprime * delta_f_max
     return -common / tau, common / dp.h
 
@@ -206,10 +192,8 @@ def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
 def sensitivity_pcont_bands(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                             pfr1: float, pfr2: float):
     """(dP/dPFR1, dP/dPFR2) of the K = 1 cap through the tau channel."""
-    tau = float(equivalent_tau(model, pfr1, pfr2))
-    dp_dtau, _ = sensitivity_pcont(dp, delta_f_max, tau)
-    dtau_d1, dtau_d2 = sensitivity_tau_bands(model, pfr1, pfr2)
-    return dp_dtau * dtau_d1, dp_dtau * dtau_d2
+    report = sensitivity_report(dp, delta_f_max, model, pfr1, pfr2)
+    return report.dp_dpfr1, report.dp_dpfr2
 
 
 @dataclass(frozen=True)

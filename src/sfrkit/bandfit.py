@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InvalidInputError
-from .model import FrequencyTrace, LagBand
+from .model import FrequencyTrace, LagBand, total_pfr_value
 
 __all__ = [
     "TwoBandPfr",
@@ -92,9 +92,7 @@ class TwoBandPfr:
             raise InvalidInputError("band magnitudes must be >= 0 for fitting")
 
     def value(self, t):
-        e1 = 1.0 - np.exp(-np.asarray(t, dtype=float) / self.band1.tau)
-        e2 = 1.0 - np.exp(-np.asarray(t, dtype=float) / self.band2.tau)
-        return self.band1.pfr * e1 + self.band2.pfr * e2
+        return total_pfr_value((self.band1, self.band2), t)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,6 +35,8 @@ _DEF_DT = 0.001
 _BASE_SYSTEM = SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=300.0)
 _SECURITY_SYSTEM = SystemConditions(f_n=50.0, ke=7000.0, p_load=2500.0, d=0.04, p_cont=300.0)
 _SECURITY_DF_MAX = -1.25  # Hz
+# magnitudes per axis of a --pfr-* grid; the bundled grids use at most 20
+_MAX_GRID = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +50,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _require_finite_flags(args)
         return args.handler(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -54,6 +58,14 @@ def main(argv=None) -> int:
     except (BranchError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _require_finite_flags(args):
+    """argparse's float accepts nan, inf and overflowing literals such as 1e999."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInputError(f"{flag} ({name}) must be a finite number, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +150,10 @@ def _grid_flags(p, default_min=10.0, default_step=10.0):
 def _pfr_grid(args):
     if not args.pfr_step > 0 or args.pfr_max < args.pfr_min:
         raise InvalidInputError("pfr grid flags must satisfy step > 0 and max >= min")
-    n = int(round((args.pfr_max - args.pfr_min) / args.pfr_step))
+    steps = (args.pfr_max - args.pfr_min) / args.pfr_step
+    if not steps < _MAX_GRID - 0.5:
+        raise InvalidInputError(f"pfr grid: {steps + 1:.6g} magnitudes per axis, at most {_MAX_GRID}")
+    n = int(round(steps))
     return tuple(args.pfr_min + args.pfr_step * i for i in range(n + 1))
 
 
@@ -155,29 +170,22 @@ def _sim_grid(scenario):
 def _load_surface(path) -> bandfit.TauSurfaceModel:
     try:
         with open(path, encoding="utf-8") as fh:
+            # the hook's InvalidInputError names the path already
             doc = json.load(fh, parse_constant=_reject_non_finite(path))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"cannot load surface model {path}: {exc}") from exc
+    try:
         return bandfit.TauSurfaceModel(
             a=float(doc["a"]), b=float(doc["b"]),
             tau1=float(doc["tau1_s"]), tau2=float(doc["tau2_s"]),
             rms_residual=doc.get("rms_residual"),
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"cannot load surface model {path}: {exc}") from exc
 
 
 def _surface_or_canonical(args) -> bandfit.TauSurfaceModel:
     return _load_surface(args.surface) if args.surface else bandfit.CANONICAL_SURFACE
-
-
-def _closed_kind(bands):
-    kinds = {type(b) for b in bands}
-    if not bands:
-        raise InvalidInputError("scenario has no response bands")
-    if kinds == {LagBand}:
-        return "lag"
-    if kinds == {RampBand}:
-        return "ramp"
-    raise InvalidInputError("closed-form traces need bands of a single kind (all lag or all ramp)")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -195,7 +203,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = _scenario(args)
     t_end, dt = _sim_grid(scenario)
-    kind = _closed_kind(scenario.bands)
+    # trace rejects an empty or mixed band list; the first band names the kind
+    kind = "ramp" if scenario.bands and isinstance(scenario.bands[0], RampBand) else "lag"
     closed = closedform.trace(scenario.system, scenario.bands, t_end, dt, kind)
     spec = oracle.IntegrationSpec(t_end=t_end, dt=dt)
     numeric = oracle.integrate(scenario.system, lambda t: total_pfr_value(scenario.bands, t), spec)
@@ -277,9 +286,12 @@ def _cmd_mape_map(args) -> int:
 
 def _parse_floats(raw):
     try:
-        return tuple(float(v) for v in raw.split(","))
+        values = tuple(float(v) for v in raw.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"expected comma-separated numbers, got {raw!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InvalidInputError(f"expected comma-separated finite numbers, got {raw!r}")
+    return values
 
 
 def _cmd_tau_sweep(args) -> int:

@@ -1,21 +1,22 @@
 """Exact solutions of the frequency-response ODE for ramp and lag PFR.
 
-The underlying model is the linear first-order ODE
+The model d(df)/dt + D'/(2H) * df = (p(t) - P_cont) / (2H), df(0) = 0, is
+linear, so its solution is the contingency step plus one term per band. One
+kernel, `_delta_f`, sums them for any mix of bands, with E(t) = exp(-D't/(2H)):
 
-    d(df)/dt + D'/(2H) * df = (p(t) - P_cont) / (2H)
+    df = [(sum PFR - P_cont)/D' - 2H sum R/D'^2] (1 - E) + sum R t/D'
+         - sum_lag PFR tau/(D'tau - 2H) (exp(-t/tau) - E)
 
-with df(0) = 0. For a lag response p(t) = PFR*(1 - exp(-t/tau)) the solution
-is exact for all time; for a ramp response p(t) = R*t it is exact only while
-the ramp is still running (t <= t_r), because the expression never saturates
-the ramp. That deficiency is intentional here: the numerical oracle saturates,
-so the divergence is observable.
+It is exact for all time for lag bands p(t) = PFR*(1 - exp(-t/tau)), but for
+ramp bands p(t) = R*t only while the ramp runs (t <= t_r): it never saturates
+the ramp, on purpose, so the divergence from the saturating oracle shows. The
+public deviation functions check their bands' kind and call the kernel.
 
-Ratios used throughout the nadir algebra:
-
-    K = P_cont / PFR, A = D'*tau / (2H), B = 1 + K*(A - 1), C = A / (A - 1)
-
-An interior nadir exists iff B > 0; otherwise the deviation decays
-monotonically toward its settling value ("asymptotic" regime).
+The nadir algebra uses K = P_cont/PFR, A = D'*tau/(2H), B = 1 + K*(A - 1) and
+C = A/(A - 1). `_branch` is the one place B and its branch are decided: an
+interior nadir iff B > B_EPS, else the deviation decays monotonically to its
+settling value ("asymptotic"); |B| <= B_EPS is the boundary, where the caps of
+both branches meet. The D' > 0 guard and the tau check in A live here too.
 """
 from __future__ import annotations
 
@@ -53,6 +54,10 @@ B_EPS = 1e-9
 
 INTERIOR_MINIMUM = "interior_minimum"
 ASYMPTOTIC = "asymptotic"
+_BOUNDARY = "boundary"  # |B| <= B_EPS: asymptotic, but the caps of both branches meet
+
+_BAND_TYPES = {"lag": LagBand, "ramp": RampBand}
+_NO_INTERIOR = "no interior nadir for these inputs; use asymptotic_nadir for the settling value"
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,68 @@ class NadirResult:
     max_rocof: float           # Hz/s, always -P_cont/(2H) at t = 0
 
 
-def _require_damping(sc: SystemConditions) -> float:
-    dprime = sc.dprime
+def _require_damping(params) -> float:
+    """D' of a SystemConditions or DerivedParams, which must be > 0."""
+    dprime = params.dprime
     if not dprime > 0:
         raise InvalidInputError("D' = d * p_load must be > 0 for this expression")
     return dprime
+
+
+def _a_ratio(params, tau: float) -> float:
+    """A = D'*tau / (2H) for a SystemConditions or DerivedParams; tau must be > 0."""
+    if not tau > 0:
+        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    return params.dprime * tau / (2.0 * params.h)
+
+
+def _branch(k: float, a: float):
+    """(A - 1, K(A - 1), branch, singular) for scalar K and A.
+
+    branch is INTERIOR_MINIMUM, _BOUNDARY or ASYMPTOTIC; singular marks the
+    A = 1 guard band, where the limit expressions replace the general ones.
+    """
+    em1 = a - 1.0
+    kam1 = k * em1
+    b = 1.0 + kam1
+    branch = INTERIOR_MINIMUM if b > B_EPS else _BOUNDARY if abs(b) <= B_EPS else ASYMPTOTIC
+    return em1, kam1, branch, abs(em1) <= REL_EPS
+
+
+def _delta_f(sc: SystemConditions, bands, t):
+    """Deviation under any mix of lag and (unsaturated) ramp bands, Hz."""
+    dprime = _require_damping(sc)
+    h = sc.h
+    arr, scalar = _as_times(t)
+    # a fixed accumulation order keeps the output identical under permutation;
+    # ordering by |pfr| keeps it an exact mirror under a sign flip
+    lags = sorted((b for b in bands if isinstance(b, LagBand)),
+                  key=lambda b: (b.tau, abs(b.pfr)))
+    ramps = sorted((b for b in bands if isinstance(b, RampBand)),
+                   key=lambda b: (b.t_r, abs(b.pfr)))
+    rate_sum = sum(b.rate for b in ramps)
+    decay_exp = np.exp(-dprime * arr / (2.0 * h))
+    step = (sum(b.pfr for b in lags) - sc.p_cont) / dprime - 2.0 * rate_sum * h / dprime**2
+    out = step * (1.0 - decay_exp)
+    if ramps:  # adding a +0.0 term would turn -0.0 samples into 0.0
+        out = out + rate_sum * arr / dprime
+    for band in lags:
+        denom = dprime * band.tau - 2.0 * h
+        if abs(denom) <= REL_EPS * 2.0 * h:  # removable singularity at D'*tau = 2H
+            out = out - band.pfr * arr * decay_exp / (2.0 * h)
+        else:
+            out = out - band.pfr * band.tau / denom * (np.exp(-arr / band.tau) - decay_exp)
+    return _ret(out, scalar)
+
+
+def _of_kind(bands, kind: str):
+    """bands, checked to be non-empty and all of the named kind."""
+    if not bands:
+        raise InvalidInputError(f"at least one {kind} band is required")
+    wrong = [type(b).__name__ for b in bands if not isinstance(b, _BAND_TYPES[kind])]
+    if wrong:
+        raise InvalidInputError(f"the {kind} closed form needs {kind} bands only, got {wrong[0]}")
+    return bands
 
 
 def multi_ramp_delta_f(sc: SystemConditions, bands, t):
@@ -77,17 +139,7 @@ def multi_ramp_delta_f(sc: SystemConditions, bands, t):
 
     Valid only up to the shortest ramp time among the bands.
     """
-    if not bands:
-        raise InvalidInputError("at least one ramp band is required")
-    dprime = _require_damping(sc)
-    h = sc.h
-    arr, scalar = _as_times(t)
-    # fixed accumulation order keeps the output identical under permutation
-    bands = sorted(bands, key=lambda b: (b.t_r, b.pfr))
-    rate_sum = sum(b.rate for b in bands)
-    decay = 1.0 - np.exp(-dprime * arr / (2.0 * h))
-    out = rate_sum * arr / dprime - (2.0 * rate_sum * h / dprime**2 + sc.p_cont / dprime) * decay
-    return _ret(out, scalar)
+    return _delta_f(sc, _of_kind(bands, "ramp"), t)
 
 
 def ramp_delta_f(sc: SystemConditions, band: RampBand, t):
@@ -95,30 +147,9 @@ def ramp_delta_f(sc: SystemConditions, band: RampBand, t):
     return multi_ramp_delta_f(sc, [band], t)
 
 
-def _lag_band_term(dprime, h, band: LagBand, arr, decay_exp):
-    """The band-specific transient of the lag solution (to be subtracted)."""
-    denom = dprime * band.tau - 2.0 * h
-    if abs(denom) <= REL_EPS * 2.0 * h:
-        # removable singularity at D'*tau = 2H
-        return band.pfr * arr * decay_exp / (2.0 * h)
-    return band.pfr * band.tau / denom * (np.exp(-arr / band.tau) - decay_exp)
-
-
 def multi_lag_delta_f(sc: SystemConditions, bands, t):
     """Deviation under any number of lag bands, Hz (exact for all time)."""
-    if not bands:
-        raise InvalidInputError("at least one lag band is required")
-    dprime = _require_damping(sc)
-    h = sc.h
-    arr, scalar = _as_times(t)
-    decay_exp = np.exp(-dprime * arr / (2.0 * h))
-    # fixed accumulation order keeps the output identical under permutation
-    bands = sorted(bands, key=lambda b: (b.tau, b.pfr))
-    pfr_sum = sum(b.pfr for b in bands)
-    out = (pfr_sum - sc.p_cont) / dprime * (1.0 - decay_exp)
-    for band in bands:
-        out = out - _lag_band_term(dprime, h, band, arr, decay_exp)
-    return _ret(out, scalar)
+    return _delta_f(sc, _of_kind(bands, "lag"), t)
 
 
 def lag_delta_f(sc: SystemConditions, band: LagBand, t):
@@ -128,20 +159,34 @@ def lag_delta_f(sc: SystemConditions, band: LagBand, t):
 
 def _ratios(sc: SystemConditions, band: LagBand):
     """K, A for a single lag band; validates signs and damping."""
-    dprime = _require_damping(sc)
+    _require_damping(sc)
     if band.pfr == 0:
         raise InvalidInputError("nadir ratios are undefined for a zero-magnitude band")
     k = sc.p_cont / band.pfr
     if k < 0:
         raise InvalidInputError("band magnitude must share the sign of p_cont")
-    a = dprime * band.tau / (2.0 * sc.h)
-    return k, a
+    return k, _a_ratio(sc, band.tau)
+
+
+def _shape(k, a, em1, kam1, singular) -> float:
+    """nadir_shape_factor from the _branch values of an interior point."""
+    if singular:
+        return 1.0 - k - math.exp(-k)
+    ln_b = math.log1p(kam1)
+    c = a / em1
+    return (c + k - 1.0) * math.exp(-c * ln_b) - c * math.exp(-ln_b / em1) - k + 1.0
 
 
 def nadir_solvable(sc: SystemConditions, band: LagBand) -> bool:
     """True iff the deviation has an interior stationary minimum (B > 0)."""
-    k, a = _ratios(sc, band)
-    return 1.0 + k * (a - 1.0) > B_EPS
+    return _branch(*_ratios(sc, band))[2] == INTERIOR_MINIMUM
+
+
+def _interior_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
+    result = lag_nadir(sc, band)
+    if result.kind != INTERIOR_MINIMUM:
+        raise BranchError(_NO_INTERIOR)
+    return result
 
 
 def lag_nadir_time(sc: SystemConditions, band: LagBand) -> float:
@@ -150,28 +195,16 @@ def lag_nadir_time(sc: SystemConditions, band: LagBand) -> float:
     Evaluates ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'/2H - 1/tau), with the
     limit K*tau at A = 1.
     """
-    k, a = _ratios(sc, band)
-    kam1 = k * (a - 1.0)
-    if 1.0 + kam1 <= B_EPS:
-        raise BranchError(
-            "no interior nadir for these inputs; use asymptotic_nadir for the settling value"
-        )
-    if abs(a - 1.0) <= REL_EPS:
-        return k * band.tau
-    return math.log1p(kam1) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau)
+    return _interior_nadir(sc, band).t_nadir
 
 
 def lag_nadir_time_from_ratios(sc: SystemConditions, band: LagBand) -> float:
     """Algebraically equivalent nadir time tau * ln(B) / (A - 1), s."""
     k, a = _ratios(sc, band)
-    kam1 = k * (a - 1.0)
-    if 1.0 + kam1 <= B_EPS:
-        raise BranchError(
-            "no interior nadir for these inputs; use asymptotic_nadir for the settling value"
-        )
-    if abs(a - 1.0) <= REL_EPS:
-        return k * band.tau
-    return band.tau * math.log1p(kam1) / (a - 1.0)
+    em1, kam1, branch, singular = _branch(k, a)
+    if branch != INTERIOR_MINIMUM:
+        raise BranchError(_NO_INTERIOR)
+    return k * band.tau if singular else band.tau * math.log1p(kam1) / em1
 
 
 def nadir_shape_factor(k: float, a: float) -> float:
@@ -180,16 +213,10 @@ def nadir_shape_factor(k: float, a: float) -> float:
     Multiplying by PFR/D' gives the nadir deviation; it is negative whenever
     K > 0 (under- and over-frequency alike, by the sign convention).
     """
-    em1 = a - 1.0
-    kam1 = k * em1
-    b = 1.0 + kam1
-    if b <= B_EPS:
+    em1, kam1, branch, singular = _branch(k, a)
+    if branch != INTERIOR_MINIMUM:
         raise BranchError("shape factor undefined: inputs are in the asymptotic regime")
-    if abs(em1) <= REL_EPS:
-        return 1.0 - k - math.exp(-k)
-    ln_b = math.log1p(kam1)
-    c = a / em1
-    return (c + k - 1.0) * math.exp(-c * ln_b) - c * math.exp(-ln_b / em1) - k + 1.0
+    return _shape(k, a, em1, kam1, singular)
 
 
 def lag_nadir_deviation(sc: SystemConditions, band: LagBand) -> float:
@@ -197,20 +224,12 @@ def lag_nadir_deviation(sc: SystemConditions, band: LagBand) -> float:
 
     Identical (analytically) to lag_delta_f evaluated at lag_nadir_time.
     """
-    k, a = _ratios(sc, band)
-    try:
-        factor = nadir_shape_factor(k, a)
-    except BranchError:
-        raise BranchError(
-            "no interior nadir for these inputs; use asymptotic_nadir for the settling value"
-        ) from None
-    return band.pfr / sc.dprime * factor
+    return _interior_nadir(sc, band).delta_f_nadir
 
 
 def asymptotic_nadir(sc: SystemConditions, total_pfr: float) -> float:
     """Settling deviation (PFR - P_cont) / D', Hz."""
-    dprime = _require_damping(sc)
-    return (total_pfr - sc.p_cont) / dprime
+    return (total_pfr - sc.p_cont) / _require_damping(sc)
 
 
 def max_rocof(sc: SystemConditions) -> float:
@@ -220,31 +239,22 @@ def max_rocof(sc: SystemConditions) -> float:
 
 def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     """Classify and evaluate the nadir for a single lag band."""
-    if nadir_solvable(sc, band):
-        return NadirResult(
-            kind=INTERIOR_MINIMUM,
-            t_nadir=lag_nadir_time(sc, band),
-            delta_f_nadir=lag_nadir_deviation(sc, band),
-            max_rocof=max_rocof(sc),
-        )
-    return NadirResult(
-        kind=ASYMPTOTIC,
-        t_nadir=None,
-        delta_f_nadir=asymptotic_nadir(sc, band.pfr),
-        max_rocof=max_rocof(sc),
-    )
+    k, a = _ratios(sc, band)
+    em1, kam1, branch, singular = _branch(k, a)
+    if branch != INTERIOR_MINIMUM:
+        return NadirResult(ASYMPTOTIC, None, asymptotic_nadir(sc, band.pfr), max_rocof(sc))
+    t_nadir = k * band.tau if singular else (
+        math.log1p(kam1) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau))
+    depth = band.pfr / sc.dprime * _shape(k, a, em1, kam1, singular)
+    return NadirResult(INTERIOR_MINIMUM, t_nadir, depth, max_rocof(sc))
 
 
 def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> FrequencyTrace:
-    """Sample the closed-form deviation on t = 0, dt, ..., round(t_end/dt)*dt."""
+    """Sample the deviation of bands of one kind on t = 0, dt, ..., round(t_end/dt)*dt."""
     if not dt > 0 or not t_end > 0 or t_end < dt:
         raise InvalidInputError(f"invalid trace grid: t_end={t_end}, dt={dt}")
+    if kind not in ("lag", "ramp"):
+        raise InvalidInputError(f"kind must be 'lag' or 'ramp', got {kind!r}")
     n = int(round(t_end / dt))
     times = np.arange(n + 1) * dt
-    if kind == "lag":
-        samples = multi_lag_delta_f(sc, bands, times)
-    elif kind == "ramp":
-        samples = multi_ramp_delta_f(sc, bands, times)
-    else:
-        raise InvalidInputError(f"kind must be 'lag' or 'ramp', got {kind!r}")
-    return FrequencyTrace(t0=0.0, dt=dt, samples=samples)
+    return FrequencyTrace(t0=0.0, dt=dt, samples=_delta_f(sc, _of_kind(bands, kind), times))

@@ -63,9 +63,6 @@ class SystemConditions:
         """System inertia H = KE / f_n, MW.s/Hz."""
         return self.ke / self.f_n
 
-    def derived(self) -> "DerivedParams":
-        return derive_params(self)
-
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -87,7 +84,7 @@ class DerivedParams:
 
 def derive_params(sc: SystemConditions) -> DerivedParams:
     """Compute D' = D * P_load and H = KE / f_n."""
-    return DerivedParams(dprime=sc.d * sc.p_load, h=sc.ke / sc.f_n)
+    return DerivedParams(dprime=sc.dprime, h=sc.h)
 
 
 @dataclass(frozen=True)
@@ -100,6 +97,9 @@ class LagBand:
     def __post_init__(self):
         if not self.tau > 0:
             raise InvalidInputError(f"tau must be > 0, got {self.tau}")
+
+    def _delivered(self, arr):
+        return self.pfr * (1.0 - np.exp(-arr / self.tau))
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,9 @@ class RampBand:
         """Ramp rate R = pfr / t_r, MW/s."""
         return self.pfr / self.t_r
 
+    def _delivered(self, arr):
+        return np.minimum(self.rate * arr, self.pfr)
+
 
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
@@ -131,43 +134,30 @@ def _ret(values, scalar):
     return float(values) if scalar else values
 
 
-def lag_pfr_value(band: LagBand, t):
-    """Delivered response of a lag band at time t (scalar or array), MW."""
-    arr, scalar = _as_times(t)
-    return _ret(band.pfr * (1.0 - np.exp(-arr / band.tau)), scalar)
-
-
-def ramp_pfr_value(band: RampBand, t):
-    """Delivered response of a ramp band at time t, MW.
-
-    Saturates at pfr once the ramp completes; this saturated shape is what
-    the numerical oracle integrates.
-    """
-    arr, scalar = _as_times(t)
-    return _ret(np.minimum(band.rate * arr, band.pfr), scalar)
-
-
-def two_band_pfr_value(b1: LagBand, b2: LagBand, t):
-    """Combined response of two lag bands at time t, MW."""
-    arr, scalar = _as_times(t)
-    return _ret(
-        b1.pfr * (1.0 - np.exp(-arr / b1.tau)) + b2.pfr * (1.0 - np.exp(-arr / b2.tau)),
-        scalar,
-    )
-
-
 def total_pfr_value(bands, t):
     """Combined response of a mixed list of lag/ramp bands at time t, MW."""
     arr, scalar = _as_times(t)
     total = np.zeros_like(arr)
     for band in bands:
-        if isinstance(band, LagBand):
-            total = total + band.pfr * (1.0 - np.exp(-arr / band.tau))
-        elif isinstance(band, RampBand):
-            total = total + np.minimum(band.rate * arr, band.pfr)
-        else:
+        if not isinstance(band, (LagBand, RampBand)):
             raise InvalidInputError(f"unknown band type {type(band).__name__}")
+        total = total + band._delivered(arr)
     return _ret(total, scalar)
+
+
+def lag_pfr_value(band: LagBand, t):
+    """Delivered response of a lag band at time t (scalar or array), MW."""
+    return total_pfr_value((band,), t)
+
+
+def ramp_pfr_value(band: RampBand, t):
+    """Delivered response of a ramp band at time t, MW, saturating at pfr."""
+    return total_pfr_value((band,), t)
+
+
+def two_band_pfr_value(b1: LagBand, b2: LagBand, t):
+    """Combined response of two lag bands at time t, MW."""
+    return total_pfr_value((b1, b2), t)
 
 
 @dataclass(frozen=True)

@@ -133,9 +133,13 @@ def integrate(sc: SystemConditions, p_of_t, spec: IntegrationSpec) -> FrequencyT
 def trace_nadir(trace: FrequencyTrace):
     """Grid extremum of a trace: (time, deviation).
 
-    The sign of the final deviation selects the direction (most negative for
-    under-frequency, most positive for over-frequency); ties break earliest.
+    The first nonzero sample, which moves with the contingency because every
+    band starts at 0 MW, selects the direction: most negative for under-,
+    most positive for over-frequency, even if the response overshoots later.
+    Ties break earliest.
     """
     samples = trace.samples
-    idx = int(np.argmin(samples)) if samples[-1] <= 0 else int(np.argmax(samples))
+    moved = np.flatnonzero(samples)
+    under = moved.size == 0 or samples[moved[0]] < 0
+    idx = int(np.argmin(samples)) if under else int(np.argmax(samples))
     return trace.t0 + trace.dt * idx, float(samples[idx])

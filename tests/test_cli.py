@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,3 +389,70 @@ class TestReproduceFigures:
         main(["reproduce-figure", "fig9", "--out", str(out1)])
         main(["reproduce-figure", "fig9", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestFiniteFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["max-contingency", "--delta-f-max", "-1.25", "--tau", "inf"], "--tau"),
+        (["max-contingency", "--delta-f-max", "-1.25", "--tau", "1e999"], "--tau"),
+        (["sensitivities", "--delta-f-max", "nan", "--pfr1", "130", "--pfr2", "80"],
+         "--delta-f-max"),
+        (["fit-surface", "--tau1", "0.4", "--tau2", "inf"], "--tau2"),
+        (["fit-surface", "--tau1", "nan", "--tau2", "2.0"], "--tau1"),
+        (["mape-map", "--pfr-max", "inf"], "--pfr-max"),
+        (["min-tau", "--k", "nan"], "--k"),
+    ])
+    def test_non_finite_flag_exits_1(self, argv, flag, scenario, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        if argv[0] in ("max-contingency", "sensitivities", "min-tau"):
+            argv = argv + ["--scenario", scenario(BASE)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert flag in capsys.readouterr().err
+
+    def test_non_finite_sweep_list_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["tau-sweep", "--tau1-values", "0.4,inf", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "0.4,inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--pfr-min", "0", "--pfr-max", "1000", "--pfr-step", "1"],  # one magnitude over
+        ["--pfr-min", "10", "--pfr-max", "1e4", "--pfr-step", "1e-3"],
+        ["--pfr-min=-1e308", "--pfr-max", "1e308", "--pfr-step", "1"],  # span overflows
+    ])
+    @pytest.mark.parametrize("command", ["mape-map", "fit-surface", "tau-sweep"])
+    def test_grid_size_is_capped(self, command, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        taus = ["--tau1", "0.4", "--tau2", "2.0"] if command == "fit-surface" else []
+        assert main([command] + taus + argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert "at most 1000" in capsys.readouterr().err
+
+
+class TestSurfaceErrors:
+    def test_rejected_token_names_the_path_once(self, tmp_path, capsys):
+        surface = tmp_path / "s_nan.json"
+        surface.write_text('{"a": NaN, "b": 0.5, "tau1_s": 0.4, "tau2_s": 2.0}')
+        out = tmp_path / "map.csv"
+        assert main(["mape-map", "--surface", str(surface), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(str(surface)) == 1
+
+
+class TestOracleNadirOvershoot:
+    def test_dip_before_overshoot_is_the_nadir(self, tmp_path):
+        # 400 MW of response against a 300 MW loss: the deviation dips, turns
+        # and settles above zero; the dip is the nadir
+        scenario = str(Path(__file__).resolve().parent.parent / "demos/scenarios/lag_270mw.json")
+        results = {}
+        for method in ("closed", "oracle"):
+            out = tmp_path / f"{method}.json"
+            assert main(["nadir", "--scenario", scenario, "--set", "bands.0.pfr_mw=400",
+                         "--method", method, "--out", str(out)]) == 0
+            results[method] = json.loads(out.read_text())
+        closed, numeric = results["closed"], results["oracle"]
+        assert closed["kind"] == numeric["kind"] == "interior_minimum"
+        assert numeric["delta_f_nadir_hz"] == pytest.approx(-0.645048, abs=1e-6)
+        assert numeric["delta_f_nadir_hz"] == pytest.approx(closed["delta_f_nadir_hz"], abs=1e-6)
+        assert numeric["t_nadir_s"] == pytest.approx(closed["t_nadir_s"], abs=1e-3)
