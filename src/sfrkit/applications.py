@@ -42,6 +42,8 @@ __all__ = [
 
 # minimum PFR share of the largest contingency mandated in the WEM: 70%
 WEM_K_POLICY = 1.0 / 0.7
+# relative step of the central differences
+_FD_REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -224,15 +226,16 @@ def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceM
     )
 
 
-def _central(f, x: float, rel_step: float) -> float:
-    h = rel_step * abs(x)
+def _central(f, x: float) -> float:
+    h = _FD_REL_STEP * abs(x)
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
-                          pfr1: float, pfr2: float, rel_step: float = 1e-5) -> SensitivityReport:
+                          pfr1: float, pfr2: float) -> SensitivityReport:
     """Central-difference counterpart of sensitivity_report."""
     tau = float(equivalent_tau(model, pfr1, pfr2))
+    step = _FD_REL_STEP * pfr1  # forward step in PFR2 when PFR2 = 0
 
     def p_of_tau(t):
         return special_case_max_contingency(dp, delta_f_max, t)
@@ -250,25 +253,24 @@ def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfa
         return p_of_tau(tau_of(pfr1, p2))
 
     return SensitivityReport(
-        dp_dtau=_central(p_of_tau, tau, rel_step),
-        dp_dh=_central(p_of_h, dp.h, rel_step),
-        dtau_dpfr1=_central(lambda p: tau_of(p, pfr2), pfr1, rel_step),
-        dtau_dpfr2=_central(lambda p: tau_of(pfr1, p), pfr2, rel_step) if pfr2 != 0
-        else (tau_of(pfr1, rel_step * pfr1) - tau_of(pfr1, 0.0)) / (rel_step * pfr1),
-        dp_dpfr1=_central(p_of_pfr1, pfr1, rel_step),
-        dp_dpfr2=_central(p_of_pfr2, pfr2, rel_step) if pfr2 != 0
-        else (p_of_pfr2(rel_step * pfr1) - p_of_pfr2(0.0)) / (rel_step * pfr1),
+        dp_dtau=_central(p_of_tau, tau),
+        dp_dh=_central(p_of_h, dp.h),
+        dtau_dpfr1=_central(lambda p: tau_of(p, pfr2), pfr1),
+        dtau_dpfr2=_central(lambda p: tau_of(pfr1, p), pfr2) if pfr2 != 0
+        else (tau_of(pfr1, step) - tau_of(pfr1, 0.0)) / step,
+        dp_dpfr1=_central(p_of_pfr1, pfr1),
+        dp_dpfr2=_central(p_of_pfr2, pfr2) if pfr2 != 0
+        else (p_of_pfr2(step) - p_of_pfr2(0.0)) / step,
     )
 
 
-def max_contingency_k_sensitivity(dp: DerivedParams, policy: SecurityPolicy, tau: float,
-                                  rel_step: float = 1e-5) -> float:
+def max_contingency_k_sensitivity(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> float:
     """dP/dK of the general cap by central differences (no closed form), MW."""
 
     def p_of_k(k):
         return max_contingency(dp, SecurityPolicy(k, policy.delta_f_max), tau)
 
-    return _central(p_of_k, policy.k_policy, rel_step)
+    return _central(p_of_k, policy.k_policy)
 
 
 def required_ffr_share(model: TauSurfaceModel, tau_target: float) -> float:

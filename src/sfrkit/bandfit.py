@@ -14,7 +14,8 @@ found by a bracketed superlinear search (Chandrupatla's method) that stops at
 the first point where the condition reads exactly zero; tau is searched over
 [tau1/2, 2*tau2] with tau1 and tau2 as inner knots, and b in log space. The
 canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships with pre-fitted
-coefficients.
+coefficients. The default sampling grid, [0, max(30, 5*tau2)] s at 10 ms, is
+bounded by the step ceiling of model._grid_steps, so tau2 <= 20 000 s.
 
 Approximation quality is reported as the mean absolute percentage error
 between the exact and equivalent response curves, per grid cell. It depends
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InvalidInputError
-from .model import FrequencyTrace, LagBand, total_pfr_value
+from .model import FrequencyTrace, LagBand, _grid_steps, total_pfr_value
 
 __all__ = [
     "TwoBandPfr",
@@ -164,7 +165,7 @@ def _fit_grid(times, tau2: float):
     The default grid samples [0, max(30, 5*tau2)] s every _FIT_DT.
     """
     if times is None:
-        return int(round(max(30.0, 5.0 * tau2) / _FIT_DT)) + 1, _FIT_DT
+        return _grid_steps(max(5.0 * tau2, 30.0), _FIT_DT, "fit window 5*tau2") + 1, _FIT_DT
     t = _check_times(times, tau2)
     n, dt = len(t), float(t[1])
     return (n, dt) if np.array_equal(t, np.arange(n) * dt) else t
@@ -496,15 +497,14 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
              times=None) -> MapeReport:
     """Per-cell MAPE between exact two-band and equivalent response curves.
 
+    The model, CANONICAL_SURFACE by default, must be fitted for (tau1, tau2).
     Each value is the one a cell-by-cell computation gives, bit for bit.
     """
     grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
-    if model is None:
-        if (tau1, tau2) != (CANONICAL_SURFACE.tau1, CANONICAL_SURFACE.tau2):
-            raise InvalidInputError(
-                "no default surface model for these time constants; build one first"
-            )
-        model = CANONICAL_SURFACE
+    model = CANONICAL_SURFACE if model is None else model
+    if (model.tau1, model.tau2) != (tau1, tau2):
+        raise InvalidInputError(f"surface model is for tau1={model.tau1}, tau2={model.tau2}, not "
+                                f"the requested tau1={tau1}, tau2={tau2}; build one for them")
     t = default_fit_times(tau2) if times is None else _check_times(times, tau2)
     e1 = 1.0 - np.exp(-t / tau1)
     e2 = 1.0 - np.exp(-t / tau2)

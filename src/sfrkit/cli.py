@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _require_finite_flags(args)
         return args.handler(args)
-    except InvalidInputError as exc:
+    except (ValueError, OverflowError) as exc:
+        # InvalidInputError, and non-finite results that write_json refuses
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BranchError, FitError) as exc:
@@ -161,10 +162,19 @@ def _scenario(args):
     return load_scenario(args.scenario, args.overrides)
 
 
-def _sim_grid(scenario):
-    t_end = scenario.t_end if scenario.t_end is not None else _DEF_T_END
-    dt = scenario.dt if scenario.dt is not None else _DEF_DT
-    return t_end, dt
+def _sim_grid(scenario, t_end=_DEF_T_END):
+    """The scenario's (t_end, dt); t_end and the 1 ms step are the defaults."""
+    return (t_end if scenario.t_end is None else scenario.t_end,
+            _DEF_DT if scenario.dt is None else scenario.dt)
+
+
+def _closed_and_oracle(system, bands, t_end, dt):
+    """Closed-form and RK4 traces of bands of one kind on one sampling grid."""
+    # trace rejects an empty or mixed band list; the first band names the kind
+    kind = "ramp" if bands and isinstance(bands[0], RampBand) else "lag"
+    closed = closedform.trace(system, bands, t_end, dt, kind)
+    spec = oracle.IntegrationSpec(t_end=t_end, dt=dt)
+    return closed, oracle.integrate(system, lambda t: total_pfr_value(bands, t), spec)
 
 
 def _load_surface(path) -> bandfit.TauSurfaceModel:
@@ -193,8 +203,7 @@ def _surface_or_canonical(args) -> bandfit.TauSurfaceModel:
 
 def _cmd_simulate(args) -> int:
     scenario = _scenario(args)
-    t_end, dt = _sim_grid(scenario)
-    spec = oracle.IntegrationSpec(t_end=t_end, dt=dt, method=args.method)
+    spec = oracle.IntegrationSpec(*_sim_grid(scenario), method=args.method)
     trace = oracle.integrate(scenario.system, lambda t: total_pfr_value(scenario.bands, t), spec)
     reports.write_trace_csv(args.out, trace)
     return 0
@@ -202,12 +211,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = _scenario(args)
-    t_end, dt = _sim_grid(scenario)
-    # trace rejects an empty or mixed band list; the first band names the kind
-    kind = "ramp" if scenario.bands and isinstance(scenario.bands[0], RampBand) else "lag"
-    closed = closedform.trace(scenario.system, scenario.bands, t_end, dt, kind)
-    spec = oracle.IntegrationSpec(t_end=t_end, dt=dt)
-    numeric = oracle.integrate(scenario.system, lambda t: total_pfr_value(scenario.bands, t), spec)
+    closed, numeric = _closed_and_oracle(scenario.system, scenario.bands, *_sim_grid(scenario))
     gap = float(np.abs(closed.samples - numeric.samples).max())
     reports.write_trace_csv(f"{args.out}_closed.csv", closed)
     reports.write_trace_csv(f"{args.out}_oracle.csv", numeric)
@@ -226,8 +230,7 @@ def _cmd_nadir(args) -> int:
             )
         result = closedform.lag_nadir(scenario.system, lag_bands[0])
     else:
-        t_end, dt = (scenario.t_end or 60.0), (scenario.dt or _DEF_DT)
-        spec = oracle.IntegrationSpec(t_end=t_end, dt=dt)
+        spec = oracle.IntegrationSpec(*_sim_grid(scenario, 60.0))
         trace = oracle.integrate(scenario.system,
                                  lambda t: total_pfr_value(scenario.bands, t), spec)
         t_nadir, depth = oracle.trace_nadir(trace)
@@ -367,18 +370,10 @@ def _cmd_sensitivities(args) -> int:
 # --- figure targets --------------------------------------------------------
 
 
-def _ramp_pair(t_r, t_end=30.0, dt=0.01):
-    band = RampBand(pfr=270.0, t_r=t_r)
-    closed = closedform.trace(_BASE_SYSTEM, [band], t_end, dt, "ramp")
-    spec = oracle.IntegrationSpec(t_end=t_end, dt=dt)
-    numeric = oracle.integrate(_BASE_SYSTEM, lambda t: total_pfr_value([band], t), spec)
-    return closed, numeric
-
-
 def _fig1():
     rows = []
     for t_r in (6.0, 3.0, 1.0):
-        closed, numeric = _ramp_pair(t_r)
+        closed, numeric = _closed_and_oracle(_BASE_SYSTEM, [RampBand(270.0, t_r)], 30.0, 0.01)
         for t, c, n in zip(closed.times, closed.samples, numeric.samples):
             rows.append((t_r, t, c, n))
     return ("t_r_s", "t_s", "delta_f_closed_hz", "delta_f_oracle_hz"), rows
@@ -395,35 +390,29 @@ def _fig3():
 
 
 def _fig4():
-    rows = []
-    for p1 in bandfit.DEFAULT_PFR_GRID:
-        for p2 in bandfit.DEFAULT_PFR_GRID:
-            eq = bandfit.fit_equivalent_band(
-                bandfit.TwoBandPfr(LagBand(p1, 0.4), LagBand(p2, 2.0)))
-            rows.append((p1, p2, eq.pfr_eq, eq.tau_eq))
-    return ("pfr1_mw", "pfr2_mw", "pfr_eq_mw", "tau_eq_s"), rows
+    # one vectorised fit; each cell equals its fit_equivalent_band result bit for bit
+    grid = np.array(bandfit.DEFAULT_PFR_GRID)
+    p1, p2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    pfr, tau, _ = bandfit._fit_lag_bands(p1, 0.4, p2, 2.0, bandfit._fit_grid(None, 2.0))
+    return ("pfr1_mw", "pfr2_mw", "pfr_eq_mw", "tau_eq_s"), zip(p1, p2, pfr, tau)
 
 
 def _fig5():
     # reproduction note: the standard-band time constant is fixed at 2.0 s here
-    band = LagBand(pfr=270.0, tau=2.0)
-    closed = closedform.trace(_BASE_SYSTEM, [band], 30.0, 0.01, "lag")
-    spec = oracle.IntegrationSpec(t_end=30.0, dt=0.01)
-    numeric = oracle.integrate(_BASE_SYSTEM, lambda t: total_pfr_value([band], t), spec)
+    closed, numeric = _closed_and_oracle(_BASE_SYSTEM, [LagBand(pfr=270.0, tau=2.0)], 30.0, 0.01)
     rows = list(zip(closed.times, closed.samples, numeric.samples))
     return ("t_s", "delta_f_closed_hz", "delta_f_oracle_hz"), rows
 
 
 def _two_band_vs_equivalent(cases):
-    times = np.arange(0, 3001) * 0.01
     rows = []
     for p1, p2 in cases:
         bands = [LagBand(p1, 0.4)] if p2 == 0 else (
             [LagBand(p2, 2.0)] if p1 == 0 else [LagBand(p1, 0.4), LagBand(p2, 2.0)])
-        exact = closedform.multi_lag_delta_f(_BASE_SYSTEM, bands, times)
+        exact = closedform.trace(_BASE_SYSTEM, bands, 30.0, 0.01, "lag")
         eq = bandfit.canonical_equivalent(p1, p2)
-        approx = closedform.lag_delta_f(_BASE_SYSTEM, eq.band(), times)
-        for t, e, ap in zip(times, exact, approx):
+        approx = closedform.trace(_BASE_SYSTEM, [eq.band()], 30.0, 0.01, "lag")
+        for t, e, ap in zip(exact.times, exact.samples, approx.samples):
             rows.append((p1, p2, t, e, ap))
     return ("pfr1_mw", "pfr2_mw", "t_s", "delta_f_exact_hz", "delta_f_approx_hz"), rows
 

@@ -16,7 +16,8 @@ The nadir algebra uses K = P_cont/PFR, A = D'*tau/(2H), B = 1 + K*(A - 1) and
 C = A/(A - 1). `_branch` is the one place B and its branch are decided: an
 interior nadir iff B > B_EPS, else the deviation decays monotonically to its
 settling value ("asymptotic"); |B| <= B_EPS is the boundary, where the caps of
-both branches meet. The D' > 0 guard and the tau check in A live here too.
+both branches meet. The D' > 0 guard and the tau check in A live here too;
+`trace` takes its step count from model._grid_steps.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, InvalidInputError
-from .model import FrequencyTrace, LagBand, RampBand, SystemConditions, _as_times, _ret
+from .model import FrequencyTrace, LagBand, RampBand, SystemConditions, _as_times, _grid_steps, _ret
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -251,10 +252,8 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
 
 def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> FrequencyTrace:
     """Sample the deviation of bands of one kind on t = 0, dt, ..., round(t_end/dt)*dt."""
-    if not dt > 0 or not t_end > 0 or t_end < dt:
-        raise InvalidInputError(f"invalid trace grid: t_end={t_end}, dt={dt}")
+    n = _grid_steps(t_end, dt)
     if kind not in ("lag", "ramp"):
         raise InvalidInputError(f"kind must be 'lag' or 'ramp', got {kind!r}")
-    n = int(round(t_end / dt))
     times = np.arange(n + 1) * dt
     return FrequencyTrace(t0=0.0, dt=dt, samples=_delta_f(sc, _of_kind(bands, kind), times))

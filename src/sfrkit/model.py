@@ -4,6 +4,12 @@ Sign convention: an under-frequency event has a positive contingency size
 (generation loss, MW) and positive response-band magnitudes. Over-frequency
 events are represented by flipping the sign of both; there is no separate
 code path.
+
+The records reject NaN and infinite fields, naming the field; ke = +inf,
+infinite inertia, is the one exception. `_grid_steps` is the one
+sampling-grid rule: closed-form traces, oracle runs and the band fits all
+turn (t_end, dt) into a step count through it, and it rejects a grid over
+10 million steps before any array is built.
 """
 from __future__ import annotations
 
@@ -44,14 +50,17 @@ class SystemConditions:
     p_cont: float  # contingency size, MW (positive = generation loss)
 
     def __post_init__(self):
-        if not self.f_n > 0:
-            raise InvalidInputError(f"f_n must be > 0, got {self.f_n}")
+        if not 0 < self.f_n < math.inf:
+            raise InvalidInputError(f"f_n must be finite and > 0, got {self.f_n}")
+        # ke = +inf is kept as the infinite-inertia limit, where no deviation develops
         if not self.ke > 0:
             raise InvalidInputError(f"ke must be > 0, got {self.ke}")
-        if not self.p_load > 0:
-            raise InvalidInputError(f"p_load must be > 0, got {self.p_load}")
-        if self.d < 0:
-            raise InvalidInputError(f"d must be >= 0, got {self.d}")
+        if not 0 < self.p_load < math.inf:
+            raise InvalidInputError(f"p_load must be finite and > 0, got {self.p_load}")
+        if not 0 <= self.d < math.inf:
+            raise InvalidInputError(f"d must be finite and >= 0, got {self.d}")
+        if not -math.inf < self.p_cont < math.inf:
+            raise InvalidInputError(f"p_cont must be finite, got {self.p_cont}")
 
     @property
     def dprime(self) -> float:
@@ -76,10 +85,10 @@ class DerivedParams:
     h: float       # MW.s/Hz
 
     def __post_init__(self):
-        if self.dprime < 0:
-            raise InvalidInputError(f"dprime must be >= 0, got {self.dprime}")
-        if not self.h > 0:
-            raise InvalidInputError(f"h must be > 0, got {self.h}")
+        if not 0 <= self.dprime < math.inf:
+            raise InvalidInputError(f"dprime must be finite and >= 0, got {self.dprime}")
+        if not 0 < self.h < math.inf:
+            raise InvalidInputError(f"h must be finite and > 0, got {self.h}")
 
 
 def derive_params(sc: SystemConditions) -> DerivedParams:
@@ -95,8 +104,10 @@ class LagBand:
     tau: float  # response time constant, s
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise InvalidInputError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise InvalidInputError(f"tau must be finite and > 0, got {self.tau}")
+        if not -math.inf < self.pfr < math.inf:
+            raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
 
     def _delivered(self, arr):
         return self.pfr * (1.0 - np.exp(-arr / self.tau))
@@ -110,8 +121,10 @@ class RampBand:
     t_r: float  # ramp time, s
 
     def __post_init__(self):
-        if not self.t_r > 0:
-            raise InvalidInputError(f"t_r must be > 0, got {self.t_r}")
+        if not 0 < self.t_r < math.inf:
+            raise InvalidInputError(f"t_r must be finite and > 0, got {self.t_r}")
+        if not -math.inf < self.pfr < math.inf:
+            raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
 
     @property
     def rate(self) -> float:
@@ -182,6 +195,24 @@ class FrequencyTrace:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+# RK4 evaluates the forcing at 2 * steps + 1 points: 10 million steps take 160 MB
+_MAX_STEPS = 10_000_000
+
+
+def _grid_steps(t_end: float, dt: float, where: str = "t_end") -> int:
+    """Steps n = round(t_end/dt) of the grid 0, dt, ..., n*dt; allocates nothing.
+
+    The one sampling-grid rule: finite t_end >= dt > 0 and n <= _MAX_STEPS
+    (round halves to even and _MAX_STEPS is even, hence the + 0.5).
+    """
+    if not (0 < dt < math.inf and dt <= t_end < math.inf):
+        raise InvalidInputError(f"need finite {where} >= dt > 0, got {where}={t_end}, dt={dt}")
+    if not t_end / dt <= _MAX_STEPS + 0.5:
+        raise InvalidInputError(f"{where}={t_end} s at dt={dt} s is {t_end / dt:.9g} steps, "
+                                f"more than {_MAX_STEPS}")
+    return round(t_end / dt)
 
 
 # --- scenario files -------------------------------------------------------

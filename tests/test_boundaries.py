@@ -1,0 +1,127 @@
+"""Input boundaries: finite record fields, the surface pair rule, stray errors in main."""
+import inspect
+import math
+from pathlib import Path
+
+import pytest
+
+from sfrkit import (
+    DerivedParams,
+    InvalidInputError,
+    LagBand,
+    RampBand,
+    SystemConditions,
+    applications,
+    bandfit,
+    cli,
+)
+from sfrkit.bandfit import CANONICAL_SURFACE, build_tau_surface, mape_map
+from sfrkit.cli import main
+
+SCENARIO = str(Path(__file__).resolve().parent.parent / "demos/scenarios/lag_270mw.json")
+SMALL_GRID = (40.0, 80.0, 120.0, 160.0)
+
+RECORDS = {
+    SystemConditions: dict(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=300.0),
+    DerivedParams: dict(dprime=80.0, h=180.0),
+    LagBand: dict(pfr=270.0, tau=2.0),
+    RampBand: dict(pfr=270.0, t_r=6.0),
+}
+CASES = [(cls, name, value) for cls, fields in RECORDS.items() for name in fields
+         for value in (math.inf, -math.inf, math.nan)
+         if (cls, name, value) != (SystemConditions, "ke", math.inf)]
+
+
+class TestRecordFiniteFields:
+    @pytest.mark.parametrize("cls, name, value", CASES,
+                             ids=[f"{c.__name__}.{n}={v}" for c, n, v in CASES])
+    def test_non_finite_rejected(self, cls, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be "):
+            cls(**{**RECORDS[cls], name: value})
+
+    def test_infinite_inertia_is_the_one_exception(self):
+        sc = SystemConditions(**{**RECORDS[SystemConditions], "ke": math.inf})
+        assert sc.h == math.inf
+        with pytest.raises(InvalidInputError, match="^h must be finite"):
+            DerivedParams(dprime=sc.dprime, h=sc.h)
+
+    @pytest.mark.parametrize("cls, fields", [
+        (SystemConditions, dict(d=0.0, p_cont=-300.0)),  # no load relief; over-frequency
+        (DerivedParams, dict(dprime=0.0)),
+        (LagBand, dict(pfr=-270.0)),
+        (RampBand, dict(pfr=0.0)),
+    ])
+    def test_finite_edge_values_accepted(self, cls, fields):
+        cls(**{**RECORDS[cls], **fields})
+
+
+class TestSurfacePairRule:
+    def test_library_rejects_a_mismatched_model(self):
+        model = build_tau_surface(0.3, 1.7, pfr_grid=SMALL_GRID)
+        with pytest.raises(InvalidInputError, match="tau1=0.3, tau2=1.7"):
+            mape_map(0.4, 2.0, pfr_grid=SMALL_GRID, model=model)
+        with pytest.raises(InvalidInputError, match="tau1=0.4, tau2=2.0"):
+            mape_map(0.4, 1.7, pfr_grid=SMALL_GRID, model=CANONICAL_SURFACE)
+
+    def test_cli_rejects_a_mismatched_surface(self, tmp_path, capsys):
+        surface, out = tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["fit-surface", "--tau1", "0.3", "--tau2", "1.7", "--out", str(surface)]) == 0
+        assert main(["mape-map", "--surface", str(surface), "--out", str(out)]) == 1
+        assert "tau1=0.3" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["mape-map", "--tau1", "0.3", "--tau2", "1.7", "--surface", str(surface),
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+
+class TestStrayErrors:
+    def test_non_finite_json_result_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max=-1e308",
+                     "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not JSON compliant" in err
+        assert not out.exists()
+
+    def test_overflow_exits_1(self, monkeypatch, tmp_path, capsys):
+        def overflow(args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "_cmd_min_tau", overflow)
+        assert main(["min-tau", "--scenario", SCENARIO, "--k", "1.4",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == "error: math range error\n"
+
+
+class TestFig4OneFit:
+    def test_rows_equal_cell_fits(self):
+        header, rows = cli._fig4()
+        assert header == ("pfr1_mw", "pfr2_mw", "pfr_eq_mw", "tau_eq_s")
+        rows = list(rows)
+        grid = bandfit.DEFAULT_PFR_GRID
+        assert len(rows) == len(grid) ** 2
+        cells = iter(rows)
+        for p1 in grid:
+            for p2 in grid:
+                eq = bandfit.fit_equivalent_band(
+                    bandfit.TwoBandPfr(LagBand(p1, 0.4), LagBand(p2, 2.0)))
+                assert next(cells) == (p1, p2, eq.pfr_eq, eq.tau_eq)
+
+
+class TestFiniteDifferenceStep:
+    @pytest.mark.parametrize("fn", [applications.sensitivity_report_fd,
+                                    applications.max_contingency_k_sensitivity])
+    def test_no_step_knob(self, fn):
+        assert "rel_step" not in inspect.signature(fn).parameters
+
+    def test_module_step_is_used(self, security_dp):
+        policy = applications.SecurityPolicy(k_policy=applications.WEM_K_POLICY,
+                                             delta_f_max=-1.25)
+        k, h = policy.k_policy, applications._FD_REL_STEP * policy.k_policy
+
+        def cap(kk):
+            return applications.max_contingency(
+                security_dp, applications.SecurityPolicy(kk, -1.25), 1.0)
+
+        want = (cap(k + h) - cap(k - h)) / (2.0 * h)
+        assert applications.max_contingency_k_sensitivity(security_dp, policy, 1.0) == want
