@@ -37,6 +37,9 @@ _SECURITY_SYSTEM = SystemConditions(f_n=50.0, ke=7000.0, p_load=2500.0, d=0.04, 
 _SECURITY_DF_MAX = -1.25  # Hz
 # magnitudes per axis of a --pfr-* grid; the bundled grids use at most 20
 _MAX_GRID = 1000
+# cells of a --pfr-* grid: 200 x 200 cells take about 2 s to map or fit on one
+# core, and the time grows with the cells (each map or fit of a tau-sweep pair)
+_MAX_CELLS = 40_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,8 +157,11 @@ def _pfr_grid(args):
     steps = (args.pfr_max - args.pfr_min) / args.pfr_step
     if not steps < _MAX_GRID - 0.5:
         raise InvalidInputError(f"pfr grid: {steps + 1:.6g} magnitudes per axis, at most {_MAX_GRID}")
-    n = int(round(steps))
-    return tuple(args.pfr_min + args.pfr_step * i for i in range(n + 1))
+    n = int(round(steps)) + 1
+    if n * n > _MAX_CELLS:
+        raise InvalidInputError(f"pfr grid: --pfr-min, --pfr-max and --pfr-step give {n} x {n} "
+                                f"cells, at most {_MAX_CELLS}")
+    return tuple(args.pfr_min + args.pfr_step * i for i in range(n))
 
 
 def _scenario(args):
@@ -213,6 +219,9 @@ def _cmd_compare(args) -> int:
     scenario = _scenario(args)
     closed, numeric = _closed_and_oracle(scenario.system, scenario.bands, *_sim_grid(scenario))
     gap = float(np.abs(closed.samples - numeric.samples).max())
+    if not math.isfinite(gap):
+        raise InvalidInputError(f"closed form and oracle differ by {gap}: a trace is not finite "
+                                f"for these scenario values")
     reports.write_trace_csv(f"{args.out}_closed.csv", closed)
     reports.write_trace_csv(f"{args.out}_oracle.csv", numeric)
     print(f"max_abs_gap_hz={reports.fmt(gap)}")

@@ -112,7 +112,9 @@ def _delta_f(sc: SystemConditions, bands, t):
                    key=lambda b: (b.t_r, abs(b.pfr)))
     rate_sum = sum(b.rate for b in ramps)
     decay_exp = np.exp(-dprime * arr / (2.0 * h))
-    step = (sum(b.pfr for b in lags) - sc.p_cont) / dprime - 2.0 * rate_sum * h / dprime**2
+    step = (sum(b.pfr for b in lags) - sc.p_cont) / dprime
+    if ramps:  # 2H * 0 would be NaN at infinite inertia, where the deviation is 0
+        step = step - 2.0 * rate_sum * h / dprime**2
     out = step * (1.0 - decay_exp)
     if ramps:  # adding a +0.0 term would turn -0.0 samples into 0.0
         out = out + rate_sum * arr / dprime

@@ -6,7 +6,9 @@ All floats are printed with 9 significant digits, '.' decimal separator and
 from __future__ import annotations
 
 import json
+import math
 
+from .errors import InvalidInputError
 from .model import FrequencyTrace
 
 __all__ = ["fmt", "write_trace_csv", "write_csv", "write_json"]
@@ -33,10 +35,34 @@ def write_trace_csv(path, trace: FrequencyTrace) -> None:
 def write_json(path, obj) -> None:
     """Stable JSON artifact: sorted keys, trailing newline.
 
-    A non-finite float raises ValueError before the file is opened, so no
-    artifact ever holds the non-JSON tokens NaN or Infinity.
+    A non-finite float raises InvalidInputError naming its key path before
+    the file is opened, so no artifact ever holds the non-JSON tokens NaN or
+    Infinity.
     """
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        found = _first_non_finite(obj)
+        if found is None:
+            raise
+        raise InvalidInputError(f"{found[0]} = {found[1]}: {exc}") from exc
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
         fh.write("\n")
+
+
+def _first_non_finite(obj, path=""):
+    """(key path, value) of the first non-finite float in obj, in json.dumps's order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for key, value in items:
+        found = _first_non_finite(value, key)
+        if found is not None:
+            return found
+    return None

@@ -537,6 +537,49 @@ class TestMapeMapSharedRows:
         assert report.max_pct == max(c.mape_pct for c in report.cells)
 
 
+@st.composite
+def map_cases(draw):
+    """(tau1, tau2, model, grid, times) for a MAPE map on a custom time grid.
+
+    Grids hold 0 and ratios that are not powers of two. Times are uniform,
+    non-uniform, or unsorted with a second t = 0 inside, whose exclusion is
+    not a leading run of samples.
+    """
+    tau1 = draw(st.floats(0.1, 2.0))
+    tau2 = tau1 * draw(st.sampled_from([1.0]) | st.floats(1.0, 4.0))
+    model = TauSurfaceModel(a=draw(st.floats(0.0, 3.0)), b=draw(st.floats(0.05, 3.0)),
+                            tau1=tau1, tau2=tau2)
+    magnitude = st.sampled_from([10.0, 30.0, 40.0, 90.0, 120.0]) | st.floats(0.5, 300.0)
+    grid = (0.0, *draw(st.lists(magnitude, min_size=1, max_size=6)))
+    t_end = 5.0 * tau2 * draw(st.floats(1.0, 2.0))
+    kind = draw(st.sampled_from(["uniform", "non-uniform", "unsorted"]))
+    if kind == "uniform":
+        dt = draw(st.sampled_from([0.005, 0.01, 0.05]))
+        return tau1, tau2, model, grid, np.arange(math.ceil(t_end / dt) + 2) * dt
+    # tiny times give rows whose leading exclusions differ
+    inner = draw(st.lists(st.sampled_from([1e-9, 1e-7, 1e-6, 1e-5]) | st.floats(1e-9, t_end),
+                          min_size=5, max_size=300))
+    if kind == "non-uniform":
+        return tau1, tau2, model, grid, np.array([0.0, *sorted(inner), t_end])
+    shuffled = draw(st.permutations([0.0, *inner]))
+    return tau1, tau2, model, grid, np.array([0.0, t_end, *shuffled, t_end])
+
+
+class TestMapeMapBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(case=map_cases())
+    # at t = 1e-6 s only the cells with a large enough fast share are kept
+    @example(case=(0.4, 2.0, TauSurfaceModel(a=1.0, b=0.5, tau1=0.4, tau2=2.0),
+                   (0.0, 30.0, 50.0), np.array([0.0, 1e-6, 0.3, 1.0, 3.0, 5.0, 10.0])))
+    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (0.0, 30.0, 50.0),
+                   np.array([0.0, 10.0, 3.0, 0.0, 0.3, 1.0, 10.0])))
+    def test_matches_per_cell_recomputation(self, case):
+        tau1, tau2, model, grid, t = case
+        report = mape_map(tau1, tau2, pfr_grid=grid, model=model, times=t)
+        want = per_cell_mape_map(tau1, tau2, grid, model, t)
+        assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
+
+
 SURFACE_FIELDS = dict(a=1.3, b=0.6, tau1=0.4, tau2=2.0, rms_residual=0.01, pfr_plane_dev=0.005)
 BAND_FIELDS = dict(pfr_eq=210.0, tau_eq=0.8, fit_residual=1.0)
 

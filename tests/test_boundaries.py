@@ -1,8 +1,12 @@
 """Input boundaries: finite record fields, the surface pair rule, stray errors in main."""
+import argparse
 import inspect
 import math
+import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sfrkit import (
@@ -14,6 +18,8 @@ from sfrkit import (
     applications,
     bandfit,
     cli,
+    closedform,
+    reports,
 )
 from sfrkit.bandfit import CANONICAL_SURFACE, build_tau_surface, mape_map
 from sfrkit.cli import main
@@ -125,3 +131,77 @@ class TestFiniteDifferenceStep:
 
         want = (cap(k + h) - cap(k - h)) / (2.0 * h)
         assert applications.max_contingency_k_sensitivity(security_dp, policy, 1.0) == want
+
+
+class TestGridCellCap:
+    @pytest.mark.parametrize("command", ["mape-map", "fit-surface", "tau-sweep"])
+    def test_large_grid_exits_1_before_any_work(self, command, monkeypatch, tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected grid must not be fitted or mapped")
+
+        for name in ("mape_map", "build_tau_surface", "mape_tau_sweep"):
+            monkeypatch.setattr(bandfit, name, no_work)
+        out = tmp_path / "out.csv"
+        taus = ["--tau1", "0.4", "--tau2", "2.0"] if command == "fit-surface" else []
+        start = time.perf_counter()
+        assert main([command, *taus, "--pfr-min", "1", "--pfr-max", "1000", "--pfr-step", "1",
+                     "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "1000 x 1000 cells" in err and "--pfr-step" in err
+
+    @pytest.mark.parametrize("pfr_max, cells", [(200.0, 200), (201.0, None)])
+    def test_cap_is_200_by_200(self, pfr_max, cells):
+        args = argparse.Namespace(pfr_min=1.0, pfr_max=pfr_max, pfr_step=1.0)
+        if cells is None:
+            with pytest.raises(InvalidInputError, match="201 x 201 cells, at most 40000"):
+                cli._pfr_grid(args)
+        else:
+            assert len(cli._pfr_grid(args)) == cells
+
+
+class TestInfiniteInertia:
+    def test_lag_deviation_is_zero(self):
+        sc = SystemConditions(**{**RECORDS[SystemConditions], "ke": math.inf})
+        t = np.linspace(0.0, 30.0, 7)
+        bands = [LagBand(130.0, 0.4), LagBand(80.0, 2.0)]
+        assert np.all(closedform.lag_delta_f(sc, bands[1], t) == 0.0)
+        assert np.all(closedform.multi_lag_delta_f(sc, bands, t) == 0.0)
+        assert np.all(closedform.trace(sc, bands, 30.0, 0.01, "lag").samples == 0.0)
+
+    def test_compare_of_lag_bands(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["compare", "--scenario", SCENARIO, "--set", "system.ke_mws=1e308",
+                     "--set", "system.f_n_hz=1e-10", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "max_abs_gap_hz=0\n"
+        for side in ("closed", "oracle"):
+            values = np.loadtxt(tmp_path / f"c_{side}.csv", delimiter=",", skiprows=1)
+            assert np.all(values[:, 1] == 0.0)
+
+    def test_non_finite_gap_exits_1(self, tmp_path, capsys):
+        # the unsaturated ramp closed form is NaN at infinite inertia
+        scenario = str(Path(SCENARIO).with_name("ramp_fast.json"))
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["compare", "--scenario", scenario, "--set", "system.ke_mws=1e308",
+                         "--set", "system.f_n_hz=1e-10", "--out", str(out)]) == 1
+        assert "differ by nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteJsonKey:
+    def test_names_the_first_key_path(self, tmp_path):
+        path = tmp_path / "o.json"
+        doc = {"z": math.nan, "a": {"ok": 1.0, "rows": [0.0, 2.0, -math.inf]}}
+        with pytest.raises(InvalidInputError, match=r"^a\.rows\[2\] = -inf: "):
+            reports.write_json(path, doc)
+        assert not path.exists()
+
+    def test_cli_names_the_field(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max=-1e308",
+                     "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: analytic.dp_dh_mw_per_mws_hz = inf: ")
+        assert not out.exists()
