@@ -60,6 +60,9 @@ __all__ = [
 
 # near-zero samples are excluded from MAPE: the exact curve starts at 0
 MAPE_EXCLUSION_REL = 1e-6
+# the exclusion threshold never falls below the smallest normal double, so a
+# curve whose peak is subnormal is excluded whole instead of divided by 0
+_MAPE_FLOOR = float(np.finfo(float).tiny)
 # fitted magnitudes should track PFR1 + PFR2; warn when they drift past this
 PLANE_DEV_WARN = 0.01
 
@@ -466,7 +469,7 @@ def canonical_equivalent(pfr1: float, pfr2: float, model: TauSurfaceModel = CANO
 
 def _mape_arrays(exact: np.ndarray, approx: np.ndarray) -> float:
     peak = float(np.abs(exact).max())
-    mask = np.abs(exact) >= MAPE_EXCLUSION_REL * peak if peak > 0 else np.zeros(len(exact), bool)
+    mask = np.abs(exact) >= max(MAPE_EXCLUSION_REL * peak, _MAPE_FLOOR)
     if not mask.any():
         raise InvalidInputError("MAPE undefined: every sample was excluded as near-zero")
     kept = exact[mask]
@@ -570,12 +573,11 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
 
         np.abs(exact, out=work)
         peak = work.max(axis=1)
-        low = MAPE_EXCLUSION_REL * peak
+        low = np.maximum(MAPE_EXCLUSION_REL * peak, _MAPE_FLOOR)
         # m leading samples of the first row are excluded; a block whose rows
-        # all have a positive peak (as _mape_arrays requires) and exclude
-        # exactly those samples is a slice
+        # all exclude exactly those samples (and so keep some) is a slice
         m = int(np.argmax(work[0] >= low[0]))
-        if (np.all(peak > 0) and np.all(work[:, m:].min(axis=1) >= low)
+        if (np.all(work[:, m:].min(axis=1) >= low)
                 and not np.any(work[:, :m] >= low[:, None])):
             kept, rel = exact[:, m:], approx[:, m:]
             np.subtract(kept, rel, out=rel)
@@ -602,15 +604,20 @@ class TauSweepReport:
     max_pct: float   # max of the per-cell maxima
 
 
+def _sweep_pairs(tau1_range=None, tau2_range=None) -> list:
+    """The (tau1, tau2) pairs a sweep evaluates: tau2 >= tau1, in the order of the ranges."""
+    tau1s = DEFAULT_TAU1_RANGE if tau1_range is None else tuple(tau1_range)
+    tau2s = DEFAULT_TAU2_RANGE if tau2_range is None else tuple(tau2_range)
+    return [(t1, t2) for t1 in tau1s for t2 in tau2s if t2 >= t1]
+
+
 def mape_tau_sweep(tau1_range=None, tau2_range=None, pfr_grid=None) -> TauSweepReport:
     """Rebuild the surface and map its accuracy for each (tau1, tau2) pair.
 
     Only pairs with tau2 >= tau1 are evaluated, in the order of the ranges.
     """
-    tau1s = DEFAULT_TAU1_RANGE if tau1_range is None else tuple(tau1_range)
-    tau2s = DEFAULT_TAU2_RANGE if tau2_range is None else tuple(tau2_range)
     grid = DEFAULT_SWEEP_PFR_GRID if pfr_grid is None else pfr_grid
-    pairs = [(t1, t2) for t1 in tau1s for t2 in tau2s if t2 >= t1]
+    pairs = _sweep_pairs(tau1_range, tau2_range)
     if not pairs:
         raise InvalidInputError("tau ranges produced no cells with tau2 >= tau1")
 

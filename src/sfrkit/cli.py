@@ -38,7 +38,7 @@ _SECURITY_DF_MAX = -1.25  # Hz
 # magnitudes per axis of a --pfr-* grid; the bundled grids use at most 20
 _MAX_GRID = 1000
 # cells of a --pfr-* grid: 200 x 200 cells take about 2 s to map or fit on one
-# core, and the time grows with the cells (each map or fit of a tau-sweep pair)
+# core, and the time grows with the cells; a tau sweep counts every pair's cells
 _MAX_CELLS = 40_000
 
 
@@ -309,7 +309,14 @@ def _parse_floats(raw):
 def _cmd_tau_sweep(args) -> int:
     tau1s = _parse_floats(args.tau1_values) if args.tau1_values else None
     tau2s = _parse_floats(args.tau2_values) if args.tau2_values else None
-    report = bandfit.mape_tau_sweep(tau1s, tau2s, pfr_grid=_pfr_grid(args))
+    grid = _pfr_grid(args)
+    pairs = len(bandfit._sweep_pairs(tau1s, tau2s))
+    if pairs * len(grid) ** 2 > _MAX_CELLS:
+        raise InvalidInputError(
+            f"tau-sweep: {pairs} tau pairs from --tau1-values and --tau2-values, each with the "
+            f"{len(grid)} x {len(grid)} cells of --pfr-min, --pfr-max and --pfr-step, are "
+            f"{pairs * len(grid) ** 2} cells, at most {_MAX_CELLS}")
+    report = bandfit.mape_tau_sweep(tau1s, tau2s, pfr_grid=grid)
     reports.write_csv(args.out, ("tau1_s", "tau2_s", "mean_mape_pct", "max_mape_pct"),
                       ((c.tau1, c.tau2, c.mean_mape_pct, c.max_mape_pct) for c in report.cells))
     print(f"mean_mape_pct={reports.fmt(report.mean_pct)} "

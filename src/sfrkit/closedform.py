@@ -111,19 +111,34 @@ def _delta_f(sc: SystemConditions, bands, t):
     ramps = sorted((b for b in bands if isinstance(b, RampBand)),
                    key=lambda b: (b.t_r, abs(b.pfr)))
     rate_sum = sum(b.rate for b in ramps)
-    decay_exp = np.exp(-dprime * arr / (2.0 * h))
+    # every term is built in place, in the order of the formula's one-expression
+    # form, in buffers shaped like arr (empty_like keeps a 0-d time an array)
+    decay_exp = np.multiply(-dprime, arr, out=np.empty_like(arr))
+    decay_exp /= 2.0 * h
+    np.exp(decay_exp, out=decay_exp)
     step = (sum(b.pfr for b in lags) - sc.p_cont) / dprime
     if ramps:  # 2H * 0 would be NaN at infinite inertia, where the deviation is 0
         step = step - 2.0 * rate_sum * h / dprime**2
-    out = step * (1.0 - decay_exp)
+    out = np.subtract(1.0, decay_exp, out=np.empty_like(arr))
+    out *= step
+    work = np.empty_like(arr)
     if ramps:  # adding a +0.0 term would turn -0.0 samples into 0.0
-        out = out + rate_sum * arr / dprime
+        np.multiply(rate_sum, arr, out=work)
+        work /= dprime
+        out += work
     for band in lags:
         denom = dprime * band.tau - 2.0 * h
         if abs(denom) <= REL_EPS * 2.0 * h:  # removable singularity at D'*tau = 2H
-            out = out - band.pfr * arr * decay_exp / (2.0 * h)
+            np.multiply(band.pfr, arr, out=work)
+            work *= decay_exp
+            work /= 2.0 * h
         else:
-            out = out - band.pfr * band.tau / denom * (np.exp(-arr / band.tau) - decay_exp)
+            np.negative(arr, out=work)
+            work /= band.tau
+            np.exp(work, out=work)
+            work -= decay_exp
+            work *= band.pfr * band.tau / denom
+        out -= work
     return _ret(out, scalar)
 
 
@@ -257,5 +272,6 @@ def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> Fr
     n = _grid_steps(t_end, dt)
     if kind not in ("lag", "ramp"):
         raise InvalidInputError(f"kind must be 'lag' or 'ramp', got {kind!r}")
-    times = np.arange(n + 1) * dt
+    times = np.arange(n + 1, dtype=float)
+    times *= dt
     return FrequencyTrace(t0=0.0, dt=dt, samples=_delta_f(sc, _of_kind(bands, kind), times))

@@ -109,8 +109,14 @@ class LagBand:
         if not -math.inf < self.pfr < math.inf:
             raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
 
-    def _delivered(self, arr):
-        return self.pfr * (1.0 - np.exp(-arr / self.tau))
+    def _delivered(self, arr, out):
+        """pfr * (1 - exp(-arr/tau)), written into out."""
+        np.negative(arr, out=out)
+        out /= self.tau
+        np.exp(out, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= self.pfr
+        return out
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,10 @@ class RampBand:
         """Ramp rate R = pfr / t_r, MW/s."""
         return self.pfr / self.t_r
 
-    def _delivered(self, arr):
-        return np.minimum(self.rate * arr, self.pfr)
+    def _delivered(self, arr, out):
+        """min(rate * arr, pfr), written into out."""
+        np.multiply(arr, self.rate, out=out)
+        return np.minimum(out, self.pfr, out=out)
 
 
 def _as_times(t):
@@ -150,11 +158,18 @@ def _ret(values, scalar):
 def total_pfr_value(bands, t):
     """Combined response of a mixed list of lag/ramp bands at time t, MW."""
     arr, scalar = _as_times(t)
-    total = np.zeros_like(arr)
+    bands = tuple(bands)
     for band in bands:
         if not isinstance(band, (LagBand, RampBand)):
             raise InvalidInputError(f"unknown band type {type(band).__name__}")
-        total = total + band._delivered(arr)
+    if not bands:
+        return _ret(np.zeros_like(arr), scalar)
+    total = bands[0]._delivered(arr, np.empty_like(arr))
+    total += 0.0  # a sum from 0.0: 0.0 + x, like x + 0.0, turns -0.0 into 0.0
+    if len(bands) > 1:
+        work = np.empty_like(arr)
+        for band in bands[1:]:
+            total += band._delivered(arr, work)
     return _ret(total, scalar)
 
 
@@ -191,7 +206,7 @@ class FrequencyTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.samples))
+        return self.t0 + self.dt * np.arange(len(self.samples), dtype=float)
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -8,13 +8,18 @@ studies.
 The ODE y' = a(t) - lam*y is linear and first order, so one step of either
 scheme is an affine map of the state: y[n+1] = g*y[n] + c[n]. The gain g and
 the weights on the forcing are read off the RK4 step by evaluating it on unit
-inputs (for Euler, g = 1 - h*lam and c = h*a), c is one vector expression
-over the sampled forcing, and the recurrence is solved by a log-step doubling
-scan of about log2(n) array passes instead of n interpreted steps. This is the
-same scheme; only the rounding differs. The scan carries the powers of g as
-g^s - 1, which keeps them exact to a few ulps where g is within h*lam of 1;
-on the bundled lag scenarios the trace then matches the exact closed form to
-about 1e-15 Hz.
+inputs (for Euler, g = 1 - h*lam and c = h*a), and the recurrence is solved
+by a log-step doubling scan of about log2(n) array passes instead of n
+interpreted steps. This is the same scheme; only the rounding differs. The
+scan carries the powers of g as g^s - 1, which keeps them exact to a few ulps
+where g is within h*lam of 1; on the bundled lag scenarios the trace then
+matches the exact closed form to about 1e-15 Hz.
+
+The forcing is sampled on two contiguous grids, whole steps (2k)*(dt/2) and
+half steps (2k + 1)*(dt/2). a(t), c and the scan are computed in place, c
+term by term as (w0*a[k] + wh*a[k + 1/2]) + w1*a[k + 1], with one work buffer
+reused by every pass of the scan. Each value is the double that the
+one-expression form w0*a0 + wh*ah + w1*a1 over one stride-2 grid gives.
 
 A step with |g| > 1 makes the recurrence grow without bound, so integrate
 rejects it with InvalidInputError naming dt and the largest stable step
@@ -64,6 +69,17 @@ def _eval_p(p_of_t, times: np.ndarray) -> np.ndarray:
     return np.array([float(p_of_t(float(t))) for t in times])
 
 
+def _forcing(p_of_t, steps: np.ndarray, unit: float, p_cont: float, scale: float) -> np.ndarray:
+    """a(t) = (p(t) - P_cont)/(2H) at t = steps*unit, computed in place over steps.
+
+    The callable's own result is only read, never written.
+    """
+    steps *= unit
+    np.subtract(_eval_p(p_of_t, steps), p_cont, out=steps)
+    steps *= scale
+    return steps
+
+
 def _rk4_increment(y, a0, ah, a1, lam, dt):
     """y[n+1] - y[n] for one classical RK4 step of y' = a(t) - lam*y."""
     half = dt / 2.0
@@ -74,22 +90,22 @@ def _rk4_increment(y, a0, ah, a1, lam, dt):
     return dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _linear_scan(d: float, c: np.ndarray) -> np.ndarray:
-    """Solve y[0] = 0, y[n+1] = (1 + d)*y[n] + c[n] by log-step doubling.
+def _linear_scan(d: float, y: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Solve y[0] = 0, y[n+1] = (1 + d)*y[n] + c[n] in place, given y = [0, c].
 
-    After the pass with stride s, y[k] sums the last 2s terms of
-    sum_j g^(k-1-j) * c[j] with g = 1 + d; the product on the right is formed
-    before the in-place add, so each pass reads the previous pass's values.
+    The solve is a log-step doubling scan. After the pass with stride s, y[k]
+    sums the last 2s terms of sum_j g^(k-1-j) * c[j] with g = 1 + d. Each pass
+    forms its product in work, which holds at least len(y) - 2 floats, before
+    the in-place add, so it reads the previous pass's values.
     The power g^s is carried as g^s - 1, squared by g^2s - 1 = d*(2 + d): for
     g near 1 this keeps full relative precision, where squaring g itself would
     compound its rounding s-fold.
     """
-    y = np.empty(len(c) + 1)
-    y[0] = 0.0
-    y[1:] = c
+    n = len(y) - 1
     s = 1
-    while s < len(c):
-        y[s + 1:] += (1.0 + d) * y[1:-s]
+    while s < n:
+        prod = np.multiply(y[1:-s], 1.0 + d, out=work[:n - s])
+        y[s + 1:] += prod
         d *= 2.0 + d
         s *= 2
     return y
@@ -105,24 +121,35 @@ def integrate(sc: SystemConditions, p_of_t, spec: IntegrationSpec) -> FrequencyT
     lam = sc.dprime / (2.0 * sc.h)
     scale = 1.0 / (2.0 * sc.h)
 
-    # one step is y -> (1 + d)*y + c: d is the step's response to y = 1 alone
+    # one step is y -> (1 + d)*y + c: d is the step's response to y = 1 alone;
+    # y = [0, c] is filled in place and scanned
     if spec.method == RK4:
-        # forcing term at whole and half steps: a(t) = (p(t) - P_cont)/(2H)
-        a = scale * (_eval_p(p_of_t, np.arange(2 * n + 1) * (dt / 2.0)) - sc.p_cont)
+        whole = _forcing(p_of_t, np.arange(0.0, 2 * n + 1, 2.0), dt / 2.0, sc.p_cont, scale)
+        half = _forcing(p_of_t, np.arange(1.0, 2 * n, 2.0), dt / 2.0, sc.p_cont, scale)
         d = _rk4_increment(1.0, 0.0, 0.0, 0.0, lam, dt)
         w0 = _rk4_increment(0.0, 1.0, 0.0, 0.0, lam, dt)
         wh = _rk4_increment(0.0, 0.0, 1.0, 0.0, lam, dt)
         w1 = _rk4_increment(0.0, 0.0, 0.0, 1.0, lam, dt)
-        c = w0 * a[0:-1:2] + wh * a[1::2] + w1 * a[2::2]
+        # c = (w0*a[k] + wh*a[k + 1/2]) + w1*a[k + 1]
+        y = np.empty(n + 1)
+        c = y[1:]
+        np.multiply(whole[:-1], w0, out=c)
+        half *= wh
+        c += half
+        c += np.multiply(whole[1:], w1, out=half)
+        work = half
     else:
         d = -dt * lam
-        c = dt * (scale * (_eval_p(p_of_t, np.arange(n) * dt) - sc.p_cont))
+        work = _forcing(p_of_t, np.arange(n, dtype=float), dt, sc.p_cont, scale)
+        y = np.empty(n + 1)
+        np.multiply(work, dt, out=y[1:])
+    y[0] = 0.0
     if not abs(1.0 + d) <= 1.0:
         raise InvalidInputError(
             f"dt={dt} s is unstable for {spec.method} with D'/(2H)={lam:.6g} 1/s "
             f"(step gain {1.0 + d:.6g}); the largest stable step is "
             f"{_STABLE_H_LAM[spec.method] / lam:.6g} s")
-    return FrequencyTrace(t0=0.0, dt=dt, samples=_linear_scan(d, c))
+    return FrequencyTrace(t0=0.0, dt=dt, samples=_linear_scan(d, y, work))
 
 
 def trace_nadir(trace: FrequencyTrace):

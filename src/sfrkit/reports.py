@@ -28,8 +28,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_trace_csv(path, trace: FrequencyTrace) -> None:
-    """Standard trace artifact: t_s,delta_f_hz."""
-    write_csv(path, ("t_s", "delta_f_hz"), zip(trace.times, trace.samples))
+    """Standard trace artifact: t_s,delta_f_hz, formatted as fmt formats each value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t_s,delta_f_hz\n")
+        fh.writelines(map("{:.9g},{:.9g}\n".format, trace.times.tolist(), trace.samples.tolist()))
 
 
 def write_json(path, obj) -> None:
