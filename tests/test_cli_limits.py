@@ -1,10 +1,9 @@
 """Grids that cannot give a finite map, and sweeps too large to run, exit 1 and write nothing."""
 import time
 
-import numpy as np
 import pytest
 
-from sfrkit import TauSweepReport, bandfit
+from sfrkit import FrequencyTrace, InvalidInputError, TauSweepReport, bandfit
 from sfrkit.cli import main
 
 
@@ -18,9 +17,9 @@ def test_subnormal_map_exits_1(tmp_path, capsys):
 
 
 def test_subnormal_curve_has_no_mape():
-    exact = [0.0, 5e-324, 1e-320]
-    with pytest.raises(ValueError, match="every sample was excluded"):
-        bandfit._mape_arrays(np.array(exact), np.array(exact))
+    exact = FrequencyTrace(t0=0.0, dt=1.0, samples=[0.0, 5e-324, 1e-320])
+    with pytest.raises(InvalidInputError, match="every sample was excluded"):
+        bandfit.mape(exact, exact)
 
 
 class TestSweepCellCap:
