@@ -13,12 +13,11 @@ A and K are independent of the contingency size under a fixed-K policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bandfit import TauSurfaceModel, equivalent_tau
 from .closedform import ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _require_damping, _shape
 from .errors import BranchError, InvalidInputError
-from .model import DerivedParams, SystemConditions
+from .model import DerivedParams, SystemConditions, _record
 
 __all__ = [
     "NadirConstants",
@@ -46,7 +45,7 @@ WEM_K_POLICY = 1.0 / 0.7
 _FD_REL_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@_record
 class NadirConstants:
     """Dimensionless constants of the nadir algebra for one operating point."""
 
@@ -58,7 +57,7 @@ class NadirConstants:
     singular: bool     # |A - 1| within the guard band
 
 
-@dataclass(frozen=True)
+@_record
 class SecurityPolicy:
     """PFR adequacy ratio and the deviation the system must never exceed."""
 
@@ -78,7 +77,7 @@ def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConsta
     """K, A, B, C for a contingency met by a single lag response."""
     if not pfr > 0:
         raise InvalidInputError(f"pfr must be > 0, got {pfr}")
-    a = _a_ratio(sc, tau)
+    a = _a_ratio(sc.dprime, sc.h, tau)
     k = sc.p_cont / pfr
     em1, kam1, branch, singular = _branch(k, a)
     c = float("nan") if singular else a / em1
@@ -92,9 +91,9 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
     equals the asymptotic cap, and below it BranchError points the caller to
     asymptotic_max_contingency.
     """
-    _require_damping(dp)
+    dprime = _require_damping(dp)
     k = policy.k_policy
-    a = _a_ratio(dp, tau)
+    a = _a_ratio(dprime, dp.h, tau)
     em1, kam1, branch, singular = _branch(k, a)
     if branch == ASYMPTOTIC:
         raise BranchError(
@@ -103,7 +102,7 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
     if branch != INTERIOR_MINIMUM:
         # the two branches meet at the boundary
         return asymptotic_max_contingency(dp, k, policy.delta_f_max)
-    return k * dp.dprime * policy.delta_f_max / _shape(k, a, em1, kam1, singular)
+    return k * dprime * policy.delta_f_max / _shape(k, a, em1, kam1, singular)
 
 
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
@@ -142,20 +141,16 @@ def min_effective_tau(dp: DerivedParams, k: float) -> float:
     return max((1.0 - 1.0 / k) * 2.0 * dp.h / dp.dprime, 0.0)
 
 
-def _a_power(a: float) -> float:
-    """A^(1/(A-1)) with its removable singularity (-> e) bridged by series."""
+def _k1_factors(a: float):
+    """A^(1/(A-1)) and (A - 1 - A ln A) / (A - 1)^2, from one ln A.
+
+    Both removable singularities at A = 1 (-> e and -1/2) are bridged by series.
+    """
     em1 = a - 1.0
     if abs(em1) <= 1e-8:
-        return math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0)
-    return math.exp(math.log(a) / em1)
-
-
-def _sensitivity_bracket(a: float) -> float:
-    """(A - 1 - A ln A) / (A - 1)^2, series-bridged near A = 1 (-> -1/2)."""
-    em1 = a - 1.0
-    if abs(em1) <= 1e-8:
-        return -0.5 + em1 / 6.0 - em1 * em1 / 12.0
-    return (em1 - a * math.log(a)) / (em1 * em1)
+        return math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0), -0.5 + em1 / 6.0 - em1 * em1 / 12.0
+    ln_a = math.log(a)
+    return math.exp(ln_a / em1), (em1 - a * ln_a) / (em1 * em1)
 
 
 def special_case_max_contingency(dp: DerivedParams, delta_f_max: float, tau: float) -> float:
@@ -163,9 +158,8 @@ def special_case_max_contingency(dp: DerivedParams, delta_f_max: float, tau: flo
 
     -D' * delta_f_max * A^(1/(A-1)); the A -> 1 limit is -D' * delta_f_max * e.
     """
-    _require_damping(dp)
-    a = _a_ratio(dp, tau)
-    return -dp.dprime * delta_f_max * _a_power(a)
+    dprime = _require_damping(dp)
+    return -dprime * delta_f_max * _k1_factors(_a_ratio(dprime, dp.h, tau))[0]
 
 
 def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
@@ -174,10 +168,11 @@ def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
     dP/dtau = -(D' df_max / tau) * [(A-1-A lnA)/(A-1)^2] * A^(1/(A-1))
     dP/dH   = +(D' df_max / H)   * [(A-1-A lnA)/(A-1)^2] * A^(1/(A-1))
     """
-    _require_damping(dp)
-    a = _a_ratio(dp, tau)
-    common = _sensitivity_bracket(a) * _a_power(a) * dp.dprime * delta_f_max
-    return -common / tau, common / dp.h
+    dprime = _require_damping(dp)
+    h = dp.h
+    power, bracket = _k1_factors(_a_ratio(dprime, h, tau))
+    common = bracket * power * dprime * delta_f_max
+    return -common / tau, common / h
 
 
 def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
@@ -198,7 +193,7 @@ def sensitivity_pcont_bands(dp: DerivedParams, delta_f_max: float, model: TauSur
     return report.dp_dpfr1, report.dp_dpfr2
 
 
-@dataclass(frozen=True)
+@_record
 class SensitivityReport:
     """All trade-off derivatives of the K = 1 cap at one operating point."""
 
@@ -213,7 +208,7 @@ class SensitivityReport:
 def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                        pfr1: float, pfr2: float) -> SensitivityReport:
     """Analytic derivative set."""
-    tau = float(equivalent_tau(model, pfr1, pfr2))
+    tau = equivalent_tau(model, pfr1, pfr2)
     dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, tau)
     dtau_d1, dtau_d2 = sensitivity_tau_bands(model, pfr1, pfr2)
     return SensitivityReport(
@@ -234,7 +229,7 @@ def _central(f, x: float) -> float:
 def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                           pfr1: float, pfr2: float) -> SensitivityReport:
     """Central-difference counterpart of sensitivity_report."""
-    tau = float(equivalent_tau(model, pfr1, pfr2))
+    tau = equivalent_tau(model, pfr1, pfr2)
     step = _FD_REL_STEP * pfr1  # forward step in PFR2 when PFR2 = 0
 
     def p_of_tau(t):
@@ -244,7 +239,7 @@ def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfa
         return special_case_max_contingency(DerivedParams(dp.dprime, h), delta_f_max, tau)
 
     def tau_of(p1, p2):
-        return float(equivalent_tau(model, p1, p2))
+        return equivalent_tau(model, p1, p2)
 
     def p_of_pfr1(p1):
         return p_of_tau(tau_of(p1, pfr2))

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError, InvalidInputError
-from .model import FrequencyTrace, LagBand, _grid_steps, total_pfr_value
+from .model import FrequencyTrace, LagBand, _grid_steps, _record, total_pfr_value
 
 __all__ = [
     "TwoBandPfr",
@@ -87,7 +86,7 @@ _B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
 _MAP_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@_record
 class TwoBandPfr:
     """A fast band and a standard band; band1 is the faster by convention."""
 
@@ -106,7 +105,7 @@ class TwoBandPfr:
         return total_pfr_value((self.band1, self.band2), t)
 
 
-@dataclass(frozen=True)
+@_record
 class EquivalentBand:
     pfr_eq: float                     # MW
     tau_eq: float                     # s
@@ -124,7 +123,7 @@ class EquivalentBand:
         return LagBand(pfr=self.pfr_eq, tau=self.tau_eq)
 
 
-@dataclass(frozen=True)
+@_record
 class TauSurfaceModel:
     """Coefficients of tau_eq = a*(1 - exp(-b*PFR2/PFR1)) + tau1."""
 
@@ -449,22 +448,24 @@ def equivalent_tau(model: TauSurfaceModel, pfr1: float, pfr2: float,
 
     PFR1 = 0 falls outside the model's ratio domain: by default the standard
     band is passed through exactly (tau2); disabling the passthrough returns
-    the model's large-ratio asymptote a + tau1 instead.
+    the model's large-ratio asymptote a + tau1 instead. The result is a
+    Python float on every branch.
     """
     if pfr1 < 0 or pfr2 < 0:
         raise InvalidInputError("band magnitudes must be >= 0")
     if pfr1 == 0:
         if pfr2 == 0:
             raise InvalidInputError("at least one band magnitude must be > 0")
-        return model.tau2 if single_band_passthrough else model.a + model.tau1
-    return model.a * (1.0 - np.exp(-model.b * pfr2 / pfr1)) + model.tau1
+        return float(model.tau2 if single_band_passthrough else model.a + model.tau1)
+    # numpy's exp, whose last bit can differ from math.exp's; the rest is float arithmetic
+    return model.a * (1.0 - float(np.exp(-model.b * pfr2 / pfr1))) + model.tau1
 
 
 def canonical_equivalent(pfr1: float, pfr2: float, model: TauSurfaceModel = CANONICAL_SURFACE,
                          single_band_passthrough: bool = True) -> EquivalentBand:
     """Equivalent band with magnitude PFR1 + PFR2 and the model's tau."""
     tau = equivalent_tau(model, pfr1, pfr2, single_band_passthrough)
-    return EquivalentBand(pfr_eq=pfr1 + pfr2, tau_eq=float(tau))
+    return EquivalentBand(pfr1 + pfr2, tau)
 
 
 def _mape_arrays(exact: np.ndarray, approx: np.ndarray) -> float:
@@ -489,14 +490,14 @@ def mape(exact: FrequencyTrace, approx: FrequencyTrace) -> float:
     return _mape_arrays(exact.samples, approx.samples)
 
 
-@dataclass(frozen=True)
+@_record
 class MapeCell:
     pfr1: float
     pfr2: float
     mape_pct: float
 
 
-@dataclass(frozen=True)
+@_record
 class MapeReport:
     cells: tuple
     mean_pct: float
@@ -589,7 +590,7 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
     return values
 
 
-@dataclass(frozen=True)
+@_record
 class TauSweepCell:
     tau1: float
     tau2: float
@@ -597,7 +598,7 @@ class TauSweepCell:
     max_mape_pct: float
 
 
-@dataclass(frozen=True)
+@_record
 class TauSweepReport:
     cells: tuple
     mean_pct: float  # mean of the per-cell means

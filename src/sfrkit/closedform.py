@@ -22,12 +22,12 @@ both branches meet. The D' > 0 guard and the tau check in A live here too;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchError, InvalidInputError
-from .model import FrequencyTrace, LagBand, RampBand, SystemConditions, _as_times, _grid_steps, _ret
+from .model import (FrequencyTrace, LagBand, RampBand, SystemConditions, _as_times, _grid_steps,
+                    _record, _ret)
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -61,7 +61,7 @@ _BAND_TYPES = {"lag": LagBand, "ramp": RampBand}
 _NO_INTERIOR = "no interior nadir for these inputs; use asymptotic_nadir for the settling value"
 
 
-@dataclass(frozen=True)
+@_record
 class NadirResult:
     """Nadir classification plus the one quantity that never depends on it."""
 
@@ -79,11 +79,11 @@ def _require_damping(params) -> float:
     return dprime
 
 
-def _a_ratio(params, tau: float) -> float:
-    """A = D'*tau / (2H) for a SystemConditions or DerivedParams; tau must be > 0."""
+def _a_ratio(dprime: float, h: float, tau: float) -> float:
+    """A = D'*tau / (2H); tau must be > 0."""
     if not tau > 0:
         raise InvalidInputError(f"tau must be > 0, got {tau}")
-    return params.dprime * tau / (2.0 * params.h)
+    return dprime * tau / (2.0 * h)
 
 
 def _branch(k: float, a: float):
@@ -176,14 +176,16 @@ def lag_delta_f(sc: SystemConditions, band: LagBand, t):
 
 
 def _ratios(sc: SystemConditions, band: LagBand):
-    """K, A for a single lag band; validates signs and damping."""
-    _require_damping(sc)
-    if band.pfr == 0:
+    """K, A, D' and H for a single lag band; validates signs and damping."""
+    dprime = _require_damping(sc)
+    pfr = band.pfr
+    if pfr == 0:
         raise InvalidInputError("nadir ratios are undefined for a zero-magnitude band")
-    k = sc.p_cont / band.pfr
+    k = sc.p_cont / pfr
     if k < 0:
         raise InvalidInputError("band magnitude must share the sign of p_cont")
-    return k, _a_ratio(sc, band.tau)
+    h = sc.h
+    return k, _a_ratio(dprime, h, band.tau), dprime, h
 
 
 def _shape(k, a, em1, kam1, singular) -> float:
@@ -197,7 +199,7 @@ def _shape(k, a, em1, kam1, singular) -> float:
 
 def nadir_solvable(sc: SystemConditions, band: LagBand) -> bool:
     """True iff the deviation has an interior stationary minimum (B > 0)."""
-    return _branch(*_ratios(sc, band))[2] == INTERIOR_MINIMUM
+    return _branch(*_ratios(sc, band)[:2])[2] == INTERIOR_MINIMUM
 
 
 def _interior_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
@@ -218,7 +220,7 @@ def lag_nadir_time(sc: SystemConditions, band: LagBand) -> float:
 
 def lag_nadir_time_from_ratios(sc: SystemConditions, band: LagBand) -> float:
     """Algebraically equivalent nadir time tau * ln(B) / (A - 1), s."""
-    k, a = _ratios(sc, band)
+    k, a = _ratios(sc, band)[:2]
     em1, kam1, branch, singular = _branch(k, a)
     if branch != INTERIOR_MINIMUM:
         raise BranchError(_NO_INTERIOR)
@@ -256,15 +258,21 @@ def max_rocof(sc: SystemConditions) -> float:
 
 
 def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
-    """Classify and evaluate the nadir for a single lag band."""
-    k, a = _ratios(sc, band)
+    """Classify and evaluate the nadir for a single lag band.
+
+    The settling value and RoCoF use asymptotic_nadir's and max_rocof's
+    expressions, with D', H and the band's fields read once.
+    """
+    k, a, dprime, h = _ratios(sc, band)
+    pfr, p_cont = band.pfr, sc.p_cont
+    rocof = -p_cont / (2.0 * h)
     em1, kam1, branch, singular = _branch(k, a)
     if branch != INTERIOR_MINIMUM:
-        return NadirResult(ASYMPTOTIC, None, asymptotic_nadir(sc, band.pfr), max_rocof(sc))
-    t_nadir = k * band.tau if singular else (
-        math.log1p(kam1) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau))
-    depth = band.pfr / sc.dprime * _shape(k, a, em1, kam1, singular)
-    return NadirResult(INTERIOR_MINIMUM, t_nadir, depth, max_rocof(sc))
+        return NadirResult(ASYMPTOTIC, None, (pfr - p_cont) / dprime, rocof)
+    tau = band.tau
+    t_nadir = k * tau if singular else math.log1p(kam1) / (dprime / (2.0 * h) - 1.0 / tau)
+    depth = pfr / dprime * _shape(k, a, em1, kam1, singular)
+    return NadirResult(INTERIOR_MINIMUM, t_nadir, depth, rocof)
 
 
 def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> FrequencyTrace:

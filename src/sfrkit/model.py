@@ -10,12 +10,20 @@ infinite inertia, is the one exception. `_grid_steps` is the one
 sampling-grid rule: closed-form traces, oracle runs and the band fits all
 turn (t_end, dt) into a step count through it, and it rejects a grid over
 10 million steps before any array is built.
+
+Every record type of the package is declared with `_record`: a frozen,
+slotted dataclass whose generated `__init__` stores each field through its
+slot descriptor and then runs `__post_init__`. Equality, hashing, repr,
+`dataclasses.replace` and the validation messages are those of a plain frozen
+dataclass; construction skips the per-field name lookup of
+`object.__setattr__`, which matters where records are built per operating
+point. Instances have no `__dict__` and take no weak references.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +47,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """A frozen, slotted dataclass whose __init__ writes the slots directly.
+
+    The generated __init__ has the dataclass's parameters and defaults, stores
+    each argument with its slot descriptor's __set__ (what a frozen
+    dataclass's object.__setattr__ reaches after a name lookup) and then calls
+    __post_init__, if the class defines one.
+    """
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    fields = dataclasses.fields(cls)
+    scope, params = {}, []
+    for f in fields:
+        if f.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: _record takes no default_factory")
+        scope[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    body = [f"    _set_{f.name}(self, {f.name})\n" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "".join(body), scope)
+    init = scope["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class SystemConditions:
     """Grid state at the instant of the contingency."""
 
@@ -73,7 +112,7 @@ class SystemConditions:
         return self.ke / self.f_n
 
 
-@dataclass(frozen=True)
+@_record
 class DerivedParams:
     """Damping and inertia in working units.
 
@@ -93,10 +132,10 @@ class DerivedParams:
 
 def derive_params(sc: SystemConditions) -> DerivedParams:
     """Compute D' = D * P_load and H = KE / f_n."""
-    return DerivedParams(dprime=sc.dprime, h=sc.h)
+    return DerivedParams(sc.dprime, sc.h)
 
 
-@dataclass(frozen=True)
+@_record
 class LagBand:
     """One PFR provider band delivering pfr * (1 - exp(-t/tau))."""
 
@@ -119,7 +158,7 @@ class LagBand:
         return out
 
 
-@dataclass(frozen=True)
+@_record
 class RampBand:
     """One PFR provider band ramping at rate pfr / t_r up to pfr."""
 
@@ -188,7 +227,7 @@ def two_band_pfr_value(b1: LagBand, b2: LagBand, t):
     return total_pfr_value((b1, b2), t)
 
 
-@dataclass(frozen=True)
+@_record
 class FrequencyTrace:
     """Uniformly sampled frequency-deviation samples, Hz."""
 
@@ -237,7 +276,7 @@ def _grid_steps(t_end: float, dt: float, where: str = "t_end") -> int:
 #  "sim":    {"t_end_s", "dt_s"}}            # sim is optional
 
 
-@dataclass(frozen=True)
+@_record
 class Scenario:
     system: SystemConditions
     bands: tuple
@@ -245,18 +284,20 @@ class Scenario:
     dt: float | None = None
 
 
-def _field(doc: dict, where: str, key: str, kind=float):
+def _field(doc: dict, where: str, key: str) -> float:
+    """The finite number doc[key] as a float; the message names where.key."""
     if key not in doc:
         raise InvalidInputError(f"{where}: missing required field '{key}'")
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidInputError(f"{where}.{key}: expected a number, got {value!r}")
-        value = float(value)
-        # literals such as 1e999 parse to infinity without a NaN/Infinity token
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{where}.{key}: expected a finite number, got {value!r}")
+    # a finite float, what JSON gives for most fields, is returned as it is
+    if type(value) is float and -math.inf < value < math.inf:
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{where}.{key}: expected a number, got {value!r}")
+    value = float(value)
+    # literals such as 1e999 parse to infinity without a NaN/Infinity token
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 
 
@@ -267,12 +308,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "system" not in doc or not isinstance(doc["system"], dict):
         raise InvalidInputError("scenario: missing 'system' object")
     s = doc["system"]
+    # records are built positionally here: a keyword costs about 0.1 us a field
     system = SystemConditions(
-        f_n=_field(s, "system", "f_n_hz"),
-        ke=_field(s, "system", "ke_mws"),
-        p_load=_field(s, "system", "p_load_mw"),
-        d=_field(s, "system", "d_relief"),
-        p_cont=_field(s, "system", "p_cont_mw"),
+        _field(s, "system", "f_n_hz"),
+        _field(s, "system", "ke_mws"),
+        _field(s, "system", "p_load_mw"),
+        _field(s, "system", "d_relief"),
+        _field(s, "system", "p_cont_mw"),
     )
 
     bands = []
@@ -288,9 +330,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"{where}.pfr_mw: sign must match p_cont_mw ({system.p_cont})"
             )
         if kind == "lag":
-            bands.append(LagBand(pfr=pfr, tau=_field(b, where, "tau_s")))
+            bands.append(LagBand(pfr, _field(b, where, "tau_s")))
         elif kind == "ramp":
-            bands.append(RampBand(pfr=pfr, t_r=_field(b, where, "t_r_s")))
+            bands.append(RampBand(pfr, _field(b, where, "t_r_s")))
         else:
             raise InvalidInputError(f"{where}.kind: expected 'lag' or 'ramp', got {kind!r}")
 
@@ -303,7 +345,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not t_end > 0 or not dt > 0:
             raise InvalidInputError("sim: t_end_s and dt_s must be > 0")
 
-    return Scenario(system=system, bands=tuple(bands), t_end=t_end, dt=dt)
+    return Scenario(system, tuple(bands), t_end, dt)
 
 
 def _reject_non_finite(where):

@@ -28,12 +28,10 @@ The grid itself follows model._grid_steps; IntegrationSpec adds dt <= 10 ms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import FrequencyTrace, SystemConditions, _grid_steps
+from .model import FrequencyTrace, SystemConditions, _grid_steps, _record
 
 __all__ = ["RK4", "FORWARD_EULER", "IntegrationSpec", "integrate", "trace_nadir"]
 
@@ -44,7 +42,7 @@ FORWARD_EULER = "euler"
 _STABLE_H_LAM = {RK4: 2.785293563405282, FORWARD_EULER: 2.0}
 
 
-@dataclass(frozen=True)
+@_record
 class IntegrationSpec:
     t_end: float
     dt: float = 0.001

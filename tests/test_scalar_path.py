@@ -1,0 +1,272 @@
+"""The scalar screening path gives the same doubles as its one-expression forms.
+
+`lag_nadir` reads D', H and the band once, `sensitivity_report` takes ln A
+once, `equivalent_tau` does its arithmetic on a Python float and `_field`
+returns a finite float at once. Each reference below writes the earlier
+one-expression form of the same arithmetic, in the same order, so every
+rounding step is the same and the results must agree bit for bit (signed
+zeros included) across the (K, A) plane: the A = 1 and B = 0 guard bands and
+over-frequency mirrors included.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from sfrkit import (
+    ASYMPTOTIC,
+    CANONICAL_SURFACE,
+    INTERIOR_MINIMUM,
+    BranchError,
+    DerivedParams,
+    InvalidInputError,
+    LagBand,
+    SecurityPolicy,
+    SystemConditions,
+    TauSurfaceModel,
+    asymptotic_max_contingency,
+    canonical_equivalent,
+    equivalent_tau,
+    lag_nadir,
+    max_contingency,
+    required_ffr_share,
+    sensitivity_report,
+)
+from sfrkit.model import scenario_from_dict
+
+REL_EPS = 1e-9  # closedform's guard band around A = 1
+B_EPS = 1e-9    # closedform's guard band around B = 0
+
+
+def _bits(*values):
+    """float.hex of each value (None kept), so -0.0 and 0.0 differ."""
+    return tuple(None if v is None else float(v).hex() for v in values)
+
+
+def ref_shape(k, a):
+    em1 = a - 1.0
+    if abs(em1) <= REL_EPS:
+        return 1.0 - k - math.exp(-k)
+    ln_b = math.log1p(k * em1)
+    c = a / em1
+    return (c + k - 1.0) * math.exp(-c * ln_b) - c * math.exp(-ln_b / em1) - k + 1.0
+
+
+def ref_lag_nadir(sc, band):
+    """(kind, t_nadir, depth, rocof) with every quantity read through its property."""
+    k = sc.p_cont / band.pfr
+    a = sc.dprime * band.tau / (2.0 * sc.h)
+    rocof = -sc.p_cont / (2.0 * sc.h)
+    em1 = a - 1.0
+    if not 1.0 + k * em1 > B_EPS:
+        return ASYMPTOTIC, None, (band.pfr - sc.p_cont) / sc.dprime, rocof
+    t_nadir = k * band.tau if abs(em1) <= REL_EPS else (
+        math.log1p(k * em1) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau))
+    return INTERIOR_MINIMUM, t_nadir, band.pfr / sc.dprime * ref_shape(k, a), rocof
+
+
+def ref_cap(dp, k, delta_f_max, tau):
+    """The screening cap: interior, else the asymptotic cap; None when unbounded."""
+    a = dp.dprime * tau / (2.0 * dp.h)
+    if 1.0 + k * (a - 1.0) > B_EPS:
+        return k * dp.dprime * delta_f_max / ref_shape(k, a)
+    if k <= 1.0:
+        return None
+    return delta_f_max / (1.0 / k - 1.0) * dp.dprime
+
+
+def ref_tau(model, pfr1, pfr2):
+    if pfr1 == 0:
+        return model.tau2
+    return float(model.a * (1.0 - np.exp(-model.b * pfr2 / pfr1)) + model.tau1)
+
+
+def ref_share(model, tau_target):
+    if tau_target == model.tau1:
+        return 1.0
+    return 1.0 / (1.0 + -math.log(1.0 - (tau_target - model.tau1) / model.a) / model.b)
+
+
+def ref_sensitivity(dp, delta_f_max, model, pfr1, pfr2):
+    tau = ref_tau(model, pfr1, pfr2)
+    a = dp.dprime * tau / (2.0 * dp.h)
+    em1 = a - 1.0
+    if abs(em1) <= 1e-8:
+        power = math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0)
+        bracket = -0.5 + em1 / 6.0 - em1 * em1 / 12.0
+    else:
+        power = math.exp(math.log(a) / em1)
+        bracket = (em1 - a * math.log(a)) / (em1 * em1)
+    common = bracket * power * dp.dprime * delta_f_max
+    dp_dtau, dp_dh = -common / tau, common / dp.h
+    decay = math.exp(-model.b * pfr2 / pfr1)
+    dtau_d1 = -(model.a * model.b) * pfr2 / pfr1**2 * decay
+    dtau_d2 = (model.a * model.b) / pfr1 * decay
+    return dp_dtau, dp_dh, dtau_d1, dtau_d2, dp_dtau * dtau_d1, dp_dtau * dtau_d2
+
+
+def screen_cap(dp, policy, tau):
+    """max_contingency with the asymptotic fallback; None when unbounded."""
+    try:
+        return max_contingency(dp, policy, tau)
+    except BranchError:
+        try:
+            return asymptotic_max_contingency(dp, policy.k_policy, policy.delta_f_max)
+        except BranchError:
+            return None
+
+
+systems = st.tuples(st.floats(1000.0, 4000.0), st.floats(0.01, 0.08), st.floats(2000.0, 20000.0))
+# A over the plane, inside the A = 1 guard band, or B = 1 + K(A - 1) inside the B = 0 guard
+a_values = st.one_of(
+    st.tuples(st.just("plane"), st.floats(0.02, 6.0)),
+    st.tuples(st.just("a1"), st.floats(-2e-9, 2e-9)),
+    st.tuples(st.just("b0"), st.floats(-2e-9, 2e-9)),
+)
+
+
+def _a(k, where):
+    """A for a point of a_values; B = 0 needs K > 1 for A = 1 - 1/K to be positive."""
+    kind, x = where
+    a = x if kind == "plane" else 1.0 + x if kind == "a1" else 1.0 + (x - 1.0) / k
+    assume(a > 0)
+    return a
+
+
+def _system(sys_params, p_cont):
+    p_load, d, ke = sys_params
+    return SystemConditions(f_n=50.0, ke=ke, p_load=p_load, d=d, p_cont=p_cont)
+
+
+class TestLagNadir:
+    @settings(max_examples=300, deadline=None)
+    @given(sys_params=systems, k=st.floats(0.1, 6.0), where=a_values,
+           p_cont=st.floats(50.0, 500.0), over=st.booleans())
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=300.0 / 270.0, where=("plane", 2.0 / 4.5),
+             p_cont=300.0, over=False)
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=1.5, where=("a1", 0.0), p_cont=300.0, over=True)
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=2.0, where=("b0", 0.0), p_cont=300.0, over=False)
+    def test_matches_the_one_expression_form(self, sys_params, k, where, p_cont, over):
+        sign = -1.0 if over else 1.0
+        sc = _system(sys_params, sign * p_cont)
+        band = LagBand(pfr=sign * p_cont / k, tau=_a(k, where) * 2.0 * sc.h / sc.dprime)
+        got = lag_nadir(sc, band)
+        want = ref_lag_nadir(sc, band)
+        assert got.kind == want[0]
+        assert _bits(got.t_nadir, got.delta_f_nadir, got.max_rocof) == _bits(*want[1:])
+
+    def test_validation_order_is_unchanged(self, base_system):
+        flat = SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.0, p_cont=300.0)
+        with pytest.raises(InvalidInputError, match="D' = d"):
+            lag_nadir(flat, LagBand(pfr=0.0, tau=2.0))
+        with pytest.raises(InvalidInputError, match="zero-magnitude"):
+            lag_nadir(base_system, LagBand(pfr=0.0, tau=2.0))
+        with pytest.raises(InvalidInputError, match="share the sign"):
+            lag_nadir(base_system, LagBand(pfr=-10.0, tau=2.0))
+
+
+class TestContingencyCap:
+    @settings(max_examples=300, deadline=None)
+    @given(sys_params=systems, k=st.floats(0.3, 6.0), where=a_values,
+           delta_f_max=st.floats(0.2, 2.0), over=st.booleans())
+    @example(sys_params=(2500.0, 0.04, 7000.0), k=1.0 / 0.7, where=("b0", 0.0), delta_f_max=0.5,
+             over=False)
+    @example(sys_params=(2500.0, 0.04, 7000.0), k=0.8, where=("b0", 0.0), delta_f_max=0.5,
+             over=False)
+    @example(sys_params=(2500.0, 0.04, 7000.0), k=1.0 / 0.7, where=("a1", 0.0), delta_f_max=0.5,
+             over=True)
+    def test_matches_the_one_expression_form(self, sys_params, k, where, delta_f_max, over):
+        sc = _system(sys_params, 300.0)
+        dp = DerivedParams(dprime=sc.dprime, h=sc.h)
+        tau = _a(k, where) * 2.0 * dp.h / dp.dprime
+        limit = delta_f_max if over else -delta_f_max
+        got = screen_cap(dp, SecurityPolicy(k, limit), tau)
+        want = ref_cap(dp, k, limit, tau)
+        assert (got is None) == (want is None)
+        assert _bits(got) == _bits(want)
+
+
+class TestEquivalentBand:
+    @settings(max_examples=300, deadline=None)
+    @given(pfr1=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), pfr2=st.floats(0.0, 1e3))
+    @example(pfr1=130.0, pfr2=80.0)
+    @example(pfr1=0.0, pfr2=210.0)
+    @example(pfr1=120.0, pfr2=0.0)
+    def test_canonical_equivalent_and_share(self, pfr1, pfr2):
+        if pfr1 == 0 and pfr2 == 0:
+            return
+        eq = canonical_equivalent(pfr1, pfr2)
+        assert _bits(eq.pfr_eq, eq.tau_eq) == _bits(pfr1 + pfr2, ref_tau(CANONICAL_SURFACE,
+                                                                            pfr1, pfr2))
+        assert type(eq.tau_eq) is float
+        model = CANONICAL_SURFACE
+        if model.tau1 <= eq.tau_eq < model.tau1 + model.a:
+            assert _bits(required_ffr_share(model, eq.tau_eq)) == \
+                _bits(ref_share(model, eq.tau_eq))
+
+    @pytest.mark.parametrize("model", [
+        CANONICAL_SURFACE,
+        TauSurfaceModel(a=1, b=2, tau1=1, tau2=3),  # integer coefficients
+    ])
+    def test_equivalent_tau_is_a_float_on_every_branch(self, model):
+        for args in ((130.0, 80.0), (0.0, 210.0)):
+            assert type(equivalent_tau(model, *args)) is float
+            assert type(equivalent_tau(model, *args, single_band_passthrough=False)) is float
+        assert equivalent_tau(model, 0.0, 210.0) == model.tau2
+        assert equivalent_tau(model, 0.0, 210.0, single_band_passthrough=False) == \
+            model.a + model.tau1
+
+
+class TestSensitivityReport:
+    @settings(max_examples=300, deadline=None)
+    @given(pfr1=st.floats(1.0, 500.0), pfr2=st.floats(0.0, 500.0), dprime=st.floats(20.0, 300.0),
+           where=st.one_of(st.floats(0.05, 6.0), st.floats(1.0 - 2e-8, 1.0 + 2e-8)),
+           delta_f_max=st.floats(-2.0, -0.1))
+    @example(pfr1=130.0, pfr2=80.0, dprime=80.0, where=1.0, delta_f_max=-0.5)
+    def test_matches_the_one_expression_form(self, pfr1, pfr2, dprime, where, delta_f_max):
+        tau = ref_tau(CANONICAL_SURFACE, pfr1, pfr2)
+        dp = DerivedParams(dprime=dprime, h=dprime * tau / (2.0 * where))
+        got = sensitivity_report(dp, delta_f_max, CANONICAL_SURFACE, pfr1, pfr2)
+        want = ref_sensitivity(dp, delta_f_max, CANONICAL_SURFACE, pfr1, pfr2)
+        assert _bits(got.dp_dtau, got.dp_dh, got.dtau_dpfr1, got.dtau_dpfr2,
+                     got.dp_dpfr1, got.dp_dpfr2) == _bits(*want)
+
+
+def _doc(**system):
+    fields = {"f_n_hz": 50.0, "ke_mws": 9000.0, "p_load_mw": 2000.0, "d_relief": 0.04,
+              "p_cont_mw": 300.0}
+    fields.update(system)
+    return {"system": {k: v for k, v in fields.items() if v is not None},
+            "bands": [{"kind": "lag", "pfr_mw": 270.0, "tau_s": 2.0}]}
+
+
+class TestScenarioFields:
+    @pytest.mark.parametrize("doc, message", [
+        (_doc(ke_mws=None), "system: missing required field 'ke_mws'"),
+        (_doc(ke_mws=True), "system.ke_mws: expected a number, got True"),
+        (_doc(ke_mws="7000"), "system.ke_mws: expected a number, got '7000'"),
+        (_doc(ke_mws=float("1e999")), "system.ke_mws: expected a finite number, got inf"),
+        (_doc(ke_mws=float("nan")), "system.ke_mws: expected a finite number, got nan"),
+        ([_doc()], "scenario: top level must be an object"),
+    ])
+    def test_messages_are_unchanged(self, doc, message):
+        with pytest.raises(InvalidInputError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_band_field_message_is_unchanged(self):
+        doc = _doc()
+        doc["bands"][0]["tau_s"] = float("-1e999")
+        with pytest.raises(InvalidInputError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == "bands.0.tau_s: expected a finite number, got -inf"
+
+    @pytest.mark.parametrize("value", [7000, np.float64(7000.0), 7000.0, -0.0])
+    def test_numbers_become_plain_floats(self, value):
+        doc = _doc(p_cont_mw=value)
+        doc["bands"][0]["pfr_mw"] = 0.0
+        system = scenario_from_dict(doc).system
+        assert type(system.p_cont) is float
+        assert _bits(system.p_cont) == _bits(float(value))
