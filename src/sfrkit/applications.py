@@ -84,6 +84,27 @@ def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConsta
     return NadirConstants(k, a, 1.0 + kam1, c, branch != INTERIOR_MINIMUM, singular)
 
 
+def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
+    """f(A, K) * scale, with scale D' for the cap in MW and 1.0 for the factor.
+
+    The one place that tells the interior cap from the boundary, where the
+    branches meet in the asymptotic cap, and from the asymptotic regime.
+    """
+    em1, kam1, branch, singular = _branch(k, a)
+    if branch == ASYMPTOTIC:
+        raise BranchError("asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency")
+    if branch == INTERIOR_MINIMUM:
+        return k * scale * delta_f_max / _shape(k, a, em1, kam1, singular)
+    return _asymptotic_cap(k, delta_f_max, scale)
+
+
+def _asymptotic_cap(k: float, delta_f_max: float, scale: float) -> float:
+    """The settling-value cap delta_f_max / (1/K - 1) * scale; unbounded when K <= 1."""
+    if k <= 1.0:
+        raise BranchError("unbounded: with K <= 1 the settling deviation never crosses the limit")
+    return delta_f_max / (1.0 / k - 1.0) * scale
+
+
 def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> float:
     """Largest contingency containable at deviation delta_f_max, MW.
 
@@ -92,41 +113,19 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
     asymptotic_max_contingency.
     """
     dprime = _require_damping(dp)
-    k = policy.k_policy
-    a = _a_ratio(dprime, dp.h, tau)
-    em1, kam1, branch, singular = _branch(k, a)
-    if branch == ASYMPTOTIC:
-        raise BranchError(
-            "asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency"
-        )
-    if branch != INTERIOR_MINIMUM:
-        # the two branches meet at the boundary
-        return asymptotic_max_contingency(dp, k, policy.delta_f_max)
-    return k * dprime * policy.delta_f_max / _shape(k, a, em1, kam1, singular)
+    return _cap(policy.k_policy, _a_ratio(dprime, dp.h, tau), policy.delta_f_max, dprime)
 
 
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
     """System-independent factor f(A, K): the cap equals f * D'."""
     if not k > 0:
         raise InvalidInputError(f"K must be > 0, got {k}")
-    em1, kam1, branch, singular = _branch(k, a)
-    if branch == ASYMPTOTIC:
-        raise BranchError("f(A, K) is defined only for A >= 1 - 1/K")
-    if branch != INTERIOR_MINIMUM:
-        if k <= 1.0:
-            raise BranchError("no finite cap at the boundary when K <= 1")
-        return delta_f_max / (1.0 / k - 1.0)
-    return k * delta_f_max / _shape(k, a, em1, kam1, singular)
+    return _cap(k, a, delta_f_max, 1.0)
 
 
 def asymptotic_max_contingency(dp: DerivedParams, k_policy: float, delta_f_max: float) -> float:
     """Cap in the asymptotic regime: delta_f_max / (1/K - 1) * D', MW."""
-    _require_damping(dp)
-    if k_policy <= 1.0:
-        raise BranchError(
-            "unbounded: with K <= 1 the settling deviation never crosses the limit"
-        )
-    return delta_f_max / (1.0 / k_policy - 1.0) * dp.dprime
+    return _asymptotic_cap(k_policy, delta_f_max, _require_damping(dp))
 
 
 def min_effective_tau(dp: DerivedParams, k: float) -> float:

@@ -9,13 +9,15 @@ while the fitted time constant follows
 
 whose coefficients (a, b) are themselves fitted. Both fits are separable: the
 magnitude is linear given tau and `a` is linear given `b`, so each is solved by
-variable projection as a 1-D root of its stationarity condition. The root is
-found by a bracketed superlinear search (Chandrupatla's method) that stops at
-the first point where the condition reads exactly zero; tau is searched over
-[tau1/2, 2*tau2] with tau1 and tau2 as inner knots, and b in log space. The
-canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships with pre-fitted
-coefficients. The default sampling grid, [0, max(30, 5*tau2)] s at 10 ms, is
-bounded by the step ceiling of model._grid_steps, so tau2 <= 20 000 s.
+variable projection as a 1-D root of its stationarity condition. Both roots
+are found by one bracketed superlinear search (Chandrupatla's method), which
+evaluates its knots in one call and stops at the first point where the
+condition reads exactly zero; tau is searched over [tau1/2, 2*tau2] with tau1
+and tau2 as inner knots, and b in log space from log-spaced knots that bracket
+it at once. The canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships
+with pre-fitted coefficients. The default sampling grid, [0, max(30, 5*tau2)]
+s at 10 ms, is bounded by the step ceiling of model._grid_steps, so
+tau2 <= 20 000 s.
 
 Approximation quality is reported as the mean absolute percentage error
 between the exact and equivalent response curves, per grid cell. It depends
@@ -75,10 +77,13 @@ _FIT_DT = 0.01  # s
 _XTOL_REL = 1e-13
 # a stationarity condition within this share of its terms' size counts as zero
 _FLAT_REL = 1e-12
-# both searches need at most 15 evaluations on the sweep grids, and bisection
+# a fit needs at most 15 evaluations on the sweep grids, and bisection
 # alone would need about 50; more steps than this means a stalled search
 _MAX_STEPS = 100
 _B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
+# log-spaced knots of the b search, evaluated in one call: they bracket the
+# root at once, where the box's ends alone left 4-5 bisection steps
+_B_KNOTS = 64
 # rows per block of the MAPE map. On the sweep grid (75 classes x 3001
 # samples, 2-vCPU x86-64 host) a map took about 3.5 ms in blocks of 8 rows,
 # 6 ms as one block of 75 rows, whose buffers fall out of cache, and 7 ms one
@@ -209,7 +214,12 @@ def _zeroed(p, q):
     flat direction settle instead of following rounding.
     """
     d = p - q
-    return np.where(np.abs(d) <= _FLAT_REL * (np.abs(p) + np.abs(q)), 0.0, d)
+    return _where(abs(d) <= _FLAT_REL * (abs(p) + abs(q)), 0.0, d)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b), or a plain choice that keeps a scalar search on numpy scalars."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def _find_root(stationarity, knots, xtol, what):
@@ -219,11 +229,14 @@ def _find_root(stationarity, knots, xtol, what):
     knot where the zeroed gap is <= 0 and the knot before it bracket the root.
     Chandrupatla's method then narrows each bracket by inverse quadratic
     interpolation through its last three points, or by bisection where that
-    interpolant is not monotone. An element stops at the first point where the
-    gap is exactly 0, so a direction that is flat at knots[0] settles there, or
-    when its bracket is narrower than xtol. Raises FitError unless the box
-    brackets a sign change, the condition is finite wherever it is evaluated
-    and every element stops within _MAX_STEPS evaluations after the knots.
+    interpolant is not monotone. An element is done at the first point where
+    the gap is exactly 0, so a direction that is flat at knots[0] settles
+    there, or when its bracket is narrower than xtol. Done elements are
+    evaluated again at their newest point, which moves nothing, and each root
+    is picked once, at exit; 0-d elements stay numpy scalars. Raises FitError
+    unless the box brackets a sign change, the condition is finite wherever it
+    is evaluated and every element is done within _MAX_STEPS evaluations after
+    the knots.
     """
     def gap(x):
         return _zeroed(*stationarity(x))
@@ -232,15 +245,14 @@ def _find_root(stationarity, knots, xtol, what):
     g = gap(knots)
     if not (np.all(g[0] >= 0.0) and np.all(g[-1] <= 0.0)):
         raise FitError(f"{what}: no sign change of the stationarity condition in the box")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FitError(f"{what}: non-finite stationarity condition")
     k = np.argmax(g <= 0.0, axis=0)[None]
     j = np.maximum(k - 1, 0)
     x1, f1 = np.take_along_axis(knots, k, 0)[0], np.take_along_axis(g, k, 0)[0]
     x2, f2 = np.take_along_axis(knots, j, 0)[0], np.take_along_axis(g, j, 0)[0]
     x3, f3, t = x2, f2, 0.5
-    done = (f1 == 0.0) | (np.abs(x2 - x1) <= xtol)
-    root = np.where(np.abs(f1) <= np.abs(f2), x1, x2)
+    done = (f1 == 0.0) | (abs(x2 - x1) <= xtol)
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while not done.all():
@@ -248,70 +260,23 @@ def _find_root(stationarity, knots, xtol, what):
                 raise FitError(f"{what}: no convergence in {_MAX_STEPS} steps")
             steps += 1
             # x1 is the newest point, [x1, x2] the bracket, x3 the point x1 replaced
-            x = np.where(done, x1, x1 + t * (x2 - x1))
+            x = _where(done, x1, x1 + t * (x2 - x1))
             f = gap(x)
-            if not np.all(np.isfinite(f)):
+            if not np.isfinite(f).all():
                 raise FitError(f"{what}: non-finite stationarity condition")
             same = (f > 0.0) == (f1 > 0.0)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x3, f3 = _where(same, x1, x2), _where(same, f1, f2)
+            x2, f2 = _where(same, x2, x1), _where(same, f2, f1)
             x1, f1 = x, f
-            width = np.abs(x2 - x1)
-            stop = ~done & ((f1 == 0.0) | (width <= xtol))
-            root = np.where(stop, np.where(np.abs(f1) <= np.abs(f2), x1, x2), root)
-            done = done | stop
+            width = abs(x2 - x1)
+            done = done | (f1 == 0.0) | (width <= xtol)
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            t = _where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                       + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
             tl = 0.5 * xtol / width
-            t = np.clip(t, tl, 1.0 - tl)
-    return root
-
-
-def _find_root_scalar(stationarity, lo, hi, xtol, what):
-    """_find_root for one root on [lo, hi], kept in Python floats.
-
-    The same steps as _find_root with the knots lo and hi. Its bookkeeping
-    is not done on 0-d arrays because numpy's per-call overhead there costs
-    more than a stationarity evaluation of the surface fit.
-    """
-    def gap(x):
-        return float(_zeroed(*stationarity(x)))
-
-    f_lo, f_hi = gap(lo), gap(hi)
-    if not (f_lo >= 0.0 and f_hi <= 0.0):
-        raise FitError(f"{what}: no sign change of the stationarity condition in the box")
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise FitError(f"{what}: non-finite stationarity condition")
-    if f_lo == 0.0:
-        return lo
-    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
-    x3, f3, t, steps = x2, f2, 0.5, 0
-    while abs(x2 - x1) > xtol:
-        if steps == _MAX_STEPS:
-            raise FitError(f"{what}: no convergence in {_MAX_STEPS} steps")
-        steps += 1
-        x = x1 + t * (x2 - x1)
-        f = gap(x)
-        if f == 0.0:
-            return x
-        if not math.isfinite(f):
-            raise FitError(f"{what}: non-finite stationarity condition")
-        if (f > 0.0) == (f1 > 0.0):
-            x3, f3 = x1, f1
-        else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
-        x1, f1 = x, f
-        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-        if 0.0 < xi < 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
-            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
-                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
-        else:
-            t = 0.5
-        tl = 0.5 * xtol / abs(x2 - x1)
-        t = min(max(t, tl), 1.0 - tl)
-    return x1 if abs(f1) <= abs(f2) else x2
+            t = np.minimum(np.maximum(t, tl), 1.0 - tl)
+    return _where(abs(f1) <= abs(f2), x1, x2)
 
 
 def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
@@ -359,32 +324,31 @@ def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
     """Weighted least-squares (a, b) of tau_eq = a*(1 - exp(-b*ratio)) + tau1.
 
     a = <phi,y>/<phi,phi>, clipped at 0, for phi = 1 - exp(-b*ratio) and
-    y = tau_eq - tau1, leaves a 1-D search in log b over [1e-6, 1e3]; a fit
-    that is flat at the lower end, as when every tau_eq is tau1, returns
-    b = 1e-6 exactly. Returns (a, b, ssr).
+    y = tau_eq - tau1, leaves a 1-D search in log b over [1e-6, 1e3], started
+    from _B_KNOTS log-spaced knots; a fit that is flat at the lower end, as
+    when every tau_eq is tau1, returns b = 1e-6 exactly. Returns (a, b, ssr).
     """
     y = tau_eqs - tau1
+    # weighted vectors of the projections <phi,y>, <phi',phi> and <phi',y>
+    wy, wr = weights * y, weights * ratios
+    wry = wr * y
 
-    def projections(b):
-        e = np.exp(-b * ratios)
-        phi, d_phi = 1.0 - e, ratios * e
-        return weights @ (phi * phi), weights @ (phi * y), weights @ (d_phi * phi), \
-            weights @ (d_phi * y)
+    def stationarity(log_b):
+        # (<phi,y>+)^2/<phi,phi> is the gain; zero, and flat, where a is clipped.
+        # log_b is one point or a vector of knots, one row of e per point
+        e = np.exp(np.multiply.outer(-np.exp(log_b), ratios))
+        phi = 1.0 - e
+        pp, py = (phi * phi) @ weights, phi @ wy
+        py_pos = np.maximum(py, 0.0)
+        return py_pos * (e @ wry) * pp, py_pos * py * ((e * phi) @ wr)
 
-    def stationarity(b):
-        # (<phi,y>+)^2/<phi,phi> is the gain; zero, and flat, where a is clipped
-        pp, py, dp, dy = projections(b)
-        py_pos = max(py, 0.0)
-        return py_pos * dy * pp, py_pos * py * dp
-
-    # the box spans nine decades, so b is searched in log space
     lo, hi = _B_BOX
-    log_b = _find_root_scalar(lambda u: stationarity(math.exp(u)), math.log(lo), math.log(hi),
-                              _XTOL_REL, "tau-surface fit")
-    b = lo if log_b == math.log(lo) else math.exp(log_b)
-    pp, py, _, _ = projections(b)
-    a = max(float(py / pp), 0.0)
-    res = y - a * (1.0 - np.exp(-b * ratios))
+    knots = np.linspace(math.log(lo), math.log(hi), _B_KNOTS)
+    log_b = _find_root(stationarity, knots, _XTOL_REL, "tau-surface fit")
+    b = lo if log_b == knots[0] else math.exp(log_b)
+    phi = 1.0 - np.exp(-b * ratios)
+    a = max(float((phi @ wy) / ((phi * phi) @ weights)), 0.0)
+    res = y - a * phi
     return a, b, float(weights @ (res * res))
 
 

@@ -117,12 +117,15 @@ def _delta_f(sc: SystemConditions, bands, t):
     decay_exp /= 2.0 * h
     np.exp(decay_exp, out=decay_exp)
     step = (sum(b.pfr for b in lags) - sc.p_cont) / dprime
-    if ramps:  # 2H * 0 would be NaN at infinite inertia, where the deviation is 0
+    # the two ramp terms cancel as H -> inf, where the step's one would be -inf * 0;
+    # without ramps, adding a +0.0 term would turn -0.0 samples into 0.0
+    ramped = bool(ramps) and h != math.inf
+    if ramped:
         step = step - 2.0 * rate_sum * h / dprime**2
     out = np.subtract(1.0, decay_exp, out=np.empty_like(arr))
     out *= step
     work = np.empty_like(arr)
-    if ramps:  # adding a +0.0 term would turn -0.0 samples into 0.0
+    if ramped:
         np.multiply(rate_sum, arr, out=work)
         work /= dprime
         out += work

@@ -5,6 +5,7 @@ All floats are printed with 9 significant digits, '.' decimal separator and
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -20,18 +21,16 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers under a comma-separated header."""
+    """Write rows of one number per header column, each formatted as fmt formats it."""
+    line = ",".join(["{:.9g}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(itertools.starmap(line.format, rows))
 
 
 def write_trace_csv(path, trace: FrequencyTrace) -> None:
-    """Standard trace artifact: t_s,delta_f_hz, formatted as fmt formats each value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_s,delta_f_hz\n")
-        fh.writelines(map("{:.9g},{:.9g}\n".format, trace.times.tolist(), trace.samples.tolist()))
+    """Standard trace artifact: t_s,delta_f_hz."""
+    write_csv(path, ("t_s", "delta_f_hz"), zip(trace.times.tolist(), trace.samples.tolist()))
 
 
 def write_json(path, obj) -> None:

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -357,7 +358,9 @@ def reference_find_root(stationarity, knots, xtol, what):
     """The bisection that the bracketed search replaced, kept as a reference.
 
     It halves [knots[0], knots[-1]] on the sign of the same zeroed gap until
-    the bracket is 1e-13 of its upper end wide, and returns the midpoint.
+    the bracket is 1e-13 of its upper end's magnitude wide, and returns the
+    midpoint. The magnitude lets it bisect the surface's log b, which is
+    negative below b = 1.
     """
     def gap(x):
         p, q = stationarity(x)
@@ -367,28 +370,94 @@ def reference_find_root(stationarity, knots, xtol, what):
     lo, hi = np.asarray(knots[0], dtype=float), np.asarray(knots[-1], dtype=float)
     if not (np.all(gap(lo) >= 0.0) and np.all(gap(hi) <= 0.0)):
         raise FitError(f"{what}: no sign change of the stationarity condition in the box")
-    while np.any(hi - lo > 1e-13 * hi):
+    while np.any(hi - lo > 1e-13 * np.abs(hi)):
         mid = 0.5 * (lo + hi)
         up = gap(mid) > 0.0
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def reference_find_root_scalar(stationarity, lo, hi, xtol, what):
-    """The reference for the surface's b search, which is in log b: bisection in b itself."""
-    b = reference_find_root(lambda b: stationarity(np.log(b)), [math.exp(lo), math.exp(hi)],
-                            xtol, what)
-    return math.log(float(b))
+def stepwise_find_root(stationarity, knots, xtol, what):
+    """_find_root as it was before it picked each root once, at exit.
+
+    Every step rebuilt the stop and root masks and recorded an element's
+    root at the step where it stopped. It is the reference that the single
+    exit must match bit for bit.
+    """
+    def gap(x):
+        return bandfit._zeroed(*stationarity(x))
+
+    knots = np.asarray(knots, dtype=float)
+    g = gap(knots)
+    if not (np.all(g[0] >= 0.0) and np.all(g[-1] <= 0.0)):
+        raise FitError(f"{what}: no sign change of the stationarity condition in the box")
+    if not np.all(np.isfinite(g)):
+        raise FitError(f"{what}: non-finite stationarity condition")
+    k = np.argmax(g <= 0.0, axis=0)[None]
+    j = np.maximum(k - 1, 0)
+    x1, f1 = np.take_along_axis(knots, k, 0)[0], np.take_along_axis(g, k, 0)[0]
+    x2, f2 = np.take_along_axis(knots, j, 0)[0], np.take_along_axis(g, j, 0)[0]
+    x3, f3, t = x2, f2, 0.5
+    done = (f1 == 0.0) | (np.abs(x2 - x1) <= xtol)
+    root = np.where(np.abs(f1) <= np.abs(f2), x1, x2)
+    steps = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while not done.all():
+            if steps == bandfit._MAX_STEPS:
+                raise FitError(f"{what}: no convergence in {bandfit._MAX_STEPS} steps")
+            steps += 1
+            x = np.where(done, x1, x1 + t * (x2 - x1))
+            f = gap(x)
+            if not np.all(np.isfinite(f)):
+                raise FitError(f"{what}: non-finite stationarity condition")
+            same = (f > 0.0) == (f1 > 0.0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            width = np.abs(x2 - x1)
+            stop = ~done & ((f1 == 0.0) | (width <= xtol))
+            root = np.where(stop, np.where(np.abs(f1) <= np.abs(f2), x1, x2), root)
+            done = done | stop
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            tl = 0.5 * xtol / width
+            t = np.clip(t, tl, 1.0 - tl)
+    return root
 
 
-def counting(search, counts, key):
-    """Wrap a root search so that each stationarity evaluation it makes is counted."""
-    def wrapped(stationarity, *args):
+def counting(search, counts):
+    """Wrap a root search so that each stationarity evaluation it makes is counted by fit."""
+    def wrapped(stationarity, knots, xtol, what):
         def counted(x):
-            counts[key] += 1
+            counts[what] += 1
             return stationarity(x)
-        return search(counted, *args)
+        return search(counted, knots, xtol, what)
     return wrapped
+
+
+def search(stationarity, *knots):
+    """_find_root on knots given one per position, each a scalar or a list."""
+    return bandfit._find_root(stationarity, [np.array(k) for k in knots], 1e-13, "test")
+
+
+@st.composite
+def root_problems(draw):
+    """Elementwise gaps exp(-c x) + s (r - x)^3 - exp(-c r), falling through their roots r.
+
+    c = 0 and s = 0 give a gap that is flat, and so zero, everywhere. The
+    knots are a box around r and an inner knot, each of which may sit on r.
+    """
+    n = draw(st.integers(1, 6))
+    unit = st.sampled_from([0.0]) | st.floats(0.05, 3.0)
+    r = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    c, s, below, above, inner = (np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+                                 for _ in range(5))
+    lo, hi = r - below, r + above
+    # clipped, since lo + 1.0 * (hi - lo) can round above hi
+    knots = [lo, np.minimum(lo + inner * (hi - lo), hi), hi]
+    return r, c, s, knots
 
 
 class TestBracketedSearch:
@@ -441,28 +510,23 @@ class TestBracketedSearch:
         grid = bandfit.DEFAULT_SWEEP_PFR_GRID
         model = build_tau_surface(0.3, 1.7, pfr_grid=grid)
         monkeypatch.setattr(bandfit, "_find_root", reference_find_root)
-        monkeypatch.setattr(bandfit, "_find_root_scalar", reference_find_root_scalar)
         ref = build_tau_surface(0.3, 1.7, pfr_grid=grid)
         assert model.rms_residual <= ref.rms_residual * (1.0 + 1e-9)
         assert model.a == pytest.approx(ref.a, rel=1e-8)
         assert model.b == pytest.approx(ref.b, rel=1e-8)
 
     def test_evaluation_counts(self, monkeypatch):
-        counts = {"lag": 0, "b": 0}
-        monkeypatch.setattr(bandfit, "_find_root", counting(bandfit._find_root, counts, "lag"))
-        monkeypatch.setattr(bandfit, "_find_root_scalar",
-                            counting(bandfit._find_root_scalar, counts, "b"))
+        counts = collections.Counter()
+        monkeypatch.setattr(bandfit, "_find_root", counting(bandfit._find_root, counts))
         fit_equivalent_band(CANONICAL_PAIR)
-        assert 0 < counts["lag"] <= 15
-        for tau1 in bandfit.DEFAULT_TAU1_RANGE:
-            for tau2 in bandfit.DEFAULT_TAU2_RANGE:
-                if tau2 < tau1:
-                    continue
-                counts["b"] = 0
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    build_tau_surface(tau1, tau2, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
-                assert 0 < counts["b"] <= 15, (tau1, tau2)
+        assert 0 < counts["equivalent-band fit"] <= 15
+        # the fig10 sweep: the knot call counts as one evaluation of the b search
+        for tau1, tau2 in bandfit._sweep_pairs():
+            counts.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                build_tau_surface(tau1, tau2, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
+            assert 0 < counts["tau-surface fit"] <= 8, (tau1, tau2)
 
     def test_stalled_search_raises(self, monkeypatch):
         monkeypatch.setattr(bandfit, "_MAX_STEPS", 2)
@@ -474,9 +538,6 @@ class TestBracketedSearch:
             bandfit._fit_tau_model(0.4, ratios, np.ones(4), tau_eqs)
 
     def test_vector_search_contract(self):
-        def search(stationarity, *knots):
-            return bandfit._find_root(stationarity, [np.array(k) for k in knots], 1e-13, "test")
-
         with pytest.raises(FitError, match="no sign change"):
             search(lambda x: (x, 0.0 * x), [-1.0, 0.5], [1.0, 2.0])
         with pytest.raises(FitError, match="non-finite"):
@@ -488,18 +549,50 @@ class TestBracketedSearch:
         assert root[0] == ln2
         assert root[1] == ln2
         assert root[2] == pytest.approx(ln2, rel=1e-12)
-
-    def test_scalar_search_contract(self):
-        def search(stationarity, lo, hi):
-            return bandfit._find_root_scalar(stationarity, lo, hi, 1e-13, "test")
-
+        # 0-d knots give one root, kept as a numpy scalar
         with pytest.raises(FitError, match="no sign change"):
-            search(lambda x: (x, 0.0), -1.0, 1.0)
+            search(lambda x: (x, 0.0 * x), -1.0, 1.0)
         with pytest.raises(FitError, match="non-finite"):
-            search(lambda x: (math.nan if x == 0.0 else -x, 0.0), -1.0, 1.0)
-        assert search(lambda x: (1.0, 1.0), 2.0, 3.0) == 2.0
-        assert search(lambda x: (math.exp(-x), 0.5), 0.0, 4.0) == pytest.approx(math.log(2.0),
-                                                                               rel=1e-13)
+            search(lambda x: (np.where(x == 0.0, np.nan, -x), 0.0 * x), -1.0, 1.0)
+        # a gap that is exactly zero at the lower end returns that end
+        assert search(lambda x: (np.ones_like(x), np.ones_like(x)), 2.0, 3.0) == 2.0
+        root = search(lambda x: (np.exp(-x), np.full_like(x, 0.5)), 0.0, 4.0)
+        assert isinstance(root, np.float64)
+        assert root == pytest.approx(math.log(2.0), rel=1e-13)
+        # a bracket narrowed to xtol gives the end with the smaller gap: its first
+        # step lands on x = 1.5, whose gap is far larger than that of x = 0
+        def steep_above(x):
+            return np.where(x < 1.0, 1e-9 * (1.0 - x), 1.0 - x), 0.0 * x
+
+        assert bandfit._find_root(steep_above, np.array([0.0, 3.0]), 2.0, "test") == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(root_problems())
+    def test_vector_search_is_its_elements_searches(self, problem):
+        r, c, s, knots = problem
+
+        def stationarity_of(c, s, r):
+            return lambda x: (np.exp(-c * x) + s * (r - x) ** 3, np.exp(-c * r) + 0.0 * x)
+
+        roots = search(stationarity_of(c, s, r), *knots)
+        for i in range(len(r)):
+            one = search(stationarity_of(c[i], s[i], r[i]), *(k[i] for k in knots))
+            assert one == roots[i], i
+            assert knots[0][i] <= one <= knots[-1][i]
+
+    def test_single_exit_matches_the_stepwise_search(self, monkeypatch):
+        # the fig4 grid at once and a few of its cells alone, and the sweep's ratios
+        grid = np.array(bandfit.DEFAULT_PFR_GRID)
+        p1, p2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+        sweep = np.array(bandfit.DEFAULT_SWEEP_PFR_GRID)
+        cases = [(p1, p2), (1.0, np.unique(np.divide.outer(sweep, sweep)))]
+        cases += list(zip(p1[::37], p2[::37]))
+        fit_grid = bandfit._fit_grid(None, 2.0)
+        fits = [bandfit._fit_lag_bands(a, 0.4, b, 2.0, fit_grid) for a, b in cases]
+        monkeypatch.setattr(bandfit, "_find_root", stepwise_find_root)
+        for (a, b), fit in zip(cases, fits):
+            for got, want in zip(fit, bandfit._fit_lag_bands(a, 0.4, b, 2.0, fit_grid)):
+                assert np.array_equal(got, want)
 
 
 def per_cell_mape_map(tau1, tau2, grid, model, t):

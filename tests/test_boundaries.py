@@ -25,6 +25,7 @@ from sfrkit.bandfit import CANONICAL_SURFACE, build_tau_surface, mape_map
 from sfrkit.cli import main
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "demos/scenarios/lag_270mw.json")
+RAMP_SCENARIO = str(Path(SCENARIO).with_name("ramp_fast.json"))
 SMALL_GRID = (40.0, 80.0, 120.0, 160.0)
 
 RECORDS = {
@@ -179,14 +180,40 @@ class TestInfiniteInertia:
             values = np.loadtxt(tmp_path / f"c_{side}.csv", delimiter=",", skiprows=1)
             assert np.all(values[:, 1] == 0.0)
 
-    def test_non_finite_gap_exits_1(self, tmp_path, capsys):
-        # the unsaturated ramp closed form is NaN at infinite inertia
-        scenario = str(Path(SCENARIO).with_name("ramp_fast.json"))
+    def test_ramp_deviation_is_zero(self):
+        # the ramp's step and slope terms cancel as H -> inf
+        sc = SystemConditions(**{**RECORDS[SystemConditions], "ke": math.inf})
+        t = np.linspace(0.0, 6.0, 7)
+        bands = [RampBand(130.0, 2.0), RampBand(80.0, 6.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(closedform.ramp_delta_f(sc, bands[1], t) == 0.0)
+            assert np.all(closedform.multi_ramp_delta_f(sc, bands, t) == 0.0)
+            assert np.all(closedform.trace(sc, bands, 6.0, 0.01, "ramp").samples == 0.0)
+
+    def test_compare_of_ramp_bands(self, tmp_path, capsys):
         out = tmp_path / "c"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["compare", "--scenario", scenario, "--set", "system.ke_mws=1e308",
-                         "--set", "system.f_n_hz=1e-10", "--out", str(out)]) == 1
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["compare", "--scenario", RAMP_SCENARIO, "--set", "system.ke_mws=1e308",
+                         "--set", "system.f_n_hz=1e-10", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "max_abs_gap_hz=0\n"
+        for side in ("closed", "oracle"):
+            values = np.loadtxt(tmp_path / f"c_{side}.csv", delimiter=",", skiprows=1)
+            assert np.all(values[:, 1] == 0.0)
+
+    def test_non_finite_gap_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a closed-form trace with a NaN sample, as a non-finite input could give
+        trace = closedform.trace
+
+        def nan_trace(*args):
+            result = trace(*args)
+            result.samples[3] = math.nan
+            return result
+
+        monkeypatch.setattr(closedform, "trace", nan_trace)
+        out = tmp_path / "c"
+        assert main(["compare", "--scenario", RAMP_SCENARIO, "--out", str(out)]) == 1
         assert "differ by nan" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
