@@ -549,6 +549,8 @@ class TestBracketedSearch:
         assert root[0] == ln2
         assert root[1] == ln2
         assert root[2] == pytest.approx(ln2, rel=1e-12)
+
+    def test_scalar_search_contract(self):
         # 0-d knots give one root, kept as a numpy scalar
         with pytest.raises(FitError, match="no sign change"):
             search(lambda x: (x, 0.0 * x), -1.0, 1.0)
