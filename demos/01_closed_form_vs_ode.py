@@ -12,7 +12,7 @@ sc = sk.SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=300.
 band = sk.LagBand(pfr=270.0, tau=2.0)
 
 closed = sk.trace(sc, [band], t_end=30.0, dt=0.001, kind="lag")
-numeric = sk.integrate(sc, lambda t: sk.lag_pfr_value(band, t),
+numeric = sk.integrate(sc, lambda t: sk.total_pfr_value([band], t),
                        sk.IntegrationSpec(t_end=30.0, dt=0.001))
 
 gap = np.abs(closed.samples - numeric.samples).max()
@@ -27,7 +27,7 @@ print(f"max RoCoF       : {result.max_rocof:+.4f} Hz/s (at the instant of the lo
 
 # when the response is too small AND too fast, there is no interior minimum:
 # the deviation just slides down to its settling value
-weak = sk.LagBand(pfr=210.0, tau=0.4)
+weak = sk.lag_nadir(sc, sk.LagBand(pfr=210.0, tau=0.4))
 print()
-print(f"210 MW @ 0.4 s solvable? {sk.nadir_solvable(sc, weak)}")
-print(f"settling deviation      : {sk.asymptotic_nadir(sc, weak.pfr):+.4f} Hz")
+print(f"210 MW @ 0.4 s regime : {weak.kind} (t_nadir = {weak.t_nadir})")
+print(f"settling deviation    : {weak.delta_f_nadir:+.4f} Hz")

@@ -14,7 +14,7 @@ sc = sk.SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=300.
 for t_r in (6.0, 3.0, 1.0):
     band = sk.RampBand(pfr=270.0, t_r=t_r)
     closed = sk.trace(sc, [band], t_end=30.0, dt=0.001, kind="ramp")
-    numeric = sk.integrate(sc, lambda t: sk.ramp_pfr_value(band, t),
+    numeric = sk.integrate(sc, lambda t: sk.total_pfr_value([band], t),
                            sk.IntegrationSpec(t_end=30.0, dt=0.001))
 
     i = int(np.argmin(closed.samples))

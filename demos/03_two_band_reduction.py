@@ -36,7 +36,8 @@ sc_dip = sk.SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=
 for sc in (sc_asym, sc_dip):
     approx = sk.lag_nadir(sc, sk.canonical_equivalent(130.0, 80.0).band())
     numeric = sk.integrate(
-        sc, lambda t: pair.value(t), sk.IntegrationSpec(t_end=60.0, dt=0.001))
+        sc, lambda t: sk.total_pfr_value([pair.band1, pair.band2], t),
+        sk.IntegrationSpec(t_end=60.0, dt=0.001))
     t_num, df_num = sk.trace_nadir(numeric)
     print()
     print(f"contingency {sc.p_cont:.0f} MW -> {approx.kind}")

@@ -22,7 +22,6 @@ from .applications import (
     nadir_constants,
     required_ffr_share,
     sensitivity_pcont,
-    sensitivity_pcont_bands,
     sensitivity_report,
     sensitivity_report_fd,
     sensitivity_tau_bands,
@@ -49,16 +48,11 @@ from .closedform import (
     INTERIOR_MINIMUM,
     NadirResult,
     asymptotic_nadir,
-    lag_delta_f,
     lag_nadir,
-    lag_nadir_deviation,
-    lag_nadir_time,
     lag_nadir_time_from_ratios,
     max_rocof,
     multi_lag_delta_f,
     multi_ramp_delta_f,
-    nadir_solvable,
-    ramp_delta_f,
     trace,
 )
 from .errors import BranchError, FitError, InvalidInputError
@@ -70,11 +64,8 @@ from .model import (
     Scenario,
     SystemConditions,
     derive_params,
-    lag_pfr_value,
     load_scenario,
-    ramp_pfr_value,
     total_pfr_value,
-    two_band_pfr_value,
 )
 from .oracle import FORWARD_EULER, RK4, IntegrationSpec, integrate, trace_nadir
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 
 from .bandfit import TauSurfaceModel, equivalent_tau
-from .closedform import ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _require_damping, _shape
+from .closedform import (ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _k_ratio,
+                         _require_damping, _shape)
 from .errors import BranchError, InvalidInputError
-from .model import DerivedParams, SystemConditions, _record
+from .model import DerivedParams, LagBand, SystemConditions, _record
 
 __all__ = [
     "NadirConstants",
@@ -32,7 +33,6 @@ __all__ = [
     "special_case_max_contingency",
     "sensitivity_pcont",
     "sensitivity_tau_bands",
-    "sensitivity_pcont_bands",
     "sensitivity_report",
     "sensitivity_report_fd",
     "max_contingency_k_sensitivity",
@@ -74,11 +74,13 @@ class SecurityPolicy:
 
 
 def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConstants:
-    """K, A, B, C for a contingency met by a single lag response."""
-    if not pfr > 0:
-        raise InvalidInputError(f"pfr must be > 0, got {pfr}")
+    """K, A, B, C for a contingency met by a single lag response.
+
+    K follows lag_nadir's rule: pfr is finite, nonzero and shares the sign
+    of p_cont, so an over-frequency point gives its mirror's constants.
+    """
+    k = _k_ratio(sc.p_cont, LagBand(pfr, tau).pfr)
     a = _a_ratio(sc.dprime, sc.h, tau)
-    k = sc.p_cont / pfr
     em1, kam1, branch, singular = _branch(k, a)
     c = float("nan") if singular else a / em1
     return NadirConstants(k, a, 1.0 + kam1, c, branch != INTERIOR_MINIMUM, singular)
@@ -117,9 +119,13 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
 
 
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
-    """System-independent factor f(A, K): the cap equals f * D'."""
-    if not k > 0:
-        raise InvalidInputError(f"K must be > 0, got {k}")
+    """System-independent factor f(A, K): the cap equals f * D'.
+
+    A and K must be finite and > 0, as max_contingency's are when D' > 0.
+    """
+    for name, value in (("A", a), ("K", k)):
+        if not 0 < value < math.inf:
+            raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
     return _cap(k, a, delta_f_max, 1.0)
 
 
@@ -183,13 +189,6 @@ def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
     ab = model.a * model.b
     decay = math.exp(-model.b * pfr2 / pfr1)
     return -ab * pfr2 / pfr1**2 * decay, ab / pfr1 * decay
-
-
-def sensitivity_pcont_bands(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
-                            pfr1: float, pfr2: float):
-    """(dP/dPFR1, dP/dPFR2) of the K = 1 cap through the tau channel."""
-    report = sensitivity_report(dp, delta_f_max, model, pfr1, pfr2)
-    return report.dp_dpfr1, report.dp_dpfr2
 
 
 @_record

@@ -29,12 +29,11 @@ the same bits as mape() on that cell alone.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .errors import FitError, InvalidInputError
-from .model import FrequencyTrace, LagBand, _grid_steps, _record, total_pfr_value
+from .model import FrequencyTrace, LagBand, _grid_steps, _record
 
 __all__ = [
     "TwoBandPfr",
@@ -64,8 +63,6 @@ MAPE_EXCLUSION_REL = 1e-6
 # the exclusion threshold never falls below the smallest normal double, so a
 # curve whose peak is subnormal is excluded whole instead of divided by 0
 _MAPE_FLOOR = float(np.finfo(float).tiny)
-# fitted magnitudes should track PFR1 + PFR2; warn when they drift past this
-PLANE_DEV_WARN = 0.01
 
 DEFAULT_PFR_GRID = tuple(float(v) for v in range(10, 201, 10))        # MW
 DEFAULT_SWEEP_PFR_GRID = tuple(float(v) for v in range(20, 201, 20))  # MW
@@ -105,9 +102,6 @@ class TwoBandPfr:
             )
         if self.band1.pfr < 0 or self.band2.pfr < 0:
             raise InvalidInputError("band magnitudes must be >= 0 for fitting")
-
-    def value(self, t):
-        return total_pfr_value((self.band1, self.band2), t)
 
 
 @_record
@@ -371,30 +365,23 @@ def fit_equivalent_band(tb: TwoBandPfr, times=None) -> EquivalentBand:
 def build_tau_surface(tau1: float, tau2: float, pfr_grid=None, times=None) -> TauSurfaceModel:
     """Fit the tau model to equivalent bands over a magnitude grid.
 
-    Grid cells with PFR1 = 0 have an undefined magnitude ratio and are skipped
-    with a warning. The equivalent band depends on the cell only through
-    PFR2/PFR1, so each distinct ratio is fitted once and weighted by its
-    number of cells. The fitted magnitudes are checked against the PFR1 + PFR2
-    plane; drift beyond 1% is reported as a warning and recorded on the model.
+    Grid cells with PFR1 = 0 have an undefined magnitude ratio and are
+    skipped. The equivalent band depends on the cell only through PFR2/PFR1,
+    so each distinct ratio is fitted once and weighted by its number of cells.
+    The largest relative drift of the fitted magnitudes from the PFR1 + PFR2
+    plane is recorded on the model as pfr_plane_dev.
     """
     grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(grid < 0):
         raise InvalidInputError("pfr grid must be a non-empty sequence of magnitudes >= 0")
     fit_grid = _fit_grid(times, tau2)
 
-    if np.any(grid == 0.0):
-        warnings.warn("skipping PFR1 = 0 cells: magnitude ratio is undefined")
     p1 = grid[grid != 0.0]
     if len(p1) == 0:
         raise InvalidInputError("pfr grid left no usable cells")
     ratios, counts = np.unique(np.divide.outer(grid, p1), return_counts=True)
     pfr, tau_eqs, _ = _fit_lag_bands(1.0, tau1, ratios, tau2, fit_grid)
     plane_dev = float(np.max(np.abs(pfr - (1.0 + ratios)) / (1.0 + ratios)))
-    if plane_dev > PLANE_DEV_WARN:
-        warnings.warn(
-            f"fitted magnitudes drift {plane_dev:.2%} from the PFR1+PFR2 plane"
-        )
-
     a, b, ssr = _fit_tau_model(tau1, ratios, counts.astype(float), tau_eqs)
     return TauSurfaceModel(
         a=a,
@@ -560,6 +547,7 @@ class TauSweepCell:
     tau2: float
     mean_mape_pct: float
     max_mape_pct: float
+    pfr_plane_dev: float | None = None  # the cell's TauSurfaceModel.pfr_plane_dev
 
 
 @_record
@@ -591,7 +579,8 @@ def mape_tau_sweep(tau1_range=None, tau2_range=None, pfr_grid=None) -> TauSweepR
         model = build_tau_surface(tau1, tau2, pfr_grid=grid)
         report = mape_map(tau1, tau2, pfr_grid=grid, model=model)
         cells.append(TauSweepCell(tau1=tau1, tau2=tau2, mean_mape_pct=report.mean_pct,
-                                  max_mape_pct=report.max_pct))
+                                  max_mape_pct=report.max_pct,
+                                  pfr_plane_dev=model.pfr_plane_dev))
     return TauSweepReport(
         cells=tuple(cells),
         mean_pct=float(np.mean([c.mean_mape_pct for c in cells])),

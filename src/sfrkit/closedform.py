@@ -33,14 +33,9 @@ __all__ = [
     "INTERIOR_MINIMUM",
     "ASYMPTOTIC",
     "NadirResult",
-    "ramp_delta_f",
     "multi_ramp_delta_f",
-    "lag_delta_f",
     "multi_lag_delta_f",
-    "nadir_solvable",
-    "lag_nadir_time",
     "lag_nadir_time_from_ratios",
-    "lag_nadir_deviation",
     "nadir_shape_factor",
     "asymptotic_nadir",
     "max_rocof",
@@ -58,7 +53,6 @@ ASYMPTOTIC = "asymptotic"
 _BOUNDARY = "boundary"  # |B| <= B_EPS: asymptotic, but the caps of both branches meet
 
 _BAND_TYPES = {"lag": LagBand, "ramp": RampBand}
-_NO_INTERIOR = "no interior nadir for these inputs; use asymptotic_nadir for the settling value"
 
 
 @_record
@@ -163,32 +157,26 @@ def multi_ramp_delta_f(sc: SystemConditions, bands, t):
     return _delta_f(sc, _of_kind(bands, "ramp"), t)
 
 
-def ramp_delta_f(sc: SystemConditions, band: RampBand, t):
-    """Deviation under a single unsaturated ramp band, Hz (exact for t <= t_r)."""
-    return multi_ramp_delta_f(sc, [band], t)
-
-
 def multi_lag_delta_f(sc: SystemConditions, bands, t):
     """Deviation under any number of lag bands, Hz (exact for all time)."""
     return _delta_f(sc, _of_kind(bands, "lag"), t)
 
 
-def lag_delta_f(sc: SystemConditions, band: LagBand, t):
-    """Deviation under a single lag band, Hz (exact for all time)."""
-    return multi_lag_delta_f(sc, [band], t)
+def _k_ratio(p_cont: float, pfr: float) -> float:
+    """K = P_cont/PFR; the band must be nonzero and share the sign of P_cont."""
+    if pfr == 0:
+        raise InvalidInputError("nadir ratios are undefined for a zero-magnitude band")
+    k = p_cont / pfr
+    if k < 0:
+        raise InvalidInputError("band magnitude must share the sign of p_cont")
+    return k
 
 
 def _ratios(sc: SystemConditions, band: LagBand):
     """K, A, D' and H for a single lag band; validates signs and damping."""
     dprime = _require_damping(sc)
-    pfr = band.pfr
-    if pfr == 0:
-        raise InvalidInputError("nadir ratios are undefined for a zero-magnitude band")
-    k = sc.p_cont / pfr
-    if k < 0:
-        raise InvalidInputError("band magnitude must share the sign of p_cont")
     h = sc.h
-    return k, _a_ratio(dprime, h, band.tau), dprime, h
+    return _k_ratio(sc.p_cont, band.pfr), _a_ratio(dprime, h, band.tau), dprime, h
 
 
 def _shape(k, a, em1, kam1, singular) -> float:
@@ -200,33 +188,12 @@ def _shape(k, a, em1, kam1, singular) -> float:
     return (c + k - 1.0) * math.exp(-c * ln_b) - c * math.exp(-ln_b / em1) - k + 1.0
 
 
-def nadir_solvable(sc: SystemConditions, band: LagBand) -> bool:
-    """True iff the deviation has an interior stationary minimum (B > 0)."""
-    return _branch(*_ratios(sc, band)[:2])[2] == INTERIOR_MINIMUM
-
-
-def _interior_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
-    result = lag_nadir(sc, band)
-    if result.kind != INTERIOR_MINIMUM:
-        raise BranchError(_NO_INTERIOR)
-    return result
-
-
-def lag_nadir_time(sc: SystemConditions, band: LagBand) -> float:
-    """Time of the interior nadir, s.
-
-    Evaluates ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'/2H - 1/tau), with the
-    limit K*tau at A = 1.
-    """
-    return _interior_nadir(sc, band).t_nadir
-
-
 def lag_nadir_time_from_ratios(sc: SystemConditions, band: LagBand) -> float:
     """Algebraically equivalent nadir time tau * ln(B) / (A - 1), s."""
     k, a = _ratios(sc, band)[:2]
     em1, kam1, branch, singular = _branch(k, a)
     if branch != INTERIOR_MINIMUM:
-        raise BranchError(_NO_INTERIOR)
+        raise BranchError("no interior nadir: inputs are in the asymptotic regime")
     return k * band.tau if singular else band.tau * math.log1p(kam1) / em1
 
 
@@ -242,14 +209,6 @@ def nadir_shape_factor(k: float, a: float) -> float:
     return _shape(k, a, em1, kam1, singular)
 
 
-def lag_nadir_deviation(sc: SystemConditions, band: LagBand) -> float:
-    """Deviation at the interior nadir, Hz.
-
-    Identical (analytically) to lag_delta_f evaluated at lag_nadir_time.
-    """
-    return _interior_nadir(sc, band).delta_f_nadir
-
-
 def asymptotic_nadir(sc: SystemConditions, total_pfr: float) -> float:
     """Settling deviation (PFR - P_cont) / D', Hz."""
     return (total_pfr - sc.p_cont) / _require_damping(sc)
@@ -263,8 +222,12 @@ def max_rocof(sc: SystemConditions) -> float:
 def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     """Classify and evaluate the nadir for a single lag band.
 
-    The settling value and RoCoF use asymptotic_nadir's and max_rocof's
-    expressions, with D', H and the band's fields read once.
+    The one entry point for the nadir's time, depth and regime. An interior
+    nadir lies at ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'/2H - 1/tau), with
+    the limit K*tau at A = 1; otherwise the kind is ASYMPTOTIC, t_nadir is
+    None and the depth is the settling value. The settling value and RoCoF
+    use asymptotic_nadir's and max_rocof's expressions, with D', H and the
+    band's fields read once.
     """
     k, a, dprime, h = _ratios(sc, band)
     pfr, p_cont = band.pfr, sc.p_cont

@@ -37,9 +37,6 @@ __all__ = [
     "FrequencyTrace",
     "Scenario",
     "derive_params",
-    "lag_pfr_value",
-    "ramp_pfr_value",
-    "two_band_pfr_value",
     "total_pfr_value",
     "load_scenario",
     "scenario_from_dict",
@@ -210,21 +207,6 @@ def total_pfr_value(bands, t):
         for band in bands[1:]:
             total += band._delivered(arr, work)
     return _ret(total, scalar)
-
-
-def lag_pfr_value(band: LagBand, t):
-    """Delivered response of a lag band at time t (scalar or array), MW."""
-    return total_pfr_value((band,), t)
-
-
-def ramp_pfr_value(band: RampBand, t):
-    """Delivered response of a ramp band at time t, MW, saturating at pfr."""
-    return total_pfr_value((band,), t)
-
-
-def two_band_pfr_value(b1: LagBand, b2: LagBand, t):
-    """Combined response of two lag bands at time t, MW."""
-    return total_pfr_value((b1, b2), t)
 
 
 @_record

@@ -11,6 +11,7 @@ from sfrkit import (
     BranchError,
     CANONICAL_SURFACE,
     DerivedParams,
+    INTERIOR_MINIMUM,
     IntegrationSpec,
     LagBand,
     RampBand,
@@ -20,18 +21,15 @@ from sfrkit import (
     asymptotic_max_contingency,
     build_tau_surface,
     integrate,
-    lag_delta_f,
-    lag_nadir_deviation,
-    lag_nadir_time,
+    lag_nadir,
     lag_nadir_time_from_ratios,
-    lag_pfr_value,
     mape_map,
     mape_tau_sweep,
     max_contingency,
     min_effective_tau,
-    nadir_solvable,
-    ramp_pfr_value,
+    multi_lag_delta_f,
     required_ffr_share,
+    total_pfr_value,
     sensitivity_report,
     sensitivity_report_fd,
     trace,
@@ -51,7 +49,7 @@ def test_01_lag_closed_form_matches_oracle():
     band = LagBand(pfr=270.0, tau=2.0)
     start = time.perf_counter()
     closed = trace(BASE, [band], 30.0, 0.001, "lag")
-    numeric = integrate(BASE, lambda t: lag_pfr_value(band, t),
+    numeric = integrate(BASE, lambda t: total_pfr_value([band], t),
                         IntegrationSpec(t_end=30.0, dt=0.001))
     gap = float(np.abs(closed.samples - numeric.samples).max())
     elapsed = time.perf_counter() - start
@@ -66,7 +64,7 @@ def test_02_ramp_deficiency_reproduced():
     for t_r in (6.0, 3.0):
         band = RampBand(pfr=270.0, t_r=t_r)
         closed = trace(BASE, [band], 30.0, 0.001, "ramp")
-        numeric = integrate(BASE, lambda t: ramp_pfr_value(band, t),
+        numeric = integrate(BASE, lambda t: total_pfr_value([band], t),
                             IntegrationSpec(t_end=30.0, dt=0.001))
         gap = abs(float(closed.samples.min()) - trace_nadir(numeric)[1])
         nadir_gaps[t_r] = gap
@@ -74,7 +72,7 @@ def test_02_ramp_deficiency_reproduced():
 
     band = RampBand(pfr=270.0, t_r=1.0)
     closed = trace(BASE, [band], 30.0, 0.001, "ramp")
-    numeric = integrate(BASE, lambda t: ramp_pfr_value(band, t),
+    numeric = integrate(BASE, lambda t: total_pfr_value([band], t),
                         IntegrationSpec(t_end=30.0, dt=0.001))
     after = closed.times > 1.0
     divergence = float(np.abs(closed.samples[after] - numeric.samples[after]).max())
@@ -96,15 +94,15 @@ def test_03_nadir_identity_on_random_inputs():
             p_cont=rng.uniform(50.0, 800.0),
         )
         band = LagBand(pfr=sc.p_cont * rng.uniform(0.3, 1.5), tau=rng.uniform(0.1, 10.0))
-        if not nadir_solvable(sc, band):
+        result = lag_nadir(sc, band)
+        if result.kind != INTERIOR_MINIMUM:
             continue
         checked += 1
-        t_direct = lag_nadir_time(sc, band)
+        t_direct = result.t_nadir
         t_ratio = lag_nadir_time_from_ratios(sc, band)
         worst_time = max(worst_time, abs(t_direct - t_ratio) / abs(t_ratio))
-        dev = lag_nadir_deviation(sc, band)
-        curve = lag_delta_f(sc, band, t_direct)
-        worst_dev = max(worst_dev, abs(dev - curve))
+        curve = multi_lag_delta_f(sc, [band], t_direct)
+        worst_dev = max(worst_dev, abs(result.delta_f_nadir - curve))
     assert worst_dev <= 1e-9
     assert worst_time <= 1e-12
     _ok(3, f"1000 random solvable inputs: |nadir formula - curve| <= {worst_dev:.1e} Hz "
@@ -131,9 +129,10 @@ def test_05_canonical_mape_map():
 
 
 def test_06_tau_range_validity_sweep():
-    with pytest.warns(UserWarning):
-        # the widest-ratio cells legitimately drift >1% off the magnitude plane
-        sweep = mape_tau_sweep()
+    sweep = mape_tau_sweep()
+    # the widest-ratio cells legitimately drift >1% off the magnitude plane
+    worst_drift = max(c.pfr_plane_dev for c in sweep.cells)
+    assert worst_drift > 0.01
     assert sweep.mean_pct <= 3.0
     assert sweep.max_pct <= 8.0
     near_unity = [c for c in sweep.cells if c.tau2 / c.tau1 <= 1.1 + 1e-12]
@@ -141,7 +140,8 @@ def test_06_tau_range_validity_sweep():
     worst_near = max(c.max_mape_pct for c in near_unity)
     assert worst_near <= 0.5
     _ok(6, f"tau sweep: overall mean {sweep.mean_pct:.2f}% <= 3%, "
-           f"max {sweep.max_pct:.2f}% <= 8%, ratio<=1.1 cells <= {worst_near:.3f}% (tol 0.5%)")
+           f"max {sweep.max_pct:.2f}% <= 8%, ratio<=1.1 cells <= {worst_near:.3f}% (tol 0.5%), "
+           f"magnitude drift up to {worst_drift:.2%}")
 
 
 def test_07_max_contingency_anchor():
@@ -187,7 +187,7 @@ def test_09_tau_lower_bound_property():
     depths = []
     for mult in (0.1, 0.5, 1.0):
         band = LagBand(pfr=210.0, tau=mult * bound)
-        numeric = integrate(BASE, lambda t: lag_pfr_value(band, t),
+        numeric = integrate(BASE, lambda t: total_pfr_value([band], t),
                             IntegrationSpec(t_end=60.0, dt=0.001))
         assert np.all(np.diff(numeric.samples) <= 1e-12)
         depth = trace_nadir(numeric)[1]
@@ -202,16 +202,16 @@ def test_09_tau_lower_bound_property():
 def test_10_limit_branch_continuity():
     # removable singularity of the lag solution at D'*tau = 2H
     t = np.arange(0, 3001) * 0.01
-    limit = lag_delta_f(BASE, LagBand(pfr=270.0, tau=4.5), t)
+    limit = multi_lag_delta_f(BASE, [LagBand(pfr=270.0, tau=4.5)], t)
     worst_curve = max(
-        float(np.abs(lag_delta_f(BASE, LagBand(pfr=270.0, tau=4.5 * p), t) - limit).max())
+        float(np.abs(multi_lag_delta_f(BASE, [LagBand(pfr=270.0, tau=4.5 * p)], t) - limit).max())
         for p in (1 + 1e-7, 1 - 1e-7)
     )
     assert worst_curve <= 1e-6
 
     # nadir-time limit at the same singular set
     worst_time = max(
-        abs(lag_nadir_time(BASE, LagBand(pfr=270.0, tau=4.5 * p))
+        abs(lag_nadir(BASE, LagBand(pfr=270.0, tau=4.5 * p)).t_nadir
             - (300.0 / 270.0) * 4.5 * p)
         for p in (1 + 1e-6, 1 - 1e-6)
     )

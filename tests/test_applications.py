@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfrkit import (
+    ASYMPTOTIC,
     BranchError,
     CANONICAL_SURFACE,
     DerivedParams,
@@ -14,14 +18,13 @@ from sfrkit import (
     SystemConditions,
     WEM_K_POLICY,
     asymptotic_max_contingency,
-    lag_nadir_deviation,
+    lag_nadir,
     max_contingency,
     max_contingency_k_sensitivity,
     min_effective_tau,
     nadir_constants,
     required_ffr_share,
     sensitivity_pcont,
-    sensitivity_pcont_bands,
     sensitivity_report,
     sensitivity_report_fd,
     sensitivity_tau_bands,
@@ -58,6 +61,28 @@ class TestNadirConstants:
             nadir_constants(base_system, pfr=0.0, tau=1.0)
         with pytest.raises(InvalidInputError):
             nadir_constants(base_system, pfr=100.0, tau=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.floats(0.05, 6.0),
+           a=st.one_of(st.floats(0.02, 6.0), st.floats(1.0 - 2e-9, 1.0 + 2e-9)),
+           over=st.booleans())
+    @example(k=300.0 / 270.0, a=2.0 / 4.5, over=True)
+    @example(k=1.0 / 0.7, a=0.3, over=True)  # B = 0
+    def test_k_rule_is_lag_nadirs(self, k, a, over):
+        # under- and over-frequency points of the base system (2H/D' = 4.5 s)
+        sign = -1.0 if over else 1.0
+        sc, mirror = (SystemConditions(f_n=50, ke=9000, p_load=2000, d=0.04, p_cont=300.0 * s)
+                      for s in (sign, -sign))
+        pfr, tau = sc.p_cont / k, a * 4.5
+        nc = nadir_constants(sc, pfr, tau)
+        assert nc.asymptotic == (lag_nadir(sc, LagBand(pfr, tau)).kind == ASYMPTOTIC)
+        # NaN-aware: C is NaN on the A = 1 guard band
+        np.testing.assert_equal(dataclasses.astuple(nadir_constants(mirror, -pfr, tau)),
+                                dataclasses.astuple(nc))
+        with pytest.raises(InvalidInputError, match="share the sign"):
+            nadir_constants(sc, -pfr, tau)
+        with pytest.raises(InvalidInputError, match="share the sign"):
+            lag_nadir(sc, LagBand(-pfr, tau))
 
 
 class TestMaxContingency:
@@ -130,6 +155,14 @@ class TestUniversalFactor:
     def test_outside_branch_raises(self):
         with pytest.raises(BranchError):
             universal_max_contingency_factor(0.1, 2.0, -1.25)
+
+    @pytest.mark.parametrize("a, k, name", [
+        (0.0, 0.5, "A"), (-0.5, 1.5, "A"), (math.inf, 1.5, "A"), (math.nan, 1.5, "A"),
+        (0.5, 0.0, "K"), (0.5, -1.0, "K"), (0.5, math.inf, "K"), (0.5, math.nan, "K"),
+    ])
+    def test_invalid_ratios_rejected(self, a, k, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite and > 0"):
+            universal_max_contingency_factor(a, k, -1.25)
 
 
 class TestAsymptoticCap:
@@ -266,8 +299,8 @@ class TestTauBandSensitivities:
 
 class TestChainRule:
     def test_signs(self, security_dp):
-        dp1, dp2 = sensitivity_pcont_bands(security_dp, -1.25, CANONICAL_SURFACE, 130.0, 80.0)
-        assert dp1 > 0 > dp2
+        report = sensitivity_report(security_dp, -1.25, CANONICAL_SURFACE, 130.0, 80.0)
+        assert report.dp_dpfr1 > 0 > report.dp_dpfr2
 
     def test_report_matches_fd_report(self, security_dp):
         rng = np.random.default_rng(5)
@@ -326,7 +359,7 @@ class TestRoundTrip:
             cap = max_contingency(dp, policy, tau)
             sc = SystemConditions(f_n=50.0, ke=h * 50.0, p_load=dprime / 0.04, d=0.04,
                                   p_cont=cap)
-            dev = lag_nadir_deviation(sc, LagBand(pfr=cap / k, tau=tau))
+            dev = lag_nadir(sc, LagBand(pfr=cap / k, tau=tau)).delta_f_nadir
             assert abs(dev - (-1.25)) <= 1e-6
 
 

@@ -1,6 +1,5 @@
 import collections
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from sfrkit import (
     mape,
     mape_map,
     mape_tau_sweep,
+    total_pfr_value,
 )
 from sfrkit import bandfit
 
@@ -52,7 +52,8 @@ class TestEquivalentBandFit:
         t = np.arange(0, 3001) * 0.01
         popt, _ = scipy_opt.curve_fit(
             lambda tt, pfr, tau: pfr * (1 - np.exp(-tt / tau)),
-            t, tb.value(t), p0=[210.0, 1.0], bounds=([0.0, 0.2], [np.inf, 4.0]),
+            t, total_pfr_value((tb.band1, tb.band2), t), p0=[210.0, 1.0],
+            bounds=([0.0, 0.2], [np.inf, 4.0]),
         )
         eq = fit_equivalent_band(tb)
         # curve_fit stops on its own cost tolerance, about 6e-6 from the exact optimum
@@ -97,10 +98,24 @@ class TestTauSurface:
         assert eq.tau_eq == pytest.approx(0.4, rel=1e-9)
         assert equivalent_tau(CANONICAL_SURFACE, 120.0, 0.0) == 0.4
 
-    def test_zero_pfr1_cells_skipped_with_warning(self):
-        with pytest.warns(UserWarning, match="PFR1"):
-            model = build_tau_surface(0.4, 2.0, pfr_grid=(0.0, 100.0, 200.0))
+    @pytest.mark.filterwarnings("error")
+    def test_zero_pfr1_cells_skipped(self):
+        grid = (0.0, 100.0, 200.0)
+        model = build_tau_surface(0.4, 2.0, pfr_grid=grid)
         assert model.a > 0
+        # the residual is the model's rms over the six PFR1 > 0 cells alone
+        cells = [(p1, p2) for p1 in grid[1:] for p2 in grid]
+        res = [fit_equivalent_band(TwoBandPfr(LagBand(p1, 0.4), LagBand(p2, 2.0))).tau_eq
+               - equivalent_tau(model, p1, p2) for p1, p2 in cells]
+        assert model.rms_residual == pytest.approx(
+            math.sqrt(sum(r * r for r in res) / len(cells)), rel=1e-9
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_magnitude_drift_is_data_not_a_warning(self):
+        # the widest pair of the fig10 sweep drifts about 1.9% off the PFR1 + PFR2 plane
+        model = build_tau_surface(0.2, 3.0, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
+        assert model.pfr_plane_dev > 0.01
 
     def test_deterministic(self):
         a = build_tau_surface(0.4, 2.0, pfr_grid=SMALL_GRID)
@@ -197,7 +212,7 @@ class TestMapeMap:
         t = np.arange(0, 3001) * 0.01
         tb = TwoBandPfr(LagBand(130.0, 0.4), LagBand(130.0, 2.0))
         eq = canonical_equivalent(130.0, 130.0)
-        exact = FrequencyTrace(0.0, 0.01, tb.value(t))
+        exact = FrequencyTrace(0.0, 0.01, total_pfr_value((tb.band1, tb.band2), t))
         approx = FrequencyTrace(0.0, 0.01, eq.pfr_eq * (1 - np.exp(-t / eq.tau_eq)))
         assert report.cells[0].mape_pct == pytest.approx(mape(exact, approx), rel=1e-12)
 
@@ -220,6 +235,7 @@ class TestTauSweep:
         assert (cell.tau1, cell.tau2) == (0.4, 2.0)
         assert cell.mean_mape_pct == report.mean_pct
         assert cell.max_mape_pct == report.max_pct
+        assert cell.pfr_plane_dev == model.pfr_plane_dev
 
     def test_equal_taus_give_zero_error(self):
         sweep = mape_tau_sweep((0.8,), (0.8,), pfr_grid=(50.0, 100.0))
@@ -300,7 +316,7 @@ class TestVariableProjection:
     def test_nonuniform_grid_uses_sampled_sums(self):
         t = np.concatenate([np.arange(0.0, 2.0, 0.002), np.arange(2.0, 30.001, 0.05)])
         eq = fit_equivalent_band(CANONICAL_PAIR, times=t)
-        y = CANONICAL_PAIR.value(t)
+        y = total_pfr_value((CANONICAL_PAIR.band1, CANONICAL_PAIR.band2), t)
         ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
         assert eq.fit_residual == pytest.approx(ssr, rel=1e-9)
         assert ssr <= dense_scan_ssr(t, y, 0.2, 4.0) * (1.0 + 1e-9)
@@ -322,7 +338,7 @@ class TestVariableProjection:
         tb = TwoBandPfr(LagBand(pfr1, tau1), LagBand(pfr2, tau2))
         eq = fit_equivalent_band(tb)
         t = bandfit.default_fit_times(tau2)
-        y = tb.value(t)
+        y = total_pfr_value((tb.band1, tb.band2), t)
         ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
         floor = 1e-14 * float(y @ y)
         assert tau1 / 2.0 <= eq.tau_eq <= 2.0 * tau2
@@ -484,7 +500,7 @@ class TestBracketedSearch:
         finally:
             bandfit._find_root = original
         t = bandfit.default_fit_times(tau2)
-        y = tb.value(t)
+        y = total_pfr_value((tb.band1, tb.band2), t)
         ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
         ref_ssr = sampled_ssr(t, y, ref.pfr_eq, ref.tau_eq)
         assert tau1 / 2.0 <= eq.tau_eq <= 2.0 * tau2
@@ -523,9 +539,7 @@ class TestBracketedSearch:
         # the fig10 sweep: the knot call counts as one evaluation of the b search
         for tau1, tau2 in bandfit._sweep_pairs():
             counts.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                build_tau_surface(tau1, tau2, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
+            build_tau_surface(tau1, tau2, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
             assert 0 < counts["tau-surface fit"] <= 8, (tau1, tau2)
 
     def test_stalled_search_raises(self, monkeypatch):

@@ -18,7 +18,7 @@ from sfrkit import (
     RampBand,
     SystemConditions,
     integrate,
-    lag_delta_f,
+    multi_lag_delta_f,
     total_pfr_value,
 )
 from sfrkit import closedform
@@ -160,7 +160,7 @@ class TestClosedFormTrace:
     @example(case=(MIRROR, [LagBand(-270.0, 2.0)]), t=0.0)
     def test_scalar_time(self, case, t):
         sc, bands = case
-        got = lag_delta_f(sc, bands[0], t)
+        got = multi_lag_delta_f(sc, bands[:1], t)
         assert type(got) is float
         assert_same_bits(got, ref_delta_f(sc, bands[:1], t))
         total = total_pfr_value(bands, t)

@@ -167,7 +167,7 @@ class TestInfiniteInertia:
         sc = SystemConditions(**{**RECORDS[SystemConditions], "ke": math.inf})
         t = np.linspace(0.0, 30.0, 7)
         bands = [LagBand(130.0, 0.4), LagBand(80.0, 2.0)]
-        assert np.all(closedform.lag_delta_f(sc, bands[1], t) == 0.0)
+        assert np.all(closedform.multi_lag_delta_f(sc, bands[1:], t) == 0.0)
         assert np.all(closedform.multi_lag_delta_f(sc, bands, t) == 0.0)
         assert np.all(closedform.trace(sc, bands, 30.0, 0.01, "lag").samples == 0.0)
 
@@ -187,7 +187,7 @@ class TestInfiniteInertia:
         bands = [RampBand(130.0, 2.0), RampBand(80.0, 6.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert np.all(closedform.ramp_delta_f(sc, bands[1], t) == 0.0)
+            assert np.all(closedform.multi_ramp_delta_f(sc, bands[1:], t) == 0.0)
             assert np.all(closedform.multi_ramp_delta_f(sc, bands, t) == 0.0)
             assert np.all(closedform.trace(sc, bands, 6.0, 0.01, "ramp").samples == 0.0)
 

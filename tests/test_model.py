@@ -10,12 +10,9 @@ from sfrkit import (
     RampBand,
     SystemConditions,
     derive_params,
-    lag_delta_f,
-    lag_pfr_value,
     load_scenario,
-    ramp_pfr_value,
+    multi_lag_delta_f,
     total_pfr_value,
-    two_band_pfr_value,
 )
 from sfrkit.model import apply_overrides, scenario_from_dict
 
@@ -42,7 +39,7 @@ class TestDeriveParams:
         dp = derive_params(sc)
         assert dp.dprime == 0.0
         with pytest.raises(InvalidInputError):
-            lag_delta_f(sc, LagBand(pfr=5, tau=1.0), 1.0)
+            multi_lag_delta_f(sc, [LagBand(pfr=5, tau=1.0)], 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -60,18 +57,18 @@ class TestDeriveParams:
 
 class TestPfrValues:
     def test_lag_zero_at_onset(self):
-        assert lag_pfr_value(LagBand(pfr=100, tau=0.4), 0.0) == 0.0
+        assert total_pfr_value([LagBand(pfr=100, tau=0.4)], 0.0) == 0.0
 
     def test_lag_fast_band_after_one_second(self):
         # 100 * (1 - exp(-1/0.4)) by direct evaluation
-        assert lag_pfr_value(LagBand(pfr=100, tau=0.4), 1.0) == pytest.approx(
+        assert total_pfr_value([LagBand(pfr=100, tau=0.4)], 1.0) == pytest.approx(
             91.79150013761012, rel=1e-12
         )
 
     def test_lag_same_exponent_by_symmetry(self):
         # t/tau = 2.5 in both cases
-        assert lag_pfr_value(LagBand(pfr=100, tau=2.0), 5.0) == pytest.approx(
-            lag_pfr_value(LagBand(pfr=100, tau=0.4), 1.0), rel=1e-15
+        assert total_pfr_value([LagBand(pfr=100, tau=2.0)], 5.0) == pytest.approx(
+            total_pfr_value([LagBand(pfr=100, tau=0.4)], 1.0), rel=1e-15
         )
 
     def test_lag_monotone_and_bounded(self):
@@ -79,49 +76,49 @@ class TestPfrValues:
         for _ in range(20):
             band = LagBand(pfr=rng.uniform(10, 500), tau=rng.uniform(0.05, 10))
             t = np.sort(rng.uniform(0, 50, size=40))
-            v = lag_pfr_value(band, t)
+            v = total_pfr_value([band], t)
             assert np.all(np.diff(v) >= 0)
             assert np.all(v <= band.pfr)
 
     def test_ramp_midway(self):
-        assert ramp_pfr_value(RampBand(pfr=270, t_r=6), 3.0) == 135.0
+        assert total_pfr_value([RampBand(pfr=270, t_r=6)], 3.0) == 135.0
 
     def test_ramp_zero_and_saturated(self):
         band = RampBand(pfr=270, t_r=6)
-        assert ramp_pfr_value(band, 0.0) == 0.0
-        assert ramp_pfr_value(band, 10.0) == 270.0
+        assert total_pfr_value([band], 0.0) == 0.0
+        assert total_pfr_value([band], 10.0) == 270.0
 
     def test_ramp_monotone_and_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             band = RampBand(pfr=rng.uniform(10, 500), t_r=rng.uniform(0.1, 10))
             t = np.sort(rng.uniform(0, 30, size=40))
-            v = ramp_pfr_value(band, t)
+            v = total_pfr_value([band], t)
             assert np.all(np.diff(v) >= 0)
             assert np.all(v <= band.pfr)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidInputError):
-            lag_pfr_value(LagBand(pfr=100, tau=0.4), -0.1)
+            total_pfr_value([LagBand(pfr=100, tau=0.4)], -0.1)
         with pytest.raises(InvalidInputError):
-            ramp_pfr_value(RampBand(pfr=100, t_r=2), np.array([0.0, -1.0]))
+            total_pfr_value([RampBand(pfr=100, t_r=2)], np.array([0.0, -1.0]))
 
     def test_two_band_values(self):
         fast, std = LagBand(130, 0.4), LagBand(80, 2.0)
-        assert two_band_pfr_value(fast, std, 0.0) == 0.0
+        assert total_pfr_value([fast, std], 0.0) == 0.0
         # 130*(1-e^-2.5) + 80*(1-e^-0.5) by direct evaluation
-        assert two_band_pfr_value(fast, std, 1.0) == pytest.approx(150.80649740188247, rel=1e-12)
-        assert two_band_pfr_value(fast, std, 1e6) == pytest.approx(210.0, rel=1e-12)
+        assert total_pfr_value([fast, std], 1.0) == pytest.approx(150.80649740188247, rel=1e-12)
+        assert total_pfr_value([fast, std], 1e6) == pytest.approx(210.0, rel=1e-12)
 
     def test_two_band_commutes(self):
         fast, std = LagBand(130, 0.4), LagBand(80, 2.0)
         t = np.linspace(0, 20, 50)
-        assert np.array_equal(two_band_pfr_value(fast, std, t), two_band_pfr_value(std, fast, t))
+        assert np.array_equal(total_pfr_value([fast, std], t), total_pfr_value([std, fast], t))
 
     def test_total_pfr_mixed(self):
         bands = [LagBand(100, 0.4), RampBand(60, 3.0)]
         t = np.array([0.0, 1.0, 10.0])
-        expected = lag_pfr_value(bands[0], t) + ramp_pfr_value(bands[1], t)
+        expected = total_pfr_value(bands[:1], t) + total_pfr_value(bands[1:], t)
         assert np.allclose(total_pfr_value(bands, t), expected, rtol=1e-15)
 
     def test_band_validation(self):

@@ -15,7 +15,6 @@ from sfrkit import (
     RampBand,
     SystemConditions,
     integrate,
-    lag_pfr_value,
     total_pfr_value,
     trace,
     trace_nadir,
@@ -71,7 +70,7 @@ BANDS = st.lists(
 
 
 def fig_p(t):
-    return lag_pfr_value(FIG_BAND, t)
+    return total_pfr_value([FIG_BAND], t)
 
 
 class TestIntegrationSpec:

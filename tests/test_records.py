@@ -57,6 +57,7 @@ DEFAULTS = {
     model.Scenario: {"t_end": None, "dt": None},
     bandfit.EquivalentBand: {"fit_residual": None},
     bandfit.TauSurfaceModel: {"rms_residual": None, "pfr_plane_dev": None},
+    bandfit.TauSweepCell: {"pfr_plane_dev": None},
     oracle.IntegrationSpec: {"dt": 0.001, "method": oracle.RK4},
 }
 

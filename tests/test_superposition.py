@@ -16,7 +16,6 @@ from sfrkit import (
     SystemConditions,
     multi_lag_delta_f,
     multi_ramp_delta_f,
-    ramp_delta_f,
     total_pfr_value,
     trace,
 )
@@ -164,4 +163,4 @@ class TestKindIsChecked:
         with pytest.raises(InvalidInputError, match="RampBand"):
             multi_lag_delta_f(BASE, [LagBand(100.0, 2.0), RampBand(100.0, 2.0)], 1.0)
         with pytest.raises(InvalidInputError, match="LagBand"):
-            ramp_delta_f(BASE, LagBand(100.0, 2.0), 1.0)
+            multi_ramp_delta_f(BASE, [LagBand(100.0, 2.0)], 1.0)
