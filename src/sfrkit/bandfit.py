@@ -12,10 +12,11 @@ magnitude is linear given tau and `a` is linear given `b`, so each is solved by
 variable projection as a 1-D root of its stationarity condition. Both roots
 are found by one bracketed superlinear search (Chandrupatla's method), which
 evaluates its knots in one call and stops at the first point where the
-condition reads exactly zero; tau is searched over [tau1/2, 2*tau2] with tau1
-and tau2 as inner knots, and b in log space from log-spaced knots that bracket
-it at once. The canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships
-with pre-fitted coefficients. The default sampling grid, [0, max(30, 5*tau2)]
+condition reads exactly zero; tau is searched over [tau1/2, 2*tau2] from
+log-spaced inner knots that run from tau1 to tau2, both exact, and b in log
+space from log-spaced knots; either set brackets its root closely at once.
+The canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships with
+pre-fitted coefficients. The default sampling grid, [0, max(30, 5*tau2)]
 s at 10 ms, is bounded by the step ceiling of model._grid_steps, so
 tau2 <= 20 000 s.
 
@@ -24,7 +25,9 @@ between the exact and equivalent response curves, per grid cell. It depends
 on a cell only through PFR2/PFR1, so cells that are power-of-two multiples of
 one another share one computation. The classes' curves are built a few rows at
 a time in reused buffers and reduced along each row, which gives every value
-the same bits as mape() on that cell alone.
+the same bits as mape() on that cell alone. On an ascending time grid every
+curve rises monotonically from 0, so its peak is its last sample and the
+samples it keeps are a suffix, found by binary search.
 """
 from __future__ import annotations
 
@@ -81,6 +84,11 @@ _B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
 # log-spaced knots of the b search, evaluated in one call: they bracket the
 # root at once, where the box's ends alone left 4-5 bisection steps
 _B_KNOTS = 64
+# log-spaced knots of the band fit from tau1 to tau2, evaluated in one call
+# with tau1/2 and 2*tau2: on the sweep pairs a fit then takes at most 6
+# evaluations, where tau1 and tau2 alone as inner knots took up to 13
+_TAU_KNOTS = 10
+_TAU_KNOT_EXPONENTS = np.linspace(0.0, 1.0, _TAU_KNOTS)
 # rows per block of the MAPE map. On the sweep grid (75 classes x 3001
 # samples, 2-vCPU x86-64 host) a map took about 3.5 ms in blocks of 8 rows,
 # 6 ms as one block of 75 rows, whose buffers fall out of cache, and 7 ms one
@@ -138,14 +146,24 @@ class TauSurfaceModel:
             raise InvalidInputError(f"a must be finite and >= 0, got {self.a}")
         if not 0 < self.b < math.inf:
             raise InvalidInputError(f"b must be finite and > 0, got {self.b}")
-        if not 0 < self.tau1 <= self.tau2 < math.inf:
-            raise InvalidInputError(
-                f"need finite 0 < tau1 <= tau2, got tau1={self.tau1}, tau2={self.tau2}"
-            )
+        _check_tau_pair(self.tau1, self.tau2)
         for name in ("rms_residual", "pfr_plane_dev"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
+def _check_tau_pair(tau1: float, tau2: float) -> None:
+    if not 0 < tau1 <= tau2 < math.inf:
+        raise InvalidInputError(f"need finite 0 < tau1 <= tau2, got tau1={tau1}, tau2={tau2}")
+
+
+def _magnitude_grid(pfr_grid) -> np.ndarray:
+    """The magnitude grid of a surface fit or a MAPE map, DEFAULT_PFR_GRID by default."""
+    grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0 or not np.all((grid >= 0) & (grid < math.inf)):
+        raise InvalidInputError("pfr grid must be a non-empty sequence of finite magnitudes >= 0")
+    return grid
 
 
 # coefficients fitted once for the canonical fast/standard bands (0.4 s, 2.0 s)
@@ -219,8 +237,10 @@ def _where(cond, a, b):
 def _find_root(stationarity, knots, xtol, what):
     """Root of a projected fit's stationarity condition on [knots[0], knots[-1]], elementwise.
 
-    knots ascend along the first axis and are evaluated in one call; the first
-    knot where the zeroed gap is <= 0 and the knot before it bracket the root.
+    knots ascend along the first axis and are evaluated in one call; they may
+    broadcast against the gap, as a column of knots shared by every element.
+    The first knot where the zeroed gap is <= 0 and the knot before it bracket
+    the root.
     Chandrupatla's method then narrows each bracket by inverse quadratic
     interpolation through its last three points, or by bisection where that
     interpolant is not monotone. An element is done at the first point where
@@ -237,6 +257,7 @@ def _find_root(stationarity, knots, xtol, what):
 
     knots = np.asarray(knots, dtype=float)
     g = gap(knots)
+    knots = np.broadcast_to(knots, g.shape)
     if not (np.all(g[0] >= 0.0) and np.all(g[-1] <= 0.0)):
         raise FitError(f"{what}: no sign change of the stationarity condition in the box")
     if not np.isfinite(g).all():
@@ -278,9 +299,10 @@ def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
 
     With s(tau) = 1 - exp(-t/tau), the best magnitude for a given tau is
     <s,y>/<s,s>, clipped at 0, which leaves a 1-D search over the box
-    [tau1/2, 2*tau2]. Every inner product <s_lam, s_mu> of rates lam = 1/tau
-    is n - E(lam) - E(mu) + E(lam + mu), so no sample array is built on a
-    uniform grid. p1 and p2 broadcast; returns arrays (pfr, tau, ssr).
+    [tau1/2, 2*tau2], started from tau1/2, _TAU_KNOTS log-spaced knots from
+    tau1 to tau2 inclusive and 2*tau2. Every inner product <s_lam, s_mu> of
+    rates lam = 1/tau is n - E(lam) - E(mu) + E(lam + mu), so no sample array
+    is built on a uniform grid. p1 and p2 broadcast; returns arrays (pfr, tau, ssr).
     """
     n = grid[0] if isinstance(grid, tuple) else len(grid)
     l1, l2 = 1.0 / tau1, 1.0 / tau2
@@ -304,10 +326,13 @@ def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
         ss, sy, d_ss, d_sy = products(tau)
         return sy * d_ss, 2 * d_sy * ss
 
-    # tau1 and tau2 are knots inside the box: the root sits between them, and
-    # exactly on one when PFR2 = 0, PFR1 = 0 or tau1 = tau2
-    shape = np.broadcast(p1, p2).shape
-    knots = [np.full(shape, x) for x in (tau1 / 2.0, tau1, tau2, 2.0 * tau2)]
+    # tau1 and tau2 are exact knots inside the box: the root sits between them,
+    # and exactly on one when PFR2 = 0, PFR1 = 0 or tau1 = tau2
+    inner = tau1 * (tau2 / tau1) ** _TAU_KNOT_EXPONENTS
+    inner[-1] = tau2
+    knots = np.concatenate(([tau1 / 2.0], inner, [2.0 * tau2]))
+    # one column of knots shared by every element: the exp sums are taken per knot
+    knots = knots.reshape(knots.shape + (1,) * np.ndim(np.broadcast(p1, p2)))
     tau = _find_root(stationarity, knots, _XTOL_REL * tau1 / 2.0, "equivalent-band fit")
     ss, sy, _, _ = products(tau)
     pfr = np.maximum(sy / ss, 0.0)
@@ -371,15 +396,18 @@ def build_tau_surface(tau1: float, tau2: float, pfr_grid=None, times=None) -> Ta
     The largest relative drift of the fitted magnitudes from the PFR1 + PFR2
     plane is recorded on the model as pfr_plane_dev.
     """
-    grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(grid < 0):
-        raise InvalidInputError("pfr grid must be a non-empty sequence of magnitudes >= 0")
+    _check_tau_pair(tau1, tau2)
+    grid = _magnitude_grid(pfr_grid)
     fit_grid = _fit_grid(times, tau2)
 
     p1 = grid[grid != 0.0]
     if len(p1) == 0:
         raise InvalidInputError("pfr grid left no usable cells")
-    ratios, counts = np.unique(np.divide.outer(grid, p1), return_counts=True)
+    with np.errstate(over="ignore"):
+        ratios, counts = np.unique(np.divide.outer(grid, p1), return_counts=True)
+    if ratios[-1] == math.inf:
+        raise InvalidInputError(f"pfr grid: the ratio {float(grid.max())!r}/{float(p1.min())!r} "
+                                "of two magnitudes overflows")
     pfr, tau_eqs, _ = _fit_lag_bands(1.0, tau1, ratios, tau2, fit_grid)
     plane_dev = float(np.max(np.abs(pfr - (1.0 + ratios)) / (1.0 + ratios)))
     a, b, ssr = _fit_tau_model(tau1, ratios, counts.astype(float), tau_eqs)
@@ -464,7 +492,7 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
     mapped a block of classes at a time; each value is the one a cell-by-cell
     computation through mape() gives, bit for bit.
     """
-    grid = np.asarray(DEFAULT_PFR_GRID if pfr_grid is None else pfr_grid, dtype=float)
+    grid = _magnitude_grid(pfr_grid)
     model = CANONICAL_SURFACE if model is None else model
     if (model.tau1, model.tau2) != (tau1, tau2):
         raise InvalidInputError(f"surface model is for tau1={model.tau1}, tau2={model.tau2}, not "
@@ -498,14 +526,17 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
     """MAPE of each representative (p1, p2), as _mape_arrays gives it for its row.
 
     Rows are built _MAP_BLOCK at a time into three buffers reused across
-    blocks. Where every row of a block excludes the same leading samples [:m],
-    as on any grid where the curves rise from t = 0, the relative error is
-    taken in place on the slice [:, m:] and summed along each row with the
-    same pairwise sum as a 1-D array; any other block goes row by row through
-    _mape_arrays.
+    blocks. When e1 and e2 are nondecreasing, as on any ascending time grid,
+    every row p1*e1 + p2*e2 (magnitudes >= 0) is nondecreasing from 0: its
+    peak is its last sample and it keeps a suffix of samples, located by
+    searchsorted. Where every row of a block keeps the same suffix [m:], the
+    relative error is taken in place on the slice [:, m:] and summed along
+    each row with the same pairwise sum as a 1-D array; any other grid or
+    block goes row by row through _mape_arrays.
     """
     e1 = 1.0 - np.exp(-t / model.tau1)
     e2 = 1.0 - np.exp(-t / model.tau2)
+    monotone = bool(np.all(e1[1:] >= e1[:-1]) and np.all(e2[1:] >= e2[:-1]))
     neg_t = -t
     shape = (min(_MAP_BLOCK, len(reps)), len(t))
     exact_buf, approx_buf, work_buf = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -523,14 +554,8 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
         np.subtract(1.0, approx, out=approx)
         approx *= np.array([[eq.pfr_eq] for eq in eqs])
 
-        np.abs(exact, out=work)
-        peak = work.max(axis=1)
-        low = np.maximum(MAPE_EXCLUSION_REL * peak, _MAPE_FLOOR)
-        # m leading samples of the first row are excluded; a block whose rows
-        # all exclude exactly those samples (and so keep some) is a slice
-        m = int(np.argmax(work[0] >= low[0]))
-        if (np.all(work[:, m:].min(axis=1) >= low)
-                and not np.any(work[:, :m] >= low[:, None])):
+        m = _kept_suffix(exact) if monotone else None
+        if m is not None:
             kept, rel = exact[:, m:], approx[:, m:]
             np.subtract(kept, rel, out=rel)
             np.divide(rel, kept, out=rel)
@@ -539,6 +564,21 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
         else:
             values += [_mape_arrays(x, y) for x, y in zip(exact, approx)]
     return values
+
+
+def _kept_suffix(rows: np.ndarray):
+    """Start m of the samples [m:] that every row keeps, or None if the rows keep different ones.
+
+    Each row must be nondecreasing from a first sample of 0, so its peak is
+    its last sample and its kept samples are a suffix. Every row keeps the
+    first row's suffix when its samples m - 1 and m straddle its threshold;
+    m = 0 cannot occur, and would read the kept last sample and give None.
+    """
+    low = np.maximum(MAPE_EXCLUSION_REL * rows[:, -1], _MAPE_FLOOR)
+    m = int(np.searchsorted(rows[0], low[0]))
+    if m < rows.shape[1] and np.all(rows[:, m] >= low) and np.all(rows[:, m - 1] < low):
+        return m
+    return None
 
 
 @_record

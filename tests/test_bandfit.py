@@ -23,7 +23,7 @@ from sfrkit import (
     mape_tau_sweep,
     total_pfr_value,
 )
-from sfrkit import bandfit
+from sfrkit import bandfit, cli
 
 CANONICAL_PAIR = TwoBandPfr(LagBand(130.0, 0.4), LagBand(80.0, 2.0))
 SMALL_GRID = (50.0, 100.0, 150.0, 200.0)
@@ -536,11 +536,27 @@ class TestBracketedSearch:
         monkeypatch.setattr(bandfit, "_find_root", counting(bandfit._find_root, counts))
         fit_equivalent_band(CANONICAL_PAIR)
         assert 0 < counts["equivalent-band fit"] <= 15
-        # the fig10 sweep: the knot call counts as one evaluation of the b search
+        # the fig10 sweep: the knot call counts as one evaluation of either search
         for tau1, tau2 in bandfit._sweep_pairs():
             counts.clear()
             build_tau_surface(tau1, tau2, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID)
             assert 0 < counts["tau-surface fit"] <= 8, (tau1, tau2)
+            assert 0 < counts["equivalent-band fit"] <= 6, (tau1, tau2)
+
+    def test_fig4_element_steps(self, monkeypatch):
+        # elements evaluated after the knots by the one vector fit of fig4's 400 cells
+        steps = []
+
+        def counting_steps(stationarity, knots, xtol, what):
+            def counted(x):
+                steps.append(np.size(x))
+                return stationarity(x)
+            return find_root(counted, knots, xtol, what)
+
+        find_root = bandfit._find_root
+        monkeypatch.setattr(bandfit, "_find_root", counting_steps)
+        list(cli._fig4()[1])
+        assert 0 < sum(steps[1:]) <= 2200
 
     def test_stalled_search_raises(self, monkeypatch):
         monkeypatch.setattr(bandfit, "_MAX_STEPS", 2)
@@ -680,6 +696,9 @@ class TestMapeMapBlocks:
     # at t = 1e-6 s only the cells with a large enough fast share are kept
     @example(case=(0.4, 2.0, TauSurfaceModel(a=1.0, b=0.5, tau1=0.4, tau2=2.0),
                    (0.0, 30.0, 50.0), np.array([0.0, 1e-6, 0.3, 1.0, 3.0, 5.0, 10.0])))
+    # the second block's first row, (100, 1), keeps t = 1e-6 s and (100, 1000) does not
+    @example(case=(0.4, 2.0, TauSurfaceModel(a=1.0, b=0.5, tau1=0.4, tau2=2.0),
+                   (0.0, 1.0, 100.0, 1000.0), np.array([0.0, 1e-6, 0.3, 1.0, 3.0, 5.0, 10.0])))
     @example(case=(0.4, 2.0, CANONICAL_SURFACE, (0.0, 30.0, 50.0),
                    np.array([0.0, 10.0, 3.0, 0.0, 0.3, 1.0, 10.0])))
     def test_matches_per_cell_recomputation(self, case):

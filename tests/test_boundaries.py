@@ -232,3 +232,55 @@ class TestNonFiniteJsonKey:
                      "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: analytic.dp_dh_mw_per_mws_hz = inf: ")
         assert not out.exists()
+
+
+def _no_warnings(fn):
+    """fn() with every warning recorded; asserts that none was raised, whether or not fn raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fn()
+        finally:
+            assert [str(w.message) for w in caught] == []
+
+
+class TestSurfaceTimeConstants:
+    @pytest.mark.parametrize("tau1, tau2", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                            (0.4, math.inf), (2.0, 1.0)])
+    def test_library_rejects_before_any_work(self, tau1, tau2, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected pair must not be fitted")
+
+        monkeypatch.setattr(bandfit, "_fit_lag_bands", no_work)
+        with pytest.raises(InvalidInputError, match=r"^need finite 0 < tau1 <= tau2, got tau1="):
+            _no_warnings(lambda: build_tau_surface(tau1, tau2))
+
+    @pytest.mark.parametrize("args", [
+        ["fit-surface", "--tau1", "0", "--tau2", "1"],
+        ["tau-sweep", "--tau1-values", "-1", "--tau2-values", "1"],
+    ])
+    def test_cli_exits_1(self, args, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _no_warnings(lambda: main([*args, "--out", str(out)])) == 1
+        assert "tau1=" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMagnitudeGridCheck:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("fit", [build_tau_surface, mape_map])
+    def test_library_names_the_grid(self, fit, value):
+        with pytest.raises(InvalidInputError, match="^pfr grid must be"):
+            _no_warnings(lambda: fit(0.4, 2.0, pfr_grid=[10.0, value]))
+
+    def test_overflowing_ratio(self):
+        with pytest.raises(InvalidInputError, match=r"^pfr grid: the ratio 1e\+200/1e-200 "):
+            _no_warnings(lambda: build_tau_surface(0.4, 2.0, pfr_grid=[1e-200, 1e200]))
+
+    def test_cli_overflowing_grid_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert _no_warnings(lambda: main([
+            "fit-surface", "--tau1", "0.4", "--tau2", "2.0", "--pfr-min", "1e-200",
+            "--pfr-max", "1e200", "--pfr-step", "5e199", "--out", str(out)])) == 1
+        assert capsys.readouterr().err.startswith("error: pfr grid: the ratio ")
+        assert not out.exists()
