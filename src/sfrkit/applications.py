@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .bandfit import TauSurfaceModel, equivalent_tau
-from .closedform import (ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _k_ratio,
+from .bandfit import TauSurfaceModel, _tau_at, equivalent_tau
+from .closedform import (_NO_DAMPING, ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _k_ratio,
                          _require_damping, _shape)
 from .errors import BranchError, InvalidInputError
 from .model import DerivedParams, LagBand, SystemConditions, _record
@@ -112,10 +112,14 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
 
     Requires A >= 1 - 1/K (interior-nadir branch); at the boundary the value
     equals the asymptotic cap, and below it BranchError points the caller to
-    asymptotic_max_contingency.
+    asymptotic_max_contingency. D' and A are formed here, D' checked first.
     """
-    dprime = _require_damping(dp)
-    return _cap(policy.k_policy, _a_ratio(dprime, dp.h, tau), policy.delta_f_max, dprime)
+    dprime = dp.dprime
+    if not dprime > 0:
+        raise InvalidInputError(_NO_DAMPING)
+    if not tau > 0:
+        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    return _cap(policy.k_policy, dprime * tau / (2.0 * dp.h), policy.delta_f_max, dprime)
 
 
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
@@ -181,14 +185,23 @@ def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
 
 
 def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
-    """(dtau/dPFR1, dtau/dPFR2) of the fitted tau model, s/MW."""
+    """(dtau/dPFR1, dtau/dPFR2) of the fitted tau model, s/MW; NaN pfr2 is rejected."""
     if not pfr1 > 0:
         raise InvalidInputError("pfr1 must be > 0: the magnitude ratio is singular at 0")
-    if pfr2 < 0:
+    if not pfr2 >= 0:
         raise InvalidInputError(f"pfr2 must be >= 0, got {pfr2}")
-    ab = model.a * model.b
-    decay = math.exp(-model.b * pfr2 / pfr1)
-    return -ab * pfr2 / pfr1**2 * decay, ab / pfr1 * decay
+    return _band_slopes(model.a * model.b, pfr1, pfr2, math.exp(-model.b * pfr2 / pfr1))
+
+
+def _band_slopes(ab: float, pfr1: float, pfr2: float, decay: float):
+    """The pair from a*b and exp(-b*PFR2/PFR1); rejected, naming pfr1, if not finite."""
+    sq = pfr1**2
+    if sq > 0:
+        d1 = -ab * pfr2 / sq * decay
+        d2 = ab / pfr1 * decay
+        if -math.inf < d1 < math.inf and -math.inf < d2 < math.inf:
+            return d1, d2
+    raise InvalidInputError(f"pfr1={pfr1}, pfr2={pfr2}: the tau model's derivatives are not finite")
 
 
 @_record
@@ -205,18 +218,19 @@ class SensitivityReport:
 
 def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                        pfr1: float, pfr2: float) -> SensitivityReport:
-    """Analytic derivative set."""
-    tau = equivalent_tau(model, pfr1, pfr2)
-    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, tau)
-    dtau_d1, dtau_d2 = sensitivity_tau_bands(model, pfr1, pfr2)
-    return SensitivityReport(
-        dp_dtau=dp_dtau,
-        dp_dh=dp_dh,
-        dtau_dpfr1=dtau_d1,
-        dtau_dpfr2=dtau_d2,
-        dp_dpfr1=dp_dtau * dtau_d1,
-        dp_dpfr2=dp_dtau * dtau_d2,
-    )
+    """sensitivity_pcont at equivalent_tau's tau, and sensitivity_tau_bands.
+
+    x = -b*PFR2/PFR1 is formed once: tau takes numpy's exp of it and the decay
+    math.exp, which can differ in the last bit.
+    """
+    if not (pfr1 > 0 and pfr2 >= 0):  # each such input fails a check here, in the usual order
+        sensitivity_pcont(dp, delta_f_max, equivalent_tau(model, pfr1, pfr2))
+        sensitivity_tau_bands(model, pfr1, pfr2)
+    x = -model.b * pfr2 / pfr1
+    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, _tau_at(model, x))
+    dtau_d1, dtau_d2 = _band_slopes(model.a * model.b, pfr1, pfr2, math.exp(x))
+    return SensitivityReport(dp_dtau, dp_dh, dtau_d1, dtau_d2, dp_dtau * dtau_d1,
+                             dp_dtau * dtau_d2)
 
 
 def _central(f, x: float) -> float:

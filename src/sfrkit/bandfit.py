@@ -436,15 +436,20 @@ def equivalent_tau(model: TauSurfaceModel, pfr1: float, pfr2: float,
         if pfr2 == 0:
             raise InvalidInputError("at least one band magnitude must be > 0")
         return float(model.tau2 if single_band_passthrough else model.a + model.tau1)
-    # numpy's exp, whose last bit can differ from math.exp's; the rest is float arithmetic
-    return model.a * (1.0 - float(np.exp(-model.b * pfr2 / pfr1))) + model.tau1
+    return _tau_at(model, -model.b * pfr2 / pfr1)
+
+
+def _tau_at(model: TauSurfaceModel, x: float) -> float:
+    """a * (1 - exp(x)) + tau1 at x = -b*PFR2/PFR1 as a float, with numpy's exp (not math's)."""
+    return model.a * (1.0 - float(np.exp(x))) + model.tau1
 
 
 def canonical_equivalent(pfr1: float, pfr2: float, model: TauSurfaceModel = CANONICAL_SURFACE,
                          single_band_passthrough: bool = True) -> EquivalentBand:
-    """Equivalent band with magnitude PFR1 + PFR2 and the model's tau."""
-    tau = equivalent_tau(model, pfr1, pfr2, single_band_passthrough)
-    return EquivalentBand(pfr1 + pfr2, tau)
+    """Equivalent band of magnitude PFR1 + PFR2 and the model's tau, as equivalent_tau gives it."""
+    if pfr1 > 0 and pfr2 >= 0:
+        return EquivalentBand(pfr1 + pfr2, _tau_at(model, -model.b * pfr2 / pfr1))
+    return EquivalentBand(pfr1 + pfr2, equivalent_tau(model, pfr1, pfr2, single_band_passthrough))
 
 
 def _mape_arrays(exact: np.ndarray, approx: np.ndarray) -> float:

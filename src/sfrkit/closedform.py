@@ -13,11 +13,12 @@ the ramp, on purpose, so the divergence from the saturating oracle shows. The
 public deviation functions check their bands' kind and call the kernel.
 
 The nadir algebra uses K = P_cont/PFR, A = D'*tau/(2H), B = 1 + K*(A - 1) and
-C = A/(A - 1). `_branch` is the one place B and its branch are decided: an
-interior nadir iff B > B_EPS, else the deviation decays monotonically to its
-settling value ("asymptotic"); |B| <= B_EPS is the boundary, where the caps of
-both branches meet. The D' > 0 guard and the tau check in A live here too;
-`trace` takes its step count from model._grid_steps.
+C = A/(A - 1). `_branch` decides B and its branch: an interior nadir iff
+B > B_EPS, else the deviation decays monotonically to its settling value
+("asymptotic"); |B| <= B_EPS is the boundary, where the caps of both branches
+meet. `lag_nadir` applies the same rule in its own frame. The D' > 0 guard and
+the K and A checks live here too (a LagBand's tau needs none); `_delta_f`
+takes checked times, and `trace` builds its grid from model._grid_steps.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ ASYMPTOTIC = "asymptotic"
 _BOUNDARY = "boundary"  # |B| <= B_EPS: asymptotic, but the caps of both branches meet
 
 _BAND_TYPES = {"lag": LagBand, "ramp": RampBand}
+_NO_DAMPING = "D' = d * p_load must be > 0 for this expression"
 
 
 @_record
@@ -69,7 +71,7 @@ def _require_damping(params) -> float:
     """D' of a SystemConditions or DerivedParams, which must be > 0."""
     dprime = params.dprime
     if not dprime > 0:
-        raise InvalidInputError("D' = d * p_load must be > 0 for this expression")
+        raise InvalidInputError(_NO_DAMPING)
     return dprime
 
 
@@ -93,11 +95,16 @@ def _branch(k: float, a: float):
     return em1, kam1, branch, abs(em1) <= REL_EPS
 
 
-def _delta_f(sc: SystemConditions, bands, t):
-    """Deviation under any mix of lag and (unsaturated) ramp bands, Hz."""
+def _at_times(sc: SystemConditions, bands, t):
+    """_delta_f at times t, checked to be >= 0 after D'; a scalar t gives a float."""
     dprime = _require_damping(sc)
-    h = sc.h
     arr, scalar = _as_times(t)
+    return _ret(_delta_f(sc, bands, dprime, arr), scalar)
+
+
+def _delta_f(sc: SystemConditions, bands, dprime: float, arr):
+    """Deviation under any mix of lag and (unsaturated) ramp bands at checked times, Hz."""
+    h = sc.h
     # a fixed accumulation order keeps the output identical under permutation;
     # ordering by |pfr| keeps it an exact mirror under a sign flip
     lags = sorted((b for b in bands if isinstance(b, LagBand)),
@@ -130,13 +137,12 @@ def _delta_f(sc: SystemConditions, bands, t):
             work *= decay_exp
             work /= 2.0 * h
         else:
-            np.negative(arr, out=work)
-            work /= band.tau
+            np.divide(arr, -band.tau, out=work)  # -t/tau in one pass, the same bits
             np.exp(work, out=work)
             work -= decay_exp
             work *= band.pfr * band.tau / denom
         out -= work
-    return _ret(out, scalar)
+    return out
 
 
 def _of_kind(bands, kind: str):
@@ -154,12 +160,12 @@ def multi_ramp_delta_f(sc: SystemConditions, bands, t):
 
     Valid only up to the shortest ramp time among the bands.
     """
-    return _delta_f(sc, _of_kind(bands, "ramp"), t)
+    return _at_times(sc, _of_kind(bands, "ramp"), t)
 
 
 def multi_lag_delta_f(sc: SystemConditions, bands, t):
     """Deviation under any number of lag bands, Hz (exact for all time)."""
-    return _delta_f(sc, _of_kind(bands, "lag"), t)
+    return _at_times(sc, _of_kind(bands, "lag"), t)
 
 
 def _k_ratio(p_cont: float, pfr: float) -> float:
@@ -170,13 +176,6 @@ def _k_ratio(p_cont: float, pfr: float) -> float:
     if k < 0:
         raise InvalidInputError("band magnitude must share the sign of p_cont")
     return k
-
-
-def _ratios(sc: SystemConditions, band: LagBand):
-    """K, A, D' and H for a single lag band; validates signs and damping."""
-    dprime = _require_damping(sc)
-    h = sc.h
-    return _k_ratio(sc.p_cont, band.pfr), _a_ratio(dprime, h, band.tau), dprime, h
 
 
 def _shape(k, a, em1, kam1, singular) -> float:
@@ -190,7 +189,8 @@ def _shape(k, a, em1, kam1, singular) -> float:
 
 def lag_nadir_time_from_ratios(sc: SystemConditions, band: LagBand) -> float:
     """Algebraically equivalent nadir time tau * ln(B) / (A - 1), s."""
-    k, a = _ratios(sc, band)[:2]
+    dprime = _require_damping(sc)
+    k, a = _k_ratio(sc.p_cont, band.pfr), _a_ratio(dprime, sc.h, band.tau)
     em1, kam1, branch, singular = _branch(k, a)
     if branch != INTERIOR_MINIMUM:
         raise BranchError("no interior nadir: inputs are in the asymptotic regime")
@@ -226,19 +226,25 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     nadir lies at ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'/2H - 1/tau), with
     the limit K*tau at A = 1; otherwise the kind is ASYMPTOTIC, t_nadir is
     None and the depth is the settling value. The settling value and RoCoF
-    use asymptotic_nadir's and max_rocof's expressions, with D', H and the
-    band's fields read once.
+    use asymptotic_nadir's and max_rocof's expressions. Each field is read
+    once; the checks are _require_damping's and _k_ratio's, in that order.
     """
-    k, a, dprime, h = _ratios(sc, band)
-    pfr, p_cont = band.pfr, sc.p_cont
-    rocof = -p_cont / (2.0 * h)
-    em1, kam1, branch, singular = _branch(k, a)
-    if branch != INTERIOR_MINIMUM:
+    dprime = sc.d * sc.p_load
+    if not dprime > 0:
+        raise InvalidInputError(_NO_DAMPING)
+    h2 = 2.0 * (sc.ke / sc.f_n)
+    p_cont, pfr, tau = sc.p_cont, band.pfr, band.tau
+    k = _k_ratio(p_cont, pfr)
+    rocof = -p_cont / h2
+    a = dprime * tau / h2
+    em1 = a - 1.0
+    kam1 = k * em1
+    if not 1.0 + kam1 > B_EPS:
         return NadirResult(ASYMPTOTIC, None, (pfr - p_cont) / dprime, rocof)
-    tau = band.tau
-    t_nadir = k * tau if singular else math.log1p(kam1) / (dprime / (2.0 * h) - 1.0 / tau)
-    depth = pfr / dprime * _shape(k, a, em1, kam1, singular)
-    return NadirResult(INTERIOR_MINIMUM, t_nadir, depth, rocof)
+    singular = abs(em1) <= REL_EPS
+    t_nadir = k * tau if singular else math.log1p(kam1) / (dprime / h2 - 1.0 / tau)
+    return NadirResult(INTERIOR_MINIMUM, t_nadir, pfr / dprime * _shape(k, a, em1, kam1, singular),
+                       rocof)
 
 
 def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> FrequencyTrace:
@@ -247,5 +253,6 @@ def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> Fr
     if kind not in ("lag", "ramp"):
         raise InvalidInputError(f"kind must be 'lag' or 'ramp', got {kind!r}")
     times = np.arange(n + 1, dtype=float)
-    times *= dt
-    return FrequencyTrace(t0=0.0, dt=dt, samples=_delta_f(sc, _of_kind(bands, kind), times))
+    times *= dt  # a grid built here needs no time check
+    samples = _delta_f(sc, _of_kind(bands, kind), _require_damping(sc), times)
+    return FrequencyTrace(t0=0.0, dt=dt, samples=samples)

@@ -128,8 +128,8 @@ class DerivedParams:
 
 
 def derive_params(sc: SystemConditions) -> DerivedParams:
-    """Compute D' = D * P_load and H = KE / f_n."""
-    return DerivedParams(sc.dprime, sc.h)
+    """Compute D' = D * P_load and H = KE / f_n, the properties' products, from the fields."""
+    return DerivedParams(sc.d * sc.p_load, sc.ke / sc.f_n)
 
 
 @_record
@@ -146,9 +146,8 @@ class LagBand:
             raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
 
     def _delivered(self, arr, out):
-        """pfr * (1 - exp(-arr/tau)), written into out."""
-        np.negative(arr, out=out)
-        out /= self.tau
+        """pfr * (1 - exp(-arr/tau)), written into out; arr/-tau has -arr/tau's bits."""
+        np.divide(arr, -self.tau, out=out)
         np.exp(out, out=out)
         np.subtract(1.0, out, out=out)
         out *= self.pfr
@@ -180,9 +179,9 @@ class RampBand:
 
 
 def _as_times(t):
-    """Validate t >= 0 and return (array, was_scalar)."""
+    """Validate t >= 0 in one pass (fmin skips NaN; -0.0 passes); return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
+    if arr.size and np.fmin.reduce(arr, axis=None) < 0:
         raise InvalidInputError("time must be >= 0")
     return arr, arr.ndim == 0
 

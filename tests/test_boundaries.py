@@ -284,3 +284,39 @@ class TestMagnitudeGridCheck:
             "--pfr-max", "1e200", "--pfr-step", "5e199", "--out", str(out)])) == 1
         assert capsys.readouterr().err.startswith("error: pfr grid: the ratio ")
         assert not out.exists()
+
+
+TINY_PFR1 = [(1e-200, 100.0), (1e-300, 1e300), (1e-160, 1.0)]
+
+
+class TestTinyPfr1Sensitivities:
+    """PFR1^2 underflows, or PFR2/PFR1^2 * exp(-b PFR2/PFR1) is inf * 0."""
+
+    @pytest.mark.parametrize("pfr1, pfr2", [*TINY_PFR1, (1e-200, 0.0), (5e-324, 0.0)])
+    def test_library_names_pfr1(self, pfr1, pfr2):
+        dp = DerivedParams(dprime=80.0, h=180.0)
+        surface = CANONICAL_SURFACE
+        for call in (lambda: applications.sensitivity_report(dp, -1.0, surface, pfr1, pfr2),
+                     lambda: applications.sensitivity_tau_bands(surface, pfr1, pfr2)):
+            with pytest.raises(InvalidInputError, match=r"^pfr1=.*: the tau model's derivatives"):
+                _no_warnings(call)
+
+    def test_library_keeps_finite_neighbours(self):
+        dp = DerivedParams(dprime=80.0, h=180.0)
+        report = applications.sensitivity_report(dp, -1.0, CANONICAL_SURFACE, 1e-150, 1.0)
+        assert report.dtau_dpfr1 == 0.0 and report.dtau_dpfr2 == 0.0
+        assert all(math.isfinite(v) for v in (report.dp_dtau, report.dp_dh, report.dp_dpfr1))
+
+    @pytest.mark.parametrize("pfr1, pfr2", TINY_PFR1)
+    def test_cli_exits_1(self, pfr1, pfr2, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max", "-1",
+                     "--pfr1", repr(pfr1), "--pfr2", repr(pfr2), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pfr1={pfr1!r}, pfr2={pfr2!r}: the tau model's derivatives")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_nan_pfr2_is_rejected_by_name(self):
+        with pytest.raises(InvalidInputError, match=r"^pfr2 must be >= 0, got nan$"):
+            applications.sensitivity_tau_bands(CANONICAL_SURFACE, 130.0, math.nan)

@@ -1,7 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sfrkit import (
     FrequencyTrace,
@@ -14,7 +18,7 @@ from sfrkit import (
     multi_lag_delta_f,
     total_pfr_value,
 )
-from sfrkit.model import apply_overrides, scenario_from_dict
+from sfrkit.model import _as_times, apply_overrides, scenario_from_dict
 
 
 class TestDeriveParams:
@@ -102,6 +106,31 @@ class TestPfrValues:
             total_pfr_value([LagBand(pfr=100, tau=0.4)], -0.1)
         with pytest.raises(InvalidInputError):
             total_pfr_value([RampBand(pfr=100, t_r=2)], np.array([0.0, -1.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                        elements=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1e-320]))))
+    @example(t=np.array([math.nan, -1.0]))
+    @example(t=np.array([-1.0, math.nan]))
+    @example(t=np.array([-0.0, math.nan]))
+    @example(t=np.empty((0, 3)))
+    @example(t=np.array(-0.0))
+    @example(t=np.array(math.nan))
+    @example(t=np.array(-5e-324))
+    def test_time_check_rejects_exactly_negative_elements(self, t):
+        negative = any(float(v) < 0 for v in t.ravel())
+        if negative:
+            with pytest.raises(InvalidInputError, match="^time must be >= 0$"):
+                _as_times(t)
+        else:
+            arr, scalar = _as_times(t)
+            assert arr.shape == t.shape and scalar == (t.ndim == 0)
+            np.testing.assert_array_equal(arr, t)
+
+    @pytest.mark.parametrize("t, scalar", [(0.5, True), (-0.0, True), ([], False),
+                                           ([0.0, 1.0], False), (math.nan, True)])
+    def test_time_check_accepts_python_values(self, t, scalar):
+        assert _as_times(t)[1] is scalar
 
     def test_two_band_values(self):
         fast, std = LagBand(130, 0.4), LagBand(80, 2.0)

@@ -1,12 +1,17 @@
 """The scalar screening path gives the same doubles as its one-expression forms.
 
-`lag_nadir` reads D', H and the band once, `sensitivity_report` takes ln A
-once, `equivalent_tau` does its arithmetic on a Python float and `_field`
-returns a finite float at once. Each reference below writes the earlier
-one-expression form of the same arithmetic, in the same order, so every
+Each public call of the screening path does its ratio algebra in one frame:
+`lag_nadir` reads every field of the system and the band once,
+`derive_params` reads the fields instead of the properties, `max_contingency`
+forms D' and A itself, `canonical_equivalent` evaluates the common case
+PFR1 > 0, PFR2 >= 0 directly and `sensitivity_report` checks PFR1 and PFR2
+once, forms -b*PFR2/PFR1 once and takes ln A once. `_field` returns a finite
+float at once. Each reference below writes the earlier one-expression form of
+the same arithmetic, through the properties and in the same order, so every
 rounding step is the same and the results must agree bit for bit (signed
 zeros included) across the (K, A) plane: the A = 1 and B = 0 guard bands and
-over-frequency mirrors included.
+over-frequency mirrors included. The precedence tests pin which message wins
+when an input breaks two rules at once.
 """
 import math
 
@@ -28,11 +33,13 @@ from sfrkit import (
     TauSurfaceModel,
     asymptotic_max_contingency,
     canonical_equivalent,
+    derive_params,
     equivalent_tau,
     lag_nadir,
     max_contingency,
     required_ffr_share,
     sensitivity_report,
+    sensitivity_tau_bands,
 )
 from sfrkit.model import scenario_from_dict
 
@@ -188,6 +195,78 @@ class TestContingencyCap:
         assert _bits(got) == _bits(want)
 
 
+class TestDeriveParams:
+    @settings(max_examples=300, deadline=None)
+    @given(f_n=st.floats(1e-3, 1e3), ke=st.floats(1e-3, 1e12), p_load=st.floats(1e-3, 1e9),
+           d=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)), p_cont=st.floats(-1e4, 1e4))
+    @example(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=300.0)
+    @example(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.0, p_cont=-0.0)
+    def test_matches_the_properties(self, f_n, ke, p_load, d, p_cont):
+        sc = SystemConditions(f_n=f_n, ke=ke, p_load=p_load, d=d, p_cont=p_cont)
+        dp = derive_params(sc)
+        assert type(dp) is DerivedParams
+        assert _bits(dp.dprime, dp.h) == _bits(sc.dprime, sc.h)
+
+    def test_overflowing_inertia_is_rejected_as_before(self):
+        sc = SystemConditions(f_n=1e-10, ke=1e308, p_load=2000.0, d=0.04, p_cont=300.0)
+        with pytest.raises(InvalidInputError, match="^h must be finite and > 0, got inf$"):
+            derive_params(sc)
+
+
+class TestCapFallback:
+    """max_contingency -> asymptotic_max_contingency, as the screen and fig9 call them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sys_params=systems, k=st.floats(0.3, 6.0),
+           b=st.one_of(st.floats(-0.95, -1e-6), st.floats(-2e-9, 2e-9)),
+           delta_f_max=st.floats(0.2, 2.0), over=st.booleans())
+    @example(sys_params=(2500.0, 0.04, 7000.0), k=1.0 / 0.7, b=0.0, delta_f_max=1.25, over=False)
+    @example(sys_params=(2500.0, 0.04, 7000.0), k=1.0 / 0.7, b=-0.5, delta_f_max=1.25, over=True)
+    @example(sys_params=(2500.0, 0.04, 7000.0), k=0.8, b=-0.1, delta_f_max=1.25, over=False)
+    def test_matches_the_one_expression_form(self, sys_params, k, b, delta_f_max, over):
+        dp = derive_params(_system(sys_params, 300.0))
+        a = 1.0 + (b - 1.0) / k  # B = 1 + K(A - 1) = b, up to rounding
+        assume(a > 0)
+        tau = a * 2.0 * dp.h / dp.dprime
+        limit = delta_f_max if over else -delta_f_max
+        b_exact = 1.0 + k * (dp.dprime * tau / (2.0 * dp.h) - 1.0)
+        assume(b_exact <= B_EPS)
+        policy = SecurityPolicy(k, limit)
+        want = None if k <= 1.0 else limit / (1.0 / k - 1.0) * dp.dprime
+        if b_exact < -B_EPS:  # asymptotic: max_contingency points to the fallback
+            with pytest.raises(BranchError, match="use asymptotic_max_contingency"):
+                max_contingency(dp, policy, tau)
+            if want is None:
+                with pytest.raises(BranchError, match="^unbounded"):
+                    asymptotic_max_contingency(dp, k, limit)
+                return
+            got = asymptotic_max_contingency(dp, k, limit)
+        else:  # the boundary: both branches meet in the asymptotic cap
+            if want is None:
+                with pytest.raises(BranchError, match="^unbounded"):
+                    max_contingency(dp, policy, tau)
+                return
+            got = max_contingency(dp, policy, tau)
+        assert _bits(got) == _bits(want)
+        assert _bits(screen_cap(dp, policy, tau)) == _bits(ref_cap(dp, k, limit, tau))
+
+    def test_validation_order_is_unchanged(self):
+        flat = DerivedParams(dprime=0.0, h=140.0)
+        dp = DerivedParams(dprime=100.0, h=140.0)
+        policy = SecurityPolicy(1.0 / 0.7, -1.25)
+        # D' before tau, tau before the branch
+        with pytest.raises(InvalidInputError, match="^D' = d"):
+            max_contingency(flat, policy, 0.0)
+        with pytest.raises(InvalidInputError, match="^D' = d"):
+            max_contingency(flat, policy, math.nan)
+        with pytest.raises(InvalidInputError, match="^tau must be > 0, got nan$"):
+            max_contingency(dp, policy, math.nan)
+        with pytest.raises(InvalidInputError, match="^tau must be > 0, got -0.3$"):
+            max_contingency(dp, policy, -0.3)
+        with pytest.raises(InvalidInputError, match="^D' = d"):
+            asymptotic_max_contingency(flat, 0.5, -1.25)
+
+
 class TestEquivalentBand:
     @settings(max_examples=300, deadline=None)
     @given(pfr1=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), pfr2=st.floats(0.0, 1e3))
@@ -218,6 +297,31 @@ class TestEquivalentBand:
         assert equivalent_tau(model, 0.0, 210.0, single_band_passthrough=False) == \
             model.a + model.tau1
 
+    @pytest.mark.parametrize("pfr1, pfr2, message", [
+        (-1.0, -1.0, "band magnitudes must be >= 0"),
+        (-1.0, math.inf, "band magnitudes must be >= 0"),
+        (math.nan, -1.0, "band magnitudes must be >= 0"),
+        (0.0, 0.0, "at least one band magnitude must be > 0"),
+        (-0.0, 0.0, "at least one band magnitude must be > 0"),
+        # the record's magnitude check comes before its tau check
+        (math.inf, math.inf, "pfr_eq must be finite and >= 0, got inf"),
+        (math.nan, 80.0, "pfr_eq must be finite and >= 0, got nan"),
+        (130.0, math.nan, "pfr_eq must be finite and >= 0, got nan"),
+        (0.0, math.inf, "pfr_eq must be finite and >= 0, got inf"),
+        (1e308, 1e308, "pfr_eq must be finite and >= 0, got inf"),
+    ])
+    def test_validation_order_is_unchanged(self, pfr1, pfr2, message):
+        with pytest.raises(InvalidInputError) as err:
+            canonical_equivalent(pfr1, pfr2)
+        assert str(err.value) == message
+
+    def test_passthrough_branches_are_unchanged(self):
+        assert canonical_equivalent(0.0, 210.0) == canonical_equivalent(-0.0, 210.0)
+        assert canonical_equivalent(0.0, 210.0).tau_eq == CANONICAL_SURFACE.tau2
+        band = canonical_equivalent(0.0, 210.0, single_band_passthrough=False)
+        assert band.tau_eq == CANONICAL_SURFACE.a + CANONICAL_SURFACE.tau1
+        assert _bits(canonical_equivalent(130.0, -0.0).tau_eq) == _bits(CANONICAL_SURFACE.tau1)
+
 
 class TestSensitivityReport:
     @settings(max_examples=300, deadline=None)
@@ -232,6 +336,25 @@ class TestSensitivityReport:
         want = ref_sensitivity(dp, delta_f_max, CANONICAL_SURFACE, pfr1, pfr2)
         assert _bits(got.dp_dtau, got.dp_dh, got.dtau_dpfr1, got.dtau_dpfr2,
                      got.dp_dpfr1, got.dp_dpfr2) == _bits(*want)
+        assert _bits(*sensitivity_tau_bands(CANONICAL_SURFACE, pfr1, pfr2)) == _bits(*want[2:4])
+
+    @pytest.mark.parametrize("dprime, pfr1, pfr2, message", [
+        # the magnitudes come first, then D', tau, PFR1 > 0 and finite derivatives
+        (0.0, -1.0, 80.0, "^band magnitudes must be >= 0$"),
+        (0.0, 0.0, 0.0, "^at least one band magnitude must be > 0$"),
+        (0.0, 0.0, 80.0, "^D' = d"),
+        (0.0, 1e-200, 100.0, "^D' = d"),
+        (0.0, math.nan, 80.0, "^D' = d"),
+        (80.0, math.nan, 80.0, "^tau must be > 0, got nan$"),
+        (80.0, 130.0, math.nan, "^tau must be > 0, got nan$"),
+        (80.0, math.inf, math.inf, "^tau must be > 0, got nan$"),
+        (80.0, 0.0, 80.0, "^pfr1 must be > 0: the magnitude ratio is singular at 0$"),
+        (80.0, 1e-200, 100.0, "^pfr1=1e-200, pfr2=100.0: the tau model's derivatives are not "),
+    ])
+    def test_validation_order_is_unchanged(self, dprime, pfr1, pfr2, message):
+        dp = DerivedParams(dprime=dprime, h=180.0)
+        with pytest.raises(InvalidInputError, match=message):
+            sensitivity_report(dp, -1.0, CANONICAL_SURFACE, pfr1, pfr2)
 
 
 def _doc(**system):
