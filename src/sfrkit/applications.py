@@ -194,8 +194,14 @@ def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
 
 
 def _band_slopes(ab: float, pfr1: float, pfr2: float, decay: float):
-    """The pair from a*b and exp(-b*PFR2/PFR1); rejected, naming pfr1, if not finite."""
-    sq = pfr1**2
+    """The pair from a*b and exp(-b*PFR2/PFR1); rejected, naming pfr1, if not finite.
+
+    A PFR1^2 that overflows is inf, so dtau/dPFR1 reads -0.0 where dtau/dPFR2 is finite.
+    """
+    try:
+        sq = pfr1**2
+    except OverflowError:  # Python's float power raises instead of returning inf
+        sq = math.inf
     if sq > 0:
         d1 = -ab * pfr2 / sq * decay
         d2 = ab / pfr1 * decay

@@ -84,15 +84,18 @@ _B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
 # log-spaced knots of the b search, evaluated in one call: they bracket the
 # root at once, where the box's ends alone left 4-5 bisection steps
 _B_KNOTS = 64
+# the knots in log b, shared by every surface fit
+_LOG_B_KNOTS = np.linspace(math.log(_B_BOX[0]), math.log(_B_BOX[1]), _B_KNOTS)
 # log-spaced knots of the band fit from tau1 to tau2, evaluated in one call
 # with tau1/2 and 2*tau2: on the sweep pairs a fit then takes at most 6
 # evaluations, where tau1 and tau2 alone as inner knots took up to 13
 _TAU_KNOTS = 10
 _TAU_KNOT_EXPONENTS = np.linspace(0.0, 1.0, _TAU_KNOTS)
-# rows per block of the MAPE map. On the sweep grid (75 classes x 3001
-# samples, 2-vCPU x86-64 host) a map took about 3.5 ms in blocks of 8 rows,
-# 6 ms as one block of 75 rows, whose buffers fall out of cache, and 7 ms one
-# row at a time
+# rows per block of the MAPE map, built in two (8, n) buffers. On the sweep
+# grid (75 classes x 3001 samples, 2-vCPU x86-64 host) a map took about
+# 2.3-2.7 ms in blocks of 8 rows, 2.4-2.7 ms in blocks of 16, 4-4.3 ms as one
+# block of 75 rows, whose buffers fall out of cache, and 4.1-4.6 ms one row
+# at a time
 _MAP_BLOCK = 8
 
 
@@ -180,6 +183,8 @@ def _check_times(times: np.ndarray, tau2: float) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise InvalidInputError("time grid must contain at least two samples")
+    if not ((times >= 0.0) & (times < math.inf)).all():
+        raise InvalidInputError("time grid must hold finite sample times >= 0")
     if times[0] != 0.0 or times[-1] < 5.0 * tau2:
         raise InvalidInputError(f"time grid must span [0, {5.0 * tau2}] for tau2={tau2}")
     return times
@@ -344,8 +349,9 @@ def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
 
     a = <phi,y>/<phi,phi>, clipped at 0, for phi = 1 - exp(-b*ratio) and
     y = tau_eq - tau1, leaves a 1-D search in log b over [1e-6, 1e3], started
-    from _B_KNOTS log-spaced knots; a fit that is flat at the lower end, as
-    when every tau_eq is tau1, returns b = 1e-6 exactly. Returns (a, b, ssr).
+    from the _B_KNOTS log-spaced knots built once at import; a fit that is
+    flat at the lower end, as when every tau_eq is tau1, returns b = 1e-6
+    exactly. Returns (a, b, ssr).
     """
     y = tau_eqs - tau1
     # weighted vectors of the projections <phi,y>, <phi',phi> and <phi',y>
@@ -361,10 +367,8 @@ def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
         py_pos = np.maximum(py, 0.0)
         return py_pos * (e @ wry) * pp, py_pos * py * ((e * phi) @ wr)
 
-    lo, hi = _B_BOX
-    knots = np.linspace(math.log(lo), math.log(hi), _B_KNOTS)
-    log_b = _find_root(stationarity, knots, _XTOL_REL, "tau-surface fit")
-    b = lo if log_b == knots[0] else math.exp(log_b)
+    log_b = _find_root(stationarity, _LOG_B_KNOTS, _XTOL_REL, "tau-surface fit")
+    b = _B_BOX[0] if log_b == _LOG_B_KNOTS[0] else math.exp(log_b)
     phi = 1.0 - np.exp(-b * ratios)
     a = max(float((phi @ wy) / ((phi * phi) @ weights)), 0.0)
     res = y - a * phi
@@ -530,34 +534,39 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
 def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
     """MAPE of each representative (p1, p2), as _mape_arrays gives it for its row.
 
-    Rows are built _MAP_BLOCK at a time into three buffers reused across
-    blocks. When e1 and e2 are nondecreasing, as on any ascending time grid,
-    every row p1*e1 + p2*e2 (magnitudes >= 0) is nondecreasing from 0: its
-    peak is its last sample and it keeps a suffix of samples, located by
-    searchsorted. Where every row of a block keeps the same suffix [m:], the
-    relative error is taken in place on the slice [:, m:] and summed along
-    each row with the same pairwise sum as a 1-D array; any other grid or
-    block goes row by row through _mape_arrays.
+    Every class's equivalent band comes from canonical_equivalent once per
+    call, and (p1, p2, tau_eq, pfr_eq) are the columns of one (classes, 4)
+    array that each block slices. Rows are built _MAP_BLOCK at a time into two
+    buffers reused across blocks: p2*e2 goes into the approx buffer and is
+    added to p1*e1 in the exact buffer, the sum's bits in either order, before
+    the approx buffer takes the equivalent curve. When e1 and e2 are
+    nondecreasing, as on any ascending time grid, every row p1*e1 + p2*e2
+    (magnitudes >= 0) is nondecreasing from 0: its peak is its last sample and
+    it keeps a suffix of samples, located by searchsorted. Where every row of
+    a block keeps the same suffix [m:], the relative error is taken in place
+    on the slice [:, m:] and summed along each row with the same pairwise sum
+    as a 1-D array; any other grid or block goes row by row through
+    _mape_arrays.
     """
     e1 = 1.0 - np.exp(-t / model.tau1)
     e2 = 1.0 - np.exp(-t / model.tau2)
-    monotone = bool(np.all(e1[1:] >= e1[:-1]) and np.all(e2[1:] >= e2[:-1]))
+    monotone = bool((e1[1:] >= e1[:-1]).all() and (e2[1:] >= e2[:-1]).all())
     neg_t = -t
+    eqs = [canonical_equivalent(p1, p2, model) for p1, p2 in reps]
+    columns = np.array([(p1, p2, eq.tau_eq, eq.pfr_eq) for (p1, p2), eq in zip(reps, eqs)])
     shape = (min(_MAP_BLOCK, len(reps)), len(t))
-    exact_buf, approx_buf, work_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    exact_buf, approx_buf = np.empty(shape), np.empty(shape)
     values = []
     for start in range(0, len(reps), _MAP_BLOCK):
-        block = reps[start:start + _MAP_BLOCK]
-        rows = len(block)
-        exact, approx, work = exact_buf[:rows], approx_buf[:rows], work_buf[:rows]
-        eqs = [canonical_equivalent(p1, p2, model) for p1, p2 in block]
-        np.multiply(np.array([[p1] for p1, _ in block]), e1, out=exact)
-        np.multiply(np.array([[p2] for _, p2 in block]), e2, out=work)
-        exact += work
-        np.divide(neg_t, np.array([[eq.tau_eq] for eq in eqs]), out=approx)
+        block = columns[start:start + _MAP_BLOCK]
+        exact, approx = exact_buf[:len(block)], approx_buf[:len(block)]
+        np.multiply(block[:, 1:2], e2, out=approx)
+        np.multiply(block[:, 0:1], e1, out=exact)
+        exact += approx
+        np.divide(neg_t, block[:, 2:3], out=approx)
         np.exp(approx, out=approx)
         np.subtract(1.0, approx, out=approx)
-        approx *= np.array([[eq.pfr_eq] for eq in eqs])
+        approx *= block[:, 3:4]
 
         m = _kept_suffix(exact) if monotone else None
         if m is not None:
@@ -578,10 +587,11 @@ def _kept_suffix(rows: np.ndarray):
     its last sample and its kept samples are a suffix. Every row keeps the
     first row's suffix when its samples m - 1 and m straddle its threshold;
     m = 0 cannot occur, and would read the kept last sample and give None.
+    Both checks use the boolean arrays' own all(), without np.all's dispatch.
     """
     low = np.maximum(MAPE_EXCLUSION_REL * rows[:, -1], _MAPE_FLOOR)
     m = int(np.searchsorted(rows[0], low[0]))
-    if m < rows.shape[1] and np.all(rows[:, m] >= low) and np.all(rows[:, m - 1] < low):
+    if m < rows.shape[1] and (rows[:, m] >= low).all() and (rows[:, m - 1] < low).all():
         return m
     return None
 

@@ -707,6 +707,25 @@ class TestMapeMapBlocks:
         want = per_cell_mape_map(tau1, tau2, grid, model, t)
         assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
 
+    @pytest.mark.parametrize("tau1, tau2", [(0.95, 1.0), (0.3, 2.5)])
+    def test_sweep_cell_matches_per_cell_recomputation(self, tau1, tau2, monkeypatch):
+        # one benchmark reduce operation: the sweep grid, default times and a
+        # fresh surface give 75 classes, nine full blocks and a 3-row last one
+        grid = bandfit.DEFAULT_SWEEP_PFR_GRID
+        model = build_tau_surface(tau1, tau2, pfr_grid=grid)
+        classes = []
+        class_mapes = bandfit._class_mapes
+
+        def counting(reps, *args):
+            classes.append(len(reps))
+            return class_mapes(reps, *args)
+
+        monkeypatch.setattr(bandfit, "_class_mapes", counting)
+        report = mape_map(tau1, tau2, pfr_grid=grid, model=model)
+        assert classes == [75] and divmod(75, bandfit._MAP_BLOCK) == (9, 3)
+        want = per_cell_mape_map(tau1, tau2, grid, model, bandfit.default_fit_times(tau2))
+        assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
+
 
 SURFACE_FIELDS = dict(a=1.3, b=0.6, tau1=0.4, tau2=2.0, rms_residual=0.01, pfr_plane_dev=0.005)
 BAND_FIELDS = dict(pfr_eq=210.0, tau_eq=0.8, fit_residual=1.0)

@@ -1,6 +1,7 @@
 """Input boundaries: finite record fields, the surface pair rule, stray errors in main."""
 import argparse
 import inspect
+import json
 import math
 import time
 import warnings
@@ -320,3 +321,82 @@ class TestTinyPfr1Sensitivities:
     def test_nan_pfr2_is_rejected_by_name(self):
         with pytest.raises(InvalidInputError, match=r"^pfr2 must be >= 0, got nan$"):
             applications.sensitivity_tau_bands(CANONICAL_SURFACE, 130.0, math.nan)
+
+
+class TestHugePfr1Sensitivities:
+    """PFR1^2 overflows, yet both tau-model derivatives are finite."""
+
+    def test_library_gives_finite_slopes(self):
+        dp = DerivedParams(dprime=80.0, h=180.0)
+        surface = CANONICAL_SURFACE
+        decay = math.exp(-surface.b * 100.0 / 1e200)
+        want = surface.a * surface.b / 1e200 * decay
+        report = _no_warnings(lambda: applications.sensitivity_report(dp, -1.0, surface,
+                                                                      1e200, 100.0))
+        d1, d2 = _no_warnings(lambda: applications.sensitivity_tau_bands(surface, 1e200, 100.0))
+        for slope1, slope2 in ((report.dtau_dpfr1, report.dtau_dpfr2), (d1, d2)):
+            assert slope1 == 0.0 and math.copysign(1.0, slope1) == -1.0
+            assert slope2 == want and slope2 > 0.0
+
+    def test_finite_square_keeps_its_bits(self):
+        surface = CANONICAL_SURFACE
+        pfr1, pfr2 = 1e150, 3e150  # PFR1^2 = 1e300 is finite
+        decay = math.exp(-surface.b * pfr2 / pfr1)
+        ab = surface.a * surface.b
+        assert applications.sensitivity_tau_bands(surface, pfr1, pfr2) == (
+            -ab * pfr2 / pfr1**2 * decay, ab / pfr1 * decay)
+
+    def test_cli_exits_0(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max", "-1",
+                     "--pfr1", "1e200", "--pfr2", "100", "--out", str(out)]) == 0
+        analytic = json.loads(out.read_text())["analytic"]
+        assert math.copysign(1.0, analytic["dtau_dpfr1_s_per_mw"]) == -1.0
+        assert analytic["dtau_dpfr1_s_per_mw"] == 0.0
+        assert 0.0 < analytic["dtau_dpfr2_s_per_mw"] < 1e-199
+
+    def test_cli_tiny_pfr1_still_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max", "-1",
+                     "--pfr1", "1e-200", "--pfr2", "100", "--out", str(out)]) == 1
+        assert "the tau model's derivatives are not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+BAD_TIMES = [[0.0, 1.0, math.nan, 10.0], [0.0, 1.0, math.inf, 10.0], [0.0, -1.0, 5.0, 10.0]]
+TIME_GRID_FITS = {
+    "build_tau_surface": lambda t: build_tau_surface(0.4, 2.0, pfr_grid=[20.0, 40.0], times=t),
+    "mape_map": lambda t: mape_map(0.4, 2.0, pfr_grid=[20.0, 40.0], times=t),
+    "fit_equivalent_band": lambda t: bandfit.fit_equivalent_band(
+        bandfit.TwoBandPfr(LagBand(20.0, 0.4), LagBand(40.0, 2.0)), times=t),
+}
+
+
+class TestTimeGridCheck:
+    @pytest.mark.parametrize("times", BAD_TIMES, ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("fit", list(TIME_GRID_FITS))
+    def test_library_names_the_time_grid_before_any_work(self, fit, times, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected time grid must not be fitted or mapped")
+
+        monkeypatch.setattr(bandfit, "_fit_lag_bands", no_work)
+        monkeypatch.setattr(bandfit, "_class_mapes", no_work)
+        with pytest.raises(InvalidInputError, match="^time grid must hold finite sample times"):
+            _no_warnings(lambda: TIME_GRID_FITS[fit](times))
+
+    @pytest.mark.parametrize("fit", list(TIME_GRID_FITS))
+    def test_finite_unsorted_grid_accepted(self, fit):
+        _no_warnings(lambda: TIME_GRID_FITS[fit]([0.0, 10.0, 3.0, 0.0, 0.3, 1.0, 10.0]))
+
+    @pytest.mark.parametrize("args", [["mape-map"],
+                                      ["fit-surface", "--tau1", "0.4", "--tau2", "2"]])
+    def test_cli_default_grid_is_not_rechecked(self, args, monkeypatch, tmp_path):
+        # the CLI takes no time grid, and the default one needs no check
+        def no_check(*args, **kwargs):
+            raise AssertionError("the default time grid must not be checked")
+
+        monkeypatch.setattr(bandfit, "_check_times", no_check)
+        out = tmp_path / "out"
+        assert main([*args, "--pfr-min", "20", "--pfr-max", "40", "--pfr-step", "20",
+                     "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
