@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .bandfit import TauSurfaceModel, _tau_at, equivalent_tau
 from .closedform import (_NO_DAMPING, ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _k_ratio,
                          _require_damping, _shape)
@@ -43,6 +45,13 @@ __all__ = [
 WEM_K_POLICY = 1.0 / 0.7
 # relative step of the central differences
 _FD_REL_STEP = 1e-5
+# |A - 1| within which the K = 1 bracket (A - 1 - A ln A)/(A - 1)^2 is its
+# series sum_{k>=2} (-1)^(k+1) (A - 1)^(k-2) / (k(k-1)). Against 60-digit
+# references the closed form is off by up to 3e-15 relative just outside the
+# band and by 3e-13 at |A - 1| = 1e-3; the terms k = 2..16, highest power
+# first, leave under 1e-17 of the bracket at the band's edge
+_K1_BRACKET_BAND = 0.1
+_K1_BRACKET_SERIES = tuple((-1.0) ** (k + 1) / (k * (k - 1)) for k in range(16, 1, -1))
 
 
 @_record
@@ -153,13 +162,20 @@ def min_effective_tau(dp: DerivedParams, k: float) -> float:
 def _k1_factors(a: float):
     """A^(1/(A-1)) and (A - 1 - A ln A) / (A - 1)^2, from one ln A.
 
-    Both removable singularities at A = 1 (-> e and -1/2) are bridged by series.
+    Both removable singularities at A = 1 (-> e and -1/2) are bridged by
+    series: the power's within 1e-8 of A = 1, and the bracket's within
+    _K1_BRACKET_BAND, since its difference loses about eps/|A - 1| of itself.
     """
     em1 = a - 1.0
+    if abs(em1) > _K1_BRACKET_BAND:
+        ln_a = math.log(a)
+        return math.exp(ln_a / em1), (em1 - a * ln_a) / (em1 * em1)
+    bracket = 0.0  # the series, by Horner
+    for c in _K1_BRACKET_SERIES:
+        bracket = bracket * em1 + c
     if abs(em1) <= 1e-8:
-        return math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0), -0.5 + em1 / 6.0 - em1 * em1 / 12.0
-    ln_a = math.log(a)
-    return math.exp(ln_a / em1), (em1 - a * ln_a) / (em1 * em1)
+        return math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0), bracket
+    return math.exp(math.log(a) / em1), bracket
 
 
 def special_case_max_contingency(dp: DerivedParams, delta_f_max: float, tau: float) -> float:
@@ -233,7 +249,7 @@ def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceM
         sensitivity_pcont(dp, delta_f_max, equivalent_tau(model, pfr1, pfr2))
         sensitivity_tau_bands(model, pfr1, pfr2)
     x = -model.b * pfr2 / pfr1
-    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, _tau_at(model, x))
+    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, _tau_at(model, float(np.exp(x))))
     dtau_d1, dtau_d2 = _band_slopes(model.a * model.b, pfr1, pfr2, math.exp(x))
     return SensitivityReport(dp_dtau, dp_dh, dtau_d1, dtau_d2, dp_dtau * dtau_d1,
                              dp_dtau * dtau_d2)

@@ -23,11 +23,15 @@ tau2 <= 20 000 s.
 Approximation quality is reported as the mean absolute percentage error
 between the exact and equivalent response curves, per grid cell. It depends
 on a cell only through PFR2/PFR1, so cells that are power-of-two multiples of
-one another share one computation. The classes' curves are built a few rows at
-a time in reused buffers and reduced along each row, which gives every value
-the same bits as mape() on that cell alone. On an ascending time grid every
-curve rises monotonically from 0, so its peak is its last sample and the
-samples it keeps are a suffix, found by binary search.
+one another share one computation. The classes, their first cells as
+representatives and each cell's class are found in whole arrays over the
+flattened grid, and every class's tau comes from one numpy expression of the
+tau model, whose exp gives each element the bits of the scalar path. The
+classes' curves are built a few rows at a time in reused buffers and reduced
+along each row, which gives every value the same bits as mape() on that cell
+alone. On an ascending time grid every curve rises monotonically from 0, so
+its peak is its last sample and the samples it keeps are a suffix, found by
+binary search.
 """
 from __future__ import annotations
 
@@ -213,10 +217,11 @@ def _exp_sums(alpha, grid):
     if isinstance(grid, tuple):
         n, dt = grid
         x = alpha * dt
-        one_q = -np.expm1(-x)
-        q_n = np.exp(-n * x)
-        e = -np.expm1(-n * x) / one_q
-        f = dt * (np.exp(-x) - q_n * (1.0 + (n - 1) * one_q)) / one_q**2
+        neg_x, neg_nx = -x, -n * x
+        one_q = -np.expm1(neg_x)
+        q_n = np.exp(neg_nx)
+        e = -np.expm1(neg_nx) / one_q
+        f = dt * (np.exp(neg_x) - q_n * (1.0 + (n - 1) * one_q)) / one_q**2
         return e, f
     w = np.exp(-alpha[..., None] * grid)
     return w.sum(axis=-1), w @ grid
@@ -267,10 +272,12 @@ def _find_root(stationarity, knots, xtol, what):
         raise FitError(f"{what}: no sign change of the stationarity condition in the box")
     if not np.isfinite(g).all():
         raise FitError(f"{what}: non-finite stationarity condition")
-    k = np.argmax(g <= 0.0, axis=0)[None]
+    k = np.argmax(g <= 0.0, axis=0)
     j = np.maximum(k - 1, 0)
-    x1, f1 = np.take_along_axis(knots, k, 0)[0], np.take_along_axis(g, k, 0)[0]
-    x2, f2 = np.take_along_axis(knots, j, 0)[0], np.take_along_axis(g, j, 0)[0]
+    # each element's knots k and j, by plain indexing; 0-d elements index with k alone
+    at = np.indices(k.shape, sparse=True)
+    x1, f1 = knots[(k, *at)], g[(k, *at)]
+    x2, f2 = knots[(j, *at)], g[(j, *at)]
     x3, f3, t = x2, f2, 0.5
     done = (f1 == 0.0) | (abs(x2 - x1) <= xtol)
     steps = 0
@@ -440,19 +447,35 @@ def equivalent_tau(model: TauSurfaceModel, pfr1: float, pfr2: float,
         if pfr2 == 0:
             raise InvalidInputError("at least one band magnitude must be > 0")
         return float(model.tau2 if single_band_passthrough else model.a + model.tau1)
-    return _tau_at(model, -model.b * pfr2 / pfr1)
+    return _tau_at(model, float(np.exp(-model.b * pfr2 / pfr1)))
 
 
-def _tau_at(model: TauSurfaceModel, x: float) -> float:
-    """a * (1 - exp(x)) + tau1 at x = -b*PFR2/PFR1 as a float, with numpy's exp (not math's)."""
-    return model.a * (1.0 - float(np.exp(x))) + model.tau1
+def _tau_at(model: TauSurfaceModel, decay):
+    """The tau model a * (1 - decay) + tau1 at decay = exp(-b*PFR2/PFR1), a float or an array.
+
+    Every caller takes decay from numpy's exp (not math's), whose vector and
+    scalar forms give the same bits, so an array's taus are its elements'.
+    """
+    return model.a * (1.0 - decay) + model.tau1
+
+
+def _equivalent_taus(model: TauSurfaceModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """canonical_equivalent(p1, p2, model).tau_eq of each element, bit for bit.
+
+    Magnitudes are >= 0 and not both 0; PFR1 = 0 passes tau2 through, and
+    its ratio, which may read 0/0, is never used. A ratio that overflows gives
+    exp(-inf) = 0, and a tau that overflows is inf, as a float's are, without
+    a warning.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(p1 > 0, _tau_at(model, np.exp(-model.b * p2 / p1)), model.tau2)
 
 
 def canonical_equivalent(pfr1: float, pfr2: float, model: TauSurfaceModel = CANONICAL_SURFACE,
                          single_band_passthrough: bool = True) -> EquivalentBand:
     """Equivalent band of magnitude PFR1 + PFR2 and the model's tau, as equivalent_tau gives it."""
     if pfr1 > 0 and pfr2 >= 0:
-        return EquivalentBand(pfr1 + pfr2, _tau_at(model, -model.b * pfr2 / pfr1))
+        return EquivalentBand(pfr1 + pfr2, _tau_at(model, float(np.exp(-model.b * pfr2 / pfr1))))
     return EquivalentBand(pfr1 + pfr2, equivalent_tau(model, pfr1, pfr2, single_band_passthrough))
 
 
@@ -511,36 +534,49 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
     # A cell's MAPE and exclusion mask depend on its magnitudes only through
     # PFR2/PFR1, and a power-of-two rescaling of both magnitudes leaves every
     # rounding step unchanged. So each class of cells that are exact
-    # power-of-two multiples of one another is computed once, bit for bit.
-    classes = {}
-    cells = []
-    magnitudes = grid.tolist()
-    for p1 in magnitudes:
-        for p2 in magnitudes:
-            if p1 == 0 and p2 == 0:
-                continue
-            e = math.frexp(p1 + p2)[1]
-            key = (math.ldexp(p1, -e), math.ldexp(p2, -e))
-            cells.append((p1, p2, classes.setdefault(key, (p1, p2))))
-    if not cells:
+    # power-of-two multiples of one another is computed once, bit for bit. Its
+    # key is a cell scaled by 2^-e, e the exponent of PFR1 + PFR2, read as one
+    # complex number; a stable sort of the keys puts each class's first cell,
+    # its representative, first in its run.
+    n = len(grid)
+    cells = np.empty((n, n, 2))
+    cells[..., 0], cells[..., 1] = grid[:, None], grid
+    cells = cells.reshape(-1, 2)
+    with np.errstate(over="ignore"):  # an infinite PFR1 + PFR2 fails in _class_mapes
+        total = cells[:, 0] + cells[:, 1]
+    if not total.all():  # magnitudes are >= 0, so this leaves out PFR1 = PFR2 = 0
+        keep = total != 0.0
+        cells, total = cells[keep], total[keep]
+    if len(cells) == 0:
         raise InvalidInputError("pfr grid left no usable cells")
-    reps = list(classes.values())
-    values = dict(zip(reps, _class_mapes(reps, model, t)))
-    report = tuple(MapeCell(pfr1=p1, pfr2=p2, mape_pct=values[rep]) for p1, p2, rep in cells)
-    mapes = [c.mape_pct for c in report]
-    return MapeReport(cells=report, mean_pct=float(np.mean(mapes)), max_pct=float(np.max(mapes)))
+    keys = np.ldexp(cells, -np.frexp(total)[1][:, None]).view(complex)[:, 0]
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    # each cell's representative, then the representatives in cell order
+    rep = np.empty_like(order)
+    rep[order] = order[starts][starts.cumsum() - 1]
+    is_rep = rep == np.arange(len(rep))
+    mapes = _class_mapes(cells[is_rep], model, t)[is_rep.cumsum()[rep] - 1]
+    p1, p2 = cells.T.tolist()
+    return MapeReport(cells=tuple(map(MapeCell, p1, p2, mapes.tolist())),
+                      mean_pct=float(mapes.mean()), max_pct=float(mapes.max()))
 
 
-def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
-    """MAPE of each representative (p1, p2), as _mape_arrays gives it for its row.
+def _class_mapes(reps: np.ndarray, model: TauSurfaceModel, t: np.ndarray) -> np.ndarray:
+    """MAPE of each representative row (p1, p2) of reps, as _mape_arrays gives it for its row.
 
-    Every class's equivalent band comes from canonical_equivalent once per
-    call, and (p1, p2, tau_eq, pfr_eq) are the columns of one (classes, 4)
-    array that each block slices. Rows are built _MAP_BLOCK at a time into two
-    buffers reused across blocks: p2*e2 goes into the approx buffer and is
-    added to p1*e1 in the exact buffer, the sum's bits in either order, before
-    the approx buffer takes the equivalent curve. When e1 and e2 are
-    nondecreasing, as on any ascending time grid, every row p1*e1 + p2*e2
+    Every class's equivalent band is set up at once: tau_eq from one numpy
+    expression of the tau model, with canonical_equivalent's bits, and
+    pfr_eq = p1 + p2; (p1, p2, tau_eq, pfr_eq) are the columns of one
+    (classes, 4) array that each block slices. A band that is not finite
+    fails as canonical_equivalent fails it. Rows are built _MAP_BLOCK at a
+    time into two buffers reused across blocks: p2*e2 goes into the approx
+    buffer and is added to p1*e1 in the exact buffer, the sum's bits in either
+    order, before the approx buffer takes the equivalent curve. When e1 and e2
+    are nondecreasing, as on any ascending time grid, every row p1*e1 + p2*e2
     (magnitudes >= 0) is nondecreasing from 0: its peak is its last sample and
     it keeps a suffix of samples, located by searchsorted. Where every row of
     a block keeps the same suffix [m:], the relative error is taken in place
@@ -552,11 +588,18 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
     e2 = 1.0 - np.exp(-t / model.tau2)
     monotone = bool((e1[1:] >= e1[:-1]).all() and (e2[1:] >= e2[:-1]).all())
     neg_t = -t
-    eqs = [canonical_equivalent(p1, p2, model) for p1, p2 in reps]
-    columns = np.array([(p1, p2, eq.tau_eq, eq.pfr_eq) for (p1, p2), eq in zip(reps, eqs)])
+    columns = np.empty((len(reps), 4))
+    columns[:, :2] = reps
+    p1, p2 = reps.T
+    columns[:, 2] = _equivalent_taus(model, p1, p2)
+    with np.errstate(over="ignore"):
+        columns[:, 3] = p1 + p2
+    finite = np.isfinite(columns[:, 2:]).all(axis=1)
+    if not finite.all():  # raises for the first such class, naming its field
+        canonical_equivalent(*reps[finite.argmin()].tolist(), model)
     shape = (min(_MAP_BLOCK, len(reps)), len(t))
     exact_buf, approx_buf = np.empty(shape), np.empty(shape)
-    values = []
+    values = np.empty(len(reps))
     for start in range(0, len(reps), _MAP_BLOCK):
         block = columns[start:start + _MAP_BLOCK]
         exact, approx = exact_buf[:len(block)], approx_buf[:len(block)]
@@ -574,9 +617,9 @@ def _class_mapes(reps, model: TauSurfaceModel, t: np.ndarray) -> list:
             np.subtract(kept, rel, out=rel)
             np.divide(rel, kept, out=rel)
             np.abs(rel, out=rel)
-            values += (np.add.reduce(rel, axis=1) / rel.shape[1] * 100.0).tolist()
+            values[start:start + len(block)] = np.add.reduce(rel, axis=1) / rel.shape[1] * 100.0
         else:
-            values += [_mape_arrays(x, y) for x, y in zip(exact, approx)]
+            values[start:start + len(block)] = [_mape_arrays(x, y) for x, y in zip(exact, approx)]
     return values
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sfrkit import (
     special_case_max_contingency,
     universal_max_contingency_factor,
 )
+from sfrkit.applications import _K1_BRACKET_BAND, _k1_factors
 
 POLICY = SecurityPolicy(k_policy=WEM_K_POLICY, delta_f_max=-1.25)
 
@@ -210,6 +212,47 @@ class TestSpecialCase:
         for pert in (1 + 1e-6, 1 - 1e-6):
             near = special_case_max_contingency(security_dp, -1.25, 2.8 * pert)
             assert near == pytest.approx(exact, rel=1e-5)
+
+
+def decimal_k1_factors(a):
+    """A^(1/(A-1)) and (A - 1 - A ln A)/(A - 1)^2 at the double a, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_a = Decimal(a)
+        u, ln_a = big_a - 1, big_a.ln()
+        return float((ln_a / u).exp()), float((u - big_a * ln_a) / (u * u))
+
+
+class TestK1Factors:
+    # |A - 1| log-spaced up to 3 above A = 1 and up to 0.999 below it, the
+    # offsets where the closed-form bracket cancelled, and both band edges
+    EDGES = [1e-8, 1.01e-8, 1e-7, 1e-5, 1e-3, _K1_BRACKET_BAND,
+             math.nextafter(_K1_BRACKET_BAND, 1.0)]
+    OFFSETS = sorted({*np.geomspace(1e-12, 3.0, 400).tolist(),
+                      *(-u for u in np.geomspace(1e-12, 0.999, 400).tolist()),
+                      *EDGES, *(-u for u in EDGES)})
+
+    def test_against_decimal_references(self):
+        worst_power = worst_bracket = 0.0
+        for u in self.OFFSETS:
+            a = 1.0 + u
+            if a == 1.0:
+                continue
+            power, bracket = _k1_factors(a)
+            want_power, want_bracket = decimal_k1_factors(a)
+            worst_power = max(worst_power, abs(power - want_power) / want_power)
+            worst_bracket = max(worst_bracket, abs(bracket - want_bracket) / -want_bracket)
+        assert worst_bracket <= 1e-14
+        assert worst_power <= 1e-15
+
+    def test_limits_at_unity(self):
+        assert _k1_factors(1.0) == (math.e, -0.5)
+
+    def test_closed_form_kept_outside_the_band(self):
+        # about the A of sensitivities on lag_270mw.json, whose bytes stay
+        for a in (0.168, 0.5, 1.1000001, 4.0):
+            em1 = a - 1.0
+            assert _k1_factors(a)[1] == (em1 - a * math.log(a)) / (em1 * em1)
 
 
 class TestSensitivities:

@@ -701,6 +701,9 @@ class TestMapeMapBlocks:
                    (0.0, 1.0, 100.0, 1000.0), np.array([0.0, 1e-6, 0.3, 1.0, 3.0, 5.0, 10.0])))
     @example(case=(0.4, 2.0, CANONICAL_SURFACE, (0.0, 30.0, 50.0),
                    np.array([0.0, 10.0, 3.0, 0.0, 0.3, 1.0, 10.0])))
+    # an unsorted grid with a duplicate and a 0, on the default times
+    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (60.0, 0.0, 30.0, 30.0, 120.0),
+                   bandfit.default_fit_times(2.0)))
     def test_matches_per_cell_recomputation(self, case):
         tau1, tau2, model, grid, t = case
         report = mape_map(tau1, tau2, pfr_grid=grid, model=model, times=t)
@@ -725,6 +728,69 @@ class TestMapeMapBlocks:
         assert classes == [75] and divmod(75, bandfit._MAP_BLOCK) == (9, 3)
         want = per_cell_mape_map(tau1, tau2, grid, model, bandfit.default_fit_times(tau2))
         assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
+
+
+def map_classes(grid, model, monkeypatch):
+    """The (classes, 2) representatives that mape_map hands to _class_mapes."""
+    seen = []
+    class_mapes = bandfit._class_mapes
+
+    def recording(reps, *args):
+        seen.append(reps.copy())
+        return class_mapes(reps, *args)
+
+    monkeypatch.setattr(bandfit, "_class_mapes", recording)
+    mape_map(model.tau1, model.tau2, pfr_grid=grid, model=model)
+    return seen[0]
+
+
+def assert_taus_are_canonical_equivalents(model, p1, p2):
+    taus = bandfit._equivalent_taus(model, np.asarray(p1, float), np.asarray(p2, float))
+    assert taus.shape == np.shape(p1)
+    for x, y, tau in zip(np.ravel(p1).tolist(), np.ravel(p2).tolist(), taus.ravel().tolist()):
+        assert tau.hex() == canonical_equivalent(x, y, model).tau_eq.hex(), (x, y)
+
+
+class TestClassTaus:
+    """One numpy expression of the tau model gives every class canonical_equivalent's bits."""
+
+    @pytest.mark.parametrize("grid", [bandfit.DEFAULT_PFR_GRID, bandfit.DEFAULT_SWEEP_PFR_GRID])
+    @pytest.mark.parametrize("surface", ["canonical", "fitted"])
+    def test_every_class_of_the_default_grids(self, grid, surface, monkeypatch):
+        model = (CANONICAL_SURFACE if surface == "canonical"
+                 else build_tau_surface(0.3, 2.5, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID))
+        reps = map_classes(grid, model, monkeypatch)
+        assert len(reps) == {20: 300, 10: 75}[len(grid)]
+        assert_taus_are_canonical_equivalents(model, reps[:, 0], reps[:, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(magnitudes=st.lists(st.just(0.0) | st.floats(1e-3, 1e4) | st.floats(1e-300, 1e300),
+                               min_size=1, max_size=12),
+           a=st.floats(0.0, 5.0), b=st.floats(1e-6, 1e3))
+    def test_any_magnitudes_and_coefficients(self, magnitudes, a, b):
+        model = TauSurfaceModel(a=a, b=b, tau1=0.4, tau2=2.0)
+        grid = np.array(magnitudes)
+        p1, p2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+        keep = (p1 != 0) | (p2 != 0)
+        assert_taus_are_canonical_equivalents(model, p1[keep], p2[keep])
+
+
+class TestMapeMapSetUp:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_runs_clean(self):
+        # -b*1e300/1e-300 overflows to -inf, whose exp is 0, as in the scalar path
+        report = mape_map(0.4, 2.0, pfr_grid=(1e-300, 1e300, 3.0))
+        assert len(report.cells) == 9
+        assert all(math.isfinite(c.mape_pct) for c in report.cells)
+
+    @pytest.mark.filterwarnings("error")
+    def test_band_that_is_not_finite_fails_as_canonical_equivalent(self):
+        with pytest.raises(InvalidInputError, match="^pfr_eq must be finite and >= 0, got inf$"):
+            mape_map(0.4, 2.0, pfr_grid=(1e308, 1.7e308))
+        # a*(1 - exp(-1000)) + tau1 overflows
+        model = TauSurfaceModel(a=1.7e308, b=1e3, tau1=3e307, tau2=3e307)
+        with pytest.raises(InvalidInputError, match="^tau_eq must be finite and > 0, got inf$"):
+            mape_map(3e307, 3e307, pfr_grid=(10.0, 20.0), model=model, times=[0.0, 1.6e308])
 
 
 SURFACE_FIELDS = dict(a=1.3, b=0.6, tau1=0.4, tau2=2.0, rms_residual=0.01, pfr_plane_dev=0.005)

@@ -102,9 +102,14 @@ def ref_sensitivity(dp, delta_f_max, model, pfr1, pfr2):
     em1 = a - 1.0
     if abs(em1) <= 1e-8:
         power = math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0)
-        bracket = -0.5 + em1 / 6.0 - em1 * em1 / 12.0
     else:
         power = math.exp(math.log(a) / em1)
+    if abs(em1) <= 0.1:
+        # the series of the bracket in A - 1, terms k = 16 down to 2 by Horner
+        bracket = 0.0
+        for k in range(16, 1, -1):
+            bracket = bracket * em1 + (-1.0) ** (k + 1) / (k * (k - 1))
+    else:
         bracket = (em1 - a * math.log(a)) / (em1 * em1)
     common = bracket * power * dp.dprime * delta_f_max
     dp_dtau, dp_dh = -common / tau, common / dp.h
