@@ -49,7 +49,6 @@ from .closedform import (
     NadirResult,
     asymptotic_nadir,
     lag_nadir,
-    lag_nadir_time_from_ratios,
     max_rocof,
     multi_lag_delta_f,
     multi_ramp_delta_f,

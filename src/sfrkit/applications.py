@@ -61,9 +61,8 @@ class NadirConstants:
     k: float
     a: float
     b: float          # 1 + K(A-1); non-positive marks the asymptotic regime
-    c: float           # A/(A-1); NaN on the A = 1 singular set
+    c: float           # A/(A-1); NaN at A = 1 exactly
     asymptotic: bool   # B <= 0 (boundary included: the nadir time is infinite)
-    singular: bool     # |A - 1| within the guard band
 
 
 @_record
@@ -90,9 +89,9 @@ def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConsta
     """
     k = _k_ratio(sc.p_cont, LagBand(pfr, tau).pfr)
     a = _a_ratio(sc.dprime, sc.h, tau)
-    em1, kam1, branch, singular = _branch(k, a)
-    c = float("nan") if singular else a / em1
-    return NadirConstants(k, a, 1.0 + kam1, c, branch != INTERIOR_MINIMUM, singular)
+    em1, kam1, branch = _branch(k, a)
+    return NadirConstants(k, a, 1.0 + kam1, a / em1 if em1 else math.nan,
+                          branch != INTERIOR_MINIMUM)
 
 
 def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
@@ -101,11 +100,11 @@ def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
     The one place that tells the interior cap from the boundary, where the
     branches meet in the asymptotic cap, and from the asymptotic regime.
     """
-    em1, kam1, branch, singular = _branch(k, a)
+    em1, kam1, branch = _branch(k, a)
     if branch == ASYMPTOTIC:
         raise BranchError("asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency")
     if branch == INTERIOR_MINIMUM:
-        return k * scale * delta_f_max / _shape(k, a, em1, kam1, singular)
+        return k * scale * delta_f_max / _shape(k, a, em1, kam1)[1]
     return _asymptotic_cap(k, delta_f_max, scale)
 
 

@@ -84,6 +84,8 @@ _FLAT_REL = 1e-12
 # a fit needs at most 15 evaluations on the sweep grids, and bisection
 # alone would need about 50; more steps than this means a stalled search
 _MAX_STEPS = 100
+# every check of a boolean array is one reduction, without ndarray.all's Python-level wrapper
+_all = np.logical_and.reduce
 _B_BOX = (1e-6, 1e3)  # bounds on the surface coefficient b
 # log-spaced knots of the b search, evaluated in one call: they bracket the
 # root at once, where the box's ends alone left 4-5 bisection steps
@@ -257,10 +259,11 @@ def _find_root(stationarity, knots, xtol, what):
     the gap is exactly 0, so a direction that is flat at knots[0] settles
     there, or when its bracket is narrower than xtol. Done elements are
     evaluated again at their newest point, which moves nothing, and each root
-    is picked once, at exit; 0-d elements stay numpy scalars. Raises FitError
-    unless the box brackets a sign change, the condition is finite wherever it
-    is evaluated and every element is done within _MAX_STEPS evaluations after
-    the knots.
+    is picked once, at exit; 0-d elements stay numpy scalars. A non-finite
+    point also ends its element's search, so each step makes one check. Raises
+    FitError unless the box brackets a sign change, the condition is finite
+    wherever it is evaluated and every element is done within _MAX_STEPS
+    evaluations after the knots.
     """
     def gap(x):
         return _zeroed(*stationarity(x))
@@ -268,9 +271,9 @@ def _find_root(stationarity, knots, xtol, what):
     knots = np.asarray(knots, dtype=float)
     g = gap(knots)
     knots = np.broadcast_to(knots, g.shape)
-    if not (np.all(g[0] >= 0.0) and np.all(g[-1] <= 0.0)):
+    if not _all((g[0] >= 0.0) & (g[-1] <= 0.0), axis=None):
         raise FitError(f"{what}: no sign change of the stationarity condition in the box")
-    if not np.isfinite(g).all():
+    if not _all(np.isfinite(g), axis=None):
         raise FitError(f"{what}: non-finite stationarity condition")
     k = np.argmax(g <= 0.0, axis=0)
     j = np.maximum(k - 1, 0)
@@ -282,27 +285,27 @@ def _find_root(stationarity, knots, xtol, what):
     done = (f1 == 0.0) | (abs(x2 - x1) <= xtol)
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        while not done.all():
-            if steps == _MAX_STEPS:
-                raise FitError(f"{what}: no convergence in {_MAX_STEPS} steps")
+        while steps < _MAX_STEPS and not _all(done):
             steps += 1
             # x1 is the newest point, [x1, x2] the bracket, x3 the point x1 replaced
             x = _where(done, x1, x1 + t * (x2 - x1))
             f = gap(x)
-            if not np.isfinite(f).all():
-                raise FitError(f"{what}: non-finite stationarity condition")
             same = (f > 0.0) == (f1 > 0.0)
             x3, f3 = _where(same, x1, x2), _where(same, f1, f2)
             x2, f2 = _where(same, x2, x1), _where(same, f2, f1)
             x1, f1 = x, f
             width = abs(x2 - x1)
-            done = done | (f1 == 0.0) | (width <= xtol)
+            done = done | (f1 == 0.0) | (width <= xtol) | ~np.isfinite(f1)
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
             t = _where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
                        + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
             tl = 0.5 * xtol / width
             t = np.minimum(np.maximum(t, tl), 1.0 - tl)
+    if not _all(np.isfinite(f1)):
+        raise FitError(f"{what}: non-finite stationarity condition")
+    if not _all(done):
+        raise FitError(f"{what}: no convergence in {_MAX_STEPS} steps")
     return _where(abs(f1) <= abs(f2), x1, x2)
 
 
@@ -535,9 +538,10 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
     # PFR2/PFR1, and a power-of-two rescaling of both magnitudes leaves every
     # rounding step unchanged. So each class of cells that are exact
     # power-of-two multiples of one another is computed once, bit for bit. Its
-    # key is a cell scaled by 2^-e, e the exponent of PFR1 + PFR2, read as one
-    # complex number; a stable sort of the keys puts each class's first cell,
-    # its representative, first in its run.
+    # key is each magnitude's frexp mantissa and the difference of their
+    # exponents (0 where a magnitude is 0), which nothing can underflow; a
+    # stable sort of the keys puts each class's first cell, its
+    # representative, first in its run.
     n = len(grid)
     cells = np.empty((n, n, 2))
     cells[..., 0], cells[..., 1] = grid[:, None], grid
@@ -549,12 +553,13 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
         cells, total = cells[keep], total[keep]
     if len(cells) == 0:
         raise InvalidInputError("pfr grid left no usable cells")
-    keys = np.ldexp(cells, -np.frexp(total)[1][:, None]).view(complex)[:, 0]
-    order = keys.argsort(kind="stable")
+    mantissas, exponents = np.frexp(cells)
+    shift = exponents[:, 0] - exponents[:, 1]
+    shift[(mantissas == 0.0).any(axis=1)] = 0  # a zero magnitude has no exponent to compare
+    keys = np.column_stack((mantissas, shift))
+    order = np.lexsort(keys.T)
     ordered = keys[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
     # each cell's representative, then the representatives in cell order
     rep = np.empty_like(order)
     rep[order] = order[starts][starts.cumsum() - 1]
@@ -586,7 +591,7 @@ def _class_mapes(reps: np.ndarray, model: TauSurfaceModel, t: np.ndarray) -> np.
     """
     e1 = 1.0 - np.exp(-t / model.tau1)
     e2 = 1.0 - np.exp(-t / model.tau2)
-    monotone = bool((e1[1:] >= e1[:-1]).all() and (e2[1:] >= e2[:-1]).all())
+    monotone = bool(_all((e1[1:] >= e1[:-1]) & (e2[1:] >= e2[:-1])))
     neg_t = -t
     columns = np.empty((len(reps), 4))
     columns[:, :2] = reps
@@ -630,11 +635,10 @@ def _kept_suffix(rows: np.ndarray):
     its last sample and its kept samples are a suffix. Every row keeps the
     first row's suffix when its samples m - 1 and m straddle its threshold;
     m = 0 cannot occur, and would read the kept last sample and give None.
-    Both checks use the boolean arrays' own all(), without np.all's dispatch.
     """
     low = np.maximum(MAPE_EXCLUSION_REL * rows[:, -1], _MAPE_FLOOR)
     m = int(np.searchsorted(rows[0], low[0]))
-    if m < rows.shape[1] and (rows[:, m] >= low).all() and (rows[:, m - 1] < low).all():
+    if m < rows.shape[1] and _all((rows[:, m] >= low) & (rows[:, m - 1] < low)):
         return m
     return None
 

@@ -19,6 +19,10 @@ B > B_EPS, else the deviation decays monotonically to its settling value
 meet. `lag_nadir` applies the same rule in its own frame. The D' > 0 guard and
 the K and A checks live here too (a LagBand's tau needs none); `_delta_f`
 takes checked times, and `trace` builds its grid from model._grid_steps.
+
+A = 1 is a removable singularity of the lag term and the nadir. Their expm1
+and log1p forms keep every digit through it, and only A - 1 == 0 exactly takes
+the limit; the lag term factors out the larger exponential, so it never overflows.
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ __all__ = [
     "NadirResult",
     "multi_ramp_delta_f",
     "multi_lag_delta_f",
-    "lag_nadir_time_from_ratios",
     "nadir_shape_factor",
     "asymptotic_nadir",
     "max_rocof",
@@ -44,8 +47,6 @@ __all__ = [
     "trace",
 ]
 
-# relative guard for the removable singularities D'*tau = 2H (i.e. A = 1)
-REL_EPS = 1e-9
 # interior nadirs require B strictly positive; at B = 0 the nadir time is infinite
 B_EPS = 1e-9
 
@@ -83,16 +84,15 @@ def _a_ratio(dprime: float, h: float, tau: float) -> float:
 
 
 def _branch(k: float, a: float):
-    """(A - 1, K(A - 1), branch, singular) for scalar K and A.
+    """(A - 1, K(A - 1), branch) for scalar K and A.
 
-    branch is INTERIOR_MINIMUM, _BOUNDARY or ASYMPTOTIC; singular marks the
-    A = 1 guard band, where the limit expressions replace the general ones.
+    branch is INTERIOR_MINIMUM, _BOUNDARY or ASYMPTOTIC.
     """
     em1 = a - 1.0
     kam1 = k * em1
     b = 1.0 + kam1
     branch = INTERIOR_MINIMUM if b > B_EPS else _BOUNDARY if abs(b) <= B_EPS else ASYMPTOTIC
-    return em1, kam1, branch, abs(em1) <= REL_EPS
+    return em1, kam1, branch
 
 
 def _at_times(sc: SystemConditions, bands, t):
@@ -131,16 +131,19 @@ def _delta_f(sc: SystemConditions, bands, dprime: float, arr):
         work /= dprime
         out += work
     for band in lags:
-        denom = dprime * band.tau - 2.0 * h
-        if abs(denom) <= REL_EPS * 2.0 * h:  # removable singularity at D'*tau = 2H
+        tau = band.tau
+        em1 = dprime * tau / (2.0 * h) - 1.0  # A - 1
+        if em1 == 0.0:  # D'*tau = 2H: the limit pfr t E / 2H
             np.multiply(band.pfr, arr, out=work)
             work *= decay_exp
             work /= 2.0 * h
-        else:
-            np.divide(arr, -band.tau, out=work)  # -t/tau in one pass, the same bits
-            np.exp(work, out=work)
-            work -= decay_exp
-            work *= band.pfr * band.tau / denom
+        else:  # exp(-t/tau) - E = -sign(A - 1) E_big expm1(-|A - 1| t/tau), E_big the larger one
+            np.multiply(arr, -abs(em1) / tau, out=work)
+            if em1 < 0.0:
+                work += 0.0  # -0.0 at t = 0 becomes 0.0, the sign exp(-t/tau) - E has there
+            np.expm1(work, out=work)
+            work *= decay_exp if em1 < 0.0 else np.exp(arr / -tau)
+            work *= -band.pfr * tau / (2.0 * h * abs(em1))
         out -= work
     return out
 
@@ -178,35 +181,30 @@ def _k_ratio(p_cont: float, pfr: float) -> float:
     return k
 
 
-def _shape(k, a, em1, kam1, singular) -> float:
-    """nadir_shape_factor from the _branch values of an interior point."""
-    if singular:
-        return 1.0 - k - math.exp(-k)
-    ln_b = math.log1p(kam1)
-    c = a / em1
-    return (c + k - 1.0) * math.exp(-c * ln_b) - c * math.exp(-ln_b / em1) - k + 1.0
+def _shape(k: float, a: float, em1: float, kam1: float):
+    """(L, nadir_shape_factor) at an interior point: L = ln(B)/(A - 1), K where K(A - 1) == 0.
 
-
-def lag_nadir_time_from_ratios(sc: SystemConditions, band: LagBand) -> float:
-    """Algebraically equivalent nadir time tau * ln(B) / (A - 1), s."""
-    dprime = _require_damping(sc)
-    k, a = _k_ratio(sc.p_cont, band.pfr), _a_ratio(dprime, sc.h, band.tau)
-    em1, kam1, branch, singular = _branch(k, a)
-    if branch != INTERIOR_MINIMUM:
-        raise BranchError("no interior nadir: inputs are in the asymptotic regime")
-    return k * band.tau if singular else band.tau * math.log1p(kam1) / em1
+    With z = -(A - 1)L, B^(-C/A) = e^-L and B^-C = e^-L (1 + expm1(z)), so the
+    factor is -A L e^-L exprel(z) + (K - 1) e^-L (1 + expm1(z)) + 1 - K.
+    """
+    l = math.log1p(kam1) / em1 if kam1 else k
+    z = -em1 * l
+    decay = math.exp(-l)
+    g = math.expm1(z)
+    rel = g / z if z else 1.0
+    return l, -a * l * decay * rel + (k - 1.0) * decay * (1.0 + g) + 1.0 - k
 
 
 def nadir_shape_factor(k: float, a: float) -> float:
-    """(C + K - 1) B^-C - C B^(-C/A) - K + 1 for B > 0; limit 1 - K - e^-K at A = 1.
+    """(C + K - 1) B^-C - C B^(-C/A) - K + 1 for B > 0, in _shape's form (1 - K - e^-K at A = 1).
 
     Multiplying by PFR/D' gives the nadir deviation; it is negative whenever
     K > 0 (under- and over-frequency alike, by the sign convention).
     """
-    em1, kam1, branch, singular = _branch(k, a)
+    em1, kam1, branch = _branch(k, a)
     if branch != INTERIOR_MINIMUM:
         raise BranchError("shape factor undefined: inputs are in the asymptotic regime")
-    return _shape(k, a, em1, kam1, singular)
+    return _shape(k, a, em1, kam1)[1]
 
 
 def asymptotic_nadir(sc: SystemConditions, total_pfr: float) -> float:
@@ -223,11 +221,12 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     """Classify and evaluate the nadir for a single lag band.
 
     The one entry point for the nadir's time, depth and regime. An interior
-    nadir lies at ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'/2H - 1/tau), with
-    the limit K*tau at A = 1; otherwise the kind is ASYMPTOTIC, t_nadir is
-    None and the depth is the settling value. The settling value and RoCoF
-    use asymptotic_nadir's and max_rocof's expressions. Each field is read
-    once; the checks are _require_damping's and _k_ratio's, in that order.
+    nadir lies at tau L, L = ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'tau/2H - 1),
+    which is K*tau at A = 1; its depth is PFR/D' times _shape's factor.
+    Otherwise the kind is ASYMPTOTIC, t_nadir is None and the depth is the
+    settling value. The settling value and RoCoF use asymptotic_nadir's and
+    max_rocof's expressions. Each field is read once; the checks are
+    _require_damping's and _k_ratio's, in that order.
     """
     dprime = sc.d * sc.p_load
     if not dprime > 0:
@@ -241,10 +240,8 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     kam1 = k * em1
     if not 1.0 + kam1 > B_EPS:
         return NadirResult(ASYMPTOTIC, None, (pfr - p_cont) / dprime, rocof)
-    singular = abs(em1) <= REL_EPS
-    t_nadir = k * tau if singular else math.log1p(kam1) / (dprime / h2 - 1.0 / tau)
-    return NadirResult(INTERIOR_MINIMUM, t_nadir, pfr / dprime * _shape(k, a, em1, kam1, singular),
-                       rocof)
+    l, shape = _shape(k, a, em1, kam1)
+    return NadirResult(INTERIOR_MINIMUM, tau * l, pfr / dprime * shape, rocof)
 
 
 def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> FrequencyTrace:

@@ -2,6 +2,7 @@
 
 Run with -s to see the per-criterion PASS lines.
 """
+import math
 import time
 
 import numpy as np
@@ -22,7 +23,6 @@ from sfrkit import (
     build_tau_surface,
     integrate,
     lag_nadir,
-    lag_nadir_time_from_ratios,
     mape_map,
     mape_tau_sweep,
     max_contingency,
@@ -98,10 +98,11 @@ def test_03_nadir_identity_on_random_inputs():
         if result.kind != INTERIOR_MINIMUM:
             continue
         checked += 1
-        t_direct = result.t_nadir
-        t_ratio = lag_nadir_time_from_ratios(sc, band)
-        worst_time = max(worst_time, abs(t_direct - t_ratio) / abs(t_ratio))
-        curve = multi_lag_delta_f(sc, [band], t_direct)
+        # the paper's direct form ln(B) / (D'/2H - 1/tau) against lag_nadir's tau ln(B)/(A - 1)
+        k, a = sc.p_cont / band.pfr, sc.dprime * band.tau / (2.0 * sc.h)
+        t_direct = math.log1p(k * (a - 1.0)) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau)
+        worst_time = max(worst_time, abs(result.t_nadir - t_direct) / abs(t_direct))
+        curve = multi_lag_delta_f(sc, [band], result.t_nadir)
         worst_dev = max(worst_dev, abs(result.delta_f_nadir - curve))
     assert worst_dev <= 1e-9
     assert worst_time <= 1e-12

@@ -44,7 +44,10 @@ class TestNadirConstants:
         assert nc.a == pytest.approx(4.0 / 9.0, rel=1e-15)
         assert nc.b == pytest.approx(0.3827160493827160, rel=1e-12)
         assert nc.c == pytest.approx(-0.8, rel=1e-12)
-        assert not nc.asymptotic and not nc.singular
+        assert not nc.asymptotic
+        # C = A/(A - 1) is NaN at A = 1 exactly, and finite one step away
+        assert math.isnan(nadir_constants(base_system, pfr=270.0, tau=4.5).c)
+        assert math.isfinite(nadir_constants(base_system, pfr=270.0, tau=4.5 + 1e-15).c)
 
     def test_matched_response_b_equals_a(self, base_system):
         sc = SystemConditions(f_n=50, ke=9000, p_load=2000, d=0.04, p_cont=250.0)

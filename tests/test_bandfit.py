@@ -566,6 +566,10 @@ class TestBracketedSearch:
         tau_eqs = 0.4 + 1.3 * (1.0 - np.exp(-0.6 * ratios))
         with pytest.raises(FitError, match="no convergence"):
             bandfit._fit_tau_model(0.4, ratios, np.ones(4), tau_eqs)
+        # a non-finite point fails the search as such, though another element is still open
+        with pytest.raises(FitError, match="non-finite"):
+            search(lambda x: (np.where((np.abs(x) < 0.3) & [True, False], np.nan, -x), 0.0 * x),
+                   [-1.0, -1.0], [1.0, 1.0 + 1e-3])
 
     def test_vector_search_contract(self):
         with pytest.raises(FitError, match="no sign change"):
@@ -660,6 +664,18 @@ class TestMapeMapSharedRows:
         values = [value for _, value in want]
         assert report.mean_pct == pytest.approx(float(np.mean(values)), rel=1e-12)
         assert report.max_pct == max(c.mape_pct for c in report.cells)
+
+    def test_class_keys_do_not_underflow(self):
+        # 1e-300 is about 2^-1993 of 1e300: a key scaled by the exponent of the
+        # sum read it as 0 and put (1e-300, 1e300) in the class of (0, 1e300)
+        grid = (0.0, 1e-300, 1e300)
+        report = mape_map(0.4, 2.0, pfr_grid=grid)
+        want = per_cell_mape_map(0.4, 2.0, grid, CANONICAL_SURFACE,
+                                 bandfit.default_fit_times(2.0))
+        assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
+        by_cell = {(c.pfr1, c.pfr2): c.mape_pct for c in report.cells}
+        assert by_cell[(1e-300, 1e300)] == 1.6318760604533769
+        assert by_cell[(0.0, 1e300)] == 0.0
 
 
 @st.composite

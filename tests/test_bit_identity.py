@@ -23,8 +23,6 @@ from sfrkit import (
 )
 from sfrkit import closedform
 
-REL_EPS = 1e-9  # closedform's guard band around D'*tau = 2H
-
 
 def ref_delta_f(sc, bands, t):
     """The closed-form deviation, one vector expression per term."""
@@ -42,11 +40,16 @@ def ref_delta_f(sc, bands, t):
     if ramps:
         out = out + rate_sum * arr / dprime
     for band in lags:
-        denom = dprime * band.tau - 2.0 * h
-        if abs(denom) <= REL_EPS * 2.0 * h:
+        em1 = dprime * band.tau / (2.0 * h) - 1.0
+        if em1 == 0.0:
             out = out - band.pfr * arr * decay_exp / (2.0 * h)
+            continue
+        x = arr * (-abs(em1) / band.tau)
+        if em1 < 0.0:
+            diff = np.expm1(x + 0.0) * decay_exp
         else:
-            out = out - band.pfr * band.tau / denom * (np.exp(-arr / band.tau) - decay_exp)
+            diff = np.expm1(x) * np.exp(arr / -band.tau)
+        out = out - diff * (-band.pfr * band.tau / (2.0 * h * abs(em1)))
     return out
 
 
@@ -120,8 +123,8 @@ def cases(draw, kinds=("lag", "ramp", "singular")):
         pfr = sign * draw(st.floats(0.0, 500.0))
         if kind == "lag":
             bands.append(LagBand(pfr, draw(st.floats(0.05, 10.0))))
-        elif kind == "singular":  # A = 1, inside the guard band
-            a = 1.0 + draw(st.floats(-REL_EPS / 2, REL_EPS / 2))
+        elif kind == "singular":  # within 5e-10 of A = 1
+            a = 1.0 + draw(st.floats(-5e-10, 5e-10))
             bands.append(LagBand(pfr, a * 2.0 * sc.h / sc.dprime))
         else:
             bands.append(RampBand(pfr, draw(st.floats(0.1, 10.0))))
@@ -141,6 +144,7 @@ class TestClosedFormTrace:
     @example(case=(BASE, [LagBand(270.0, 2.0)]), grid=(30.0, 0.001))
     @example(case=(MIRROR, [LagBand(-270.0, 2.0)]), grid=(30.0, 0.001))
     @example(case=(BASE, [LagBand(270.0, 4.5)]), grid=(5.0, 0.001))  # A = 1 exactly
+    @example(case=(MIRROR, [LagBand(-270.0, 4.5), LagBand(-20.0, 6.0)]), grid=(30.0, 0.001))
     def test_lag_trace(self, case, grid):
         sc, bands = case
         tr = closedform.trace(sc, bands, *grid, "lag")

@@ -17,7 +17,6 @@ from sfrkit import (
     asymptotic_nadir,
     integrate,
     lag_nadir,
-    lag_nadir_time_from_ratios,
     max_rocof,
     multi_lag_delta_f,
     multi_ramp_delta_f,
@@ -32,8 +31,8 @@ LAG_BAND = LagBand(pfr=270.0, tau=2.0)
 T_NADIR = 3.4576630206742536
 DF_NADIR = -0.9740344404076423
 
-# A across the plane, inside the A = 1 guard band (|A - 1| <= closedform.REL_EPS),
-# or just inside the interior side of B = 1 + K(A - 1) = 0
+# A across the plane, within 5e-10 of A = 1, or just inside the interior side of
+# B = 1 + K(A - 1) = 0
 NADIR_PLANE = st.one_of(
     st.tuples(st.just("plane"), st.floats(0.02, 6.0)),
     st.tuples(st.just("a1"), st.floats(-5e-10, 5e-10)),
@@ -188,9 +187,10 @@ class TestNadir:
             if result.kind != INTERIOR_MINIMUM:
                 continue
             checked += 1
-            t7 = result.t_nadir
-            t30 = lag_nadir_time_from_ratios(sc, band)
-            assert t7 == pytest.approx(t30, rel=1e-12)
+            # the paper's direct form ln(B) / (D'/2H - 1/tau)
+            k, a = sc.p_cont / band.pfr, sc.dprime * band.tau / (2.0 * sc.h)
+            t_direct = math.log1p(k * (a - 1.0)) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau)
+            assert result.t_nadir == pytest.approx(t_direct, rel=1e-12)
 
     def test_limit_branch_at_unity_ratio(self, base_system):
         # D'*tau = 2H exactly at tau = 4.5 -> t_nadir = K*tau
@@ -204,10 +204,7 @@ class TestNadir:
             assert abs(t - (300.0 / 270.0) * band.tau) <= 1e-5
 
     def test_asymptotic_branch_raises(self, base_system):
-        # lag_nadir reports the regime as data; the ratio forms have no value there
-        band = LagBand(pfr=210, tau=0.4)
-        with pytest.raises(BranchError):
-            lag_nadir_time_from_ratios(base_system, band)
+        # lag_nadir reports the regime as data; the shape factor has no value there
         with pytest.raises(BranchError):
             nadir_shape_factor(300.0 / 210.0, 80.0 * 0.4 / 360.0)
 
@@ -218,6 +215,7 @@ class TestNadir:
     @given(k=st.floats(0.1, 6.0), where=NADIR_PLANE, over=st.booleans())
     @example(k=300.0 / 270.0, where=("plane", 2.0 / 4.5), over=False)  # LAG_BAND
     @example(k=300.0 / 270.0, where=("a1", 0.0), over=True)
+    @example(k=0.5, where=("a1", 0.0), over=False)  # A = 1 exactly
     @example(k=2.0, where=("b0", 1e-9), over=False)
     def test_deviation_equals_curve_at_nadir_time(self, k, where, over):
         sc, band = _plane_point(k, where, over)
@@ -226,8 +224,6 @@ class TestNadir:
         curve = multi_lag_delta_f(sc, [band], result.t_nadir)
         assert math.isclose(result.delta_f_nadir, curve, rel_tol=1e-9, abs_tol=0.0)
 
-    @pytest.mark.xfail(strict=True, reason="just outside the A = 1 guard band the depth and "
-                       "the curve cancel terms of size 1/(A - 1); here they differ by 8.5e-8")
     def test_deviation_equals_curve_just_outside_unity_guard(self, base_system):
         band = LagBand(pfr=600.0, tau=4.5 * (1.0 + 1e-8))  # K = 0.5, A - 1 = 1e-8
         result = lag_nadir(base_system, band)

@@ -9,9 +9,9 @@ once, forms -b*PFR2/PFR1 once and takes ln A once. `_field` returns a finite
 float at once. Each reference below writes the earlier one-expression form of
 the same arithmetic, through the properties and in the same order, so every
 rounding step is the same and the results must agree bit for bit (signed
-zeros included) across the (K, A) plane: the A = 1 and B = 0 guard bands and
-over-frequency mirrors included. The precedence tests pin which message wins
-when an input breaks two rules at once.
+zeros included) across the (K, A) plane: A = 1 and its neighbourhood, the
+B = 0 guard band and over-frequency mirrors included. The precedence tests
+pin which message wins when an input breaks two rules at once.
 """
 import math
 
@@ -43,7 +43,6 @@ from sfrkit import (
 )
 from sfrkit.model import scenario_from_dict
 
-REL_EPS = 1e-9  # closedform's guard band around A = 1
 B_EPS = 1e-9    # closedform's guard band around B = 0
 
 
@@ -53,12 +52,14 @@ def _bits(*values):
 
 
 def ref_shape(k, a):
+    """(L, shape factor): L = ln(B)/(A - 1), K where K(A - 1) == 0, and the exprel form."""
     em1 = a - 1.0
-    if abs(em1) <= REL_EPS:
-        return 1.0 - k - math.exp(-k)
-    ln_b = math.log1p(k * em1)
-    c = a / em1
-    return (c + k - 1.0) * math.exp(-c * ln_b) - c * math.exp(-ln_b / em1) - k + 1.0
+    kam1 = k * em1
+    l = math.log1p(kam1) / em1 if kam1 != 0.0 else k
+    z = -em1 * l
+    exprel = math.expm1(z) / z if z != 0.0 else 1.0
+    return l, (-a * l * math.exp(-l) * exprel + (k - 1.0) * math.exp(-l) * (1.0 + math.expm1(z))
+               + 1.0 - k)
 
 
 def ref_lag_nadir(sc, band):
@@ -69,16 +70,15 @@ def ref_lag_nadir(sc, band):
     em1 = a - 1.0
     if not 1.0 + k * em1 > B_EPS:
         return ASYMPTOTIC, None, (band.pfr - sc.p_cont) / sc.dprime, rocof
-    t_nadir = k * band.tau if abs(em1) <= REL_EPS else (
-        math.log1p(k * em1) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau))
-    return INTERIOR_MINIMUM, t_nadir, band.pfr / sc.dprime * ref_shape(k, a), rocof
+    l, shape = ref_shape(k, a)
+    return INTERIOR_MINIMUM, band.tau * l, band.pfr / sc.dprime * shape, rocof
 
 
 def ref_cap(dp, k, delta_f_max, tau):
     """The screening cap: interior, else the asymptotic cap; None when unbounded."""
     a = dp.dprime * tau / (2.0 * dp.h)
     if 1.0 + k * (a - 1.0) > B_EPS:
-        return k * dp.dprime * delta_f_max / ref_shape(k, a)
+        return k * dp.dprime * delta_f_max / ref_shape(k, a)[1]
     if k <= 1.0:
         return None
     return delta_f_max / (1.0 / k - 1.0) * dp.dprime
@@ -131,7 +131,7 @@ def screen_cap(dp, policy, tau):
 
 
 systems = st.tuples(st.floats(1000.0, 4000.0), st.floats(0.01, 0.08), st.floats(2000.0, 20000.0))
-# A over the plane, inside the A = 1 guard band, or B = 1 + K(A - 1) inside the B = 0 guard
+# A over the plane, within 2e-9 of A = 1, or B = 1 + K(A - 1) inside the B = 0 guard
 a_values = st.one_of(
     st.tuples(st.just("plane"), st.floats(0.02, 6.0)),
     st.tuples(st.just("a1"), st.floats(-2e-9, 2e-9)),
@@ -159,6 +159,9 @@ class TestLagNadir:
     @example(sys_params=(2000.0, 0.04, 9000.0), k=300.0 / 270.0, where=("plane", 2.0 / 4.5),
              p_cont=300.0, over=False)
     @example(sys_params=(2000.0, 0.04, 9000.0), k=1.5, where=("a1", 0.0), p_cont=300.0, over=True)
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=0.5, where=("a1", 0.0), p_cont=300.0, over=False)
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=0.5, where=("a1", 1e-8), p_cont=300.0,
+             over=False)
     @example(sys_params=(2000.0, 0.04, 9000.0), k=2.0, where=("b0", 0.0), p_cont=300.0, over=False)
     def test_matches_the_one_expression_form(self, sys_params, k, where, p_cont, over):
         sign = -1.0 if over else 1.0
@@ -189,6 +192,8 @@ class TestContingencyCap:
              over=False)
     @example(sys_params=(2500.0, 0.04, 7000.0), k=1.0 / 0.7, where=("a1", 0.0), delta_f_max=0.5,
              over=True)
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=0.5, where=("a1", 0.0), delta_f_max=0.5,
+             over=False)
     def test_matches_the_one_expression_form(self, sys_params, k, where, delta_f_max, over):
         sc = _system(sys_params, 300.0)
         dp = DerivedParams(dprime=sc.dprime, h=sc.h)
