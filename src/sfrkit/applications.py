@@ -8,17 +8,16 @@ Everything here works in the ratio space
 
 so the results transfer between systems: the maximum allowable contingency is
 f(A, K) * D' for a universal factor f. None of these expressions iterate --
-A and K are independent of the contingency size under a fixed-K policy.
+A and K are independent of the contingency size under a fixed-K policy. B and
+the branch come from closedform's one frame, `_nadir_terms`, and the tau model
+from bandfit's one checked path, `equivalent_tau`.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .bandfit import TauSurfaceModel, _tau_at, equivalent_tau
-from .closedform import (_NO_DAMPING, ASYMPTOTIC, INTERIOR_MINIMUM, _a_ratio, _branch, _k_ratio,
-                         _require_damping, _shape)
+from .bandfit import TauSurfaceModel, equivalent_tau
+from .closedform import B_EPS, _a_ratio, _k_ratio, _nadir_terms, _require_damping
 from .errors import BranchError, InvalidInputError
 from .model import DerivedParams, LagBand, SystemConditions, _record
 
@@ -89,23 +88,25 @@ def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConsta
     """
     k = _k_ratio(sc.p_cont, LagBand(pfr, tau).pfr)
     a = _a_ratio(sc.dprime, sc.h, tau)
-    em1, kam1, branch = _branch(k, a)
-    return NadirConstants(k, a, 1.0 + kam1, a / em1 if em1 else math.nan,
-                          branch != INTERIOR_MINIMUM)
+    b, l, _ = _nadir_terms(k, a)
+    em1 = a - 1.0
+    return NadirConstants(k, a, b, a / em1 if em1 else math.nan, l is None)
 
 
 def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
     """f(A, K) * scale, with scale D' for the cap in MW and 1.0 for the factor.
 
-    The one place that tells the interior cap from the boundary, where the
-    branches meet in the asymptotic cap, and from the asymptotic regime.
+    _nadir_terms gives the interior cap's shape factor; where it gives none,
+    this is the one place that tells the boundary |B| <= B_EPS, where the
+    branches meet in the asymptotic cap, from the asymptotic regime (a NaN B
+    included).
     """
-    em1, kam1, branch = _branch(k, a)
-    if branch == ASYMPTOTIC:
-        raise BranchError("asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency")
-    if branch == INTERIOR_MINIMUM:
-        return k * scale * delta_f_max / _shape(k, a, em1, kam1)[1]
-    return _asymptotic_cap(k, delta_f_max, scale)
+    b, _, shape = _nadir_terms(k, a)
+    if shape is not None:
+        return k * scale * delta_f_max / shape
+    if abs(b) <= B_EPS:
+        return _asymptotic_cap(k, delta_f_max, scale)
+    raise BranchError("asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency")
 
 
 def _asymptotic_cap(k: float, delta_f_max: float, scale: float) -> float:
@@ -120,14 +121,10 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
 
     Requires A >= 1 - 1/K (interior-nadir branch); at the boundary the value
     equals the asymptotic cap, and below it BranchError points the caller to
-    asymptotic_max_contingency. D' and A are formed here, D' checked first.
+    asymptotic_max_contingency. D' is checked before tau.
     """
-    dprime = dp.dprime
-    if not dprime > 0:
-        raise InvalidInputError(_NO_DAMPING)
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    return _cap(policy.k_policy, dprime * tau / (2.0 * dp.h), policy.delta_f_max, dprime)
+    dprime = _require_damping(dp)
+    return _cap(policy.k_policy, _a_ratio(dprime, dp.h, tau), policy.delta_f_max, dprime)
 
 
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
@@ -200,19 +197,17 @@ def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
 
 
 def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
-    """(dtau/dPFR1, dtau/dPFR2) of the fitted tau model, s/MW; NaN pfr2 is rejected."""
+    """(dtau/dPFR1, dtau/dPFR2) of the fitted tau model, s/MW; NaN pfr2 is rejected.
+
+    Either pair that is not finite is rejected, naming pfr1. A PFR1^2 that
+    overflows is inf, so dtau/dPFR1 reads -0.0 where dtau/dPFR2 is finite.
+    """
     if not pfr1 > 0:
         raise InvalidInputError("pfr1 must be > 0: the magnitude ratio is singular at 0")
     if not pfr2 >= 0:
         raise InvalidInputError(f"pfr2 must be >= 0, got {pfr2}")
-    return _band_slopes(model.a * model.b, pfr1, pfr2, math.exp(-model.b * pfr2 / pfr1))
-
-
-def _band_slopes(ab: float, pfr1: float, pfr2: float, decay: float):
-    """The pair from a*b and exp(-b*PFR2/PFR1); rejected, naming pfr1, if not finite.
-
-    A PFR1^2 that overflows is inf, so dtau/dPFR1 reads -0.0 where dtau/dPFR2 is finite.
-    """
+    ab = model.a * model.b
+    decay = math.exp(-model.b * pfr2 / pfr1)
     try:
         sq = pfr1**2
     except OverflowError:  # Python's float power raises instead of returning inf
@@ -239,17 +234,14 @@ class SensitivityReport:
 
 def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                        pfr1: float, pfr2: float) -> SensitivityReport:
-    """sensitivity_pcont at equivalent_tau's tau, and sensitivity_tau_bands.
+    """sensitivity_pcont at equivalent_tau's tau, then sensitivity_tau_bands.
 
-    x = -b*PFR2/PFR1 is formed once: tau takes numpy's exp of it and the decay
-    math.exp, which can differ in the last bit.
+    Their checks run in that order. Both form -b*PFR2/PFR1 alike: tau takes
+    numpy's exp of it and the tau model's slopes math.exp, which can differ in
+    the last bit.
     """
-    if not (pfr1 > 0 and pfr2 >= 0):  # each such input fails a check here, in the usual order
-        sensitivity_pcont(dp, delta_f_max, equivalent_tau(model, pfr1, pfr2))
-        sensitivity_tau_bands(model, pfr1, pfr2)
-    x = -model.b * pfr2 / pfr1
-    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, _tau_at(model, float(np.exp(x))))
-    dtau_d1, dtau_d2 = _band_slopes(model.a * model.b, pfr1, pfr2, math.exp(x))
+    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, equivalent_tau(model, pfr1, pfr2))
+    dtau_d1, dtau_d2 = sensitivity_tau_bands(model, pfr1, pfr2)
     return SensitivityReport(dp_dtau, dp_dh, dtau_d1, dtau_d2, dp_dtau * dtau_d1,
                              dp_dtau * dtau_d2)
 

@@ -435,21 +435,19 @@ def build_tau_surface(tau1: float, tau2: float, pfr_grid=None, times=None) -> Ta
     )
 
 
-def equivalent_tau(model: TauSurfaceModel, pfr1: float, pfr2: float,
-                   single_band_passthrough: bool = True) -> float:
-    """Evaluate the tau model, s.
+def equivalent_tau(model: TauSurfaceModel, pfr1: float, pfr2: float) -> float:
+    """Evaluate the tau model, s: the one checked path for every caller.
 
-    PFR1 = 0 falls outside the model's ratio domain: by default the standard
-    band is passed through exactly (tau2); disabling the passthrough returns
-    the model's large-ratio asymptote a + tau1 instead. The result is a
-    Python float on every branch.
+    PFR1 = 0 falls outside the model's ratio domain: the standard band is
+    passed through exactly (tau2). The result is a Python float on every
+    branch.
     """
     if pfr1 < 0 or pfr2 < 0:
         raise InvalidInputError("band magnitudes must be >= 0")
     if pfr1 == 0:
         if pfr2 == 0:
             raise InvalidInputError("at least one band magnitude must be > 0")
-        return float(model.tau2 if single_band_passthrough else model.a + model.tau1)
+        return float(model.tau2)
     return _tau_at(model, float(np.exp(-model.b * pfr2 / pfr1)))
 
 
@@ -474,12 +472,14 @@ def _equivalent_taus(model: TauSurfaceModel, p1: np.ndarray, p2: np.ndarray) -> 
         return np.where(p1 > 0, _tau_at(model, np.exp(-model.b * p2 / p1)), model.tau2)
 
 
-def canonical_equivalent(pfr1: float, pfr2: float, model: TauSurfaceModel = CANONICAL_SURFACE,
-                         single_band_passthrough: bool = True) -> EquivalentBand:
-    """Equivalent band of magnitude PFR1 + PFR2 and the model's tau, as equivalent_tau gives it."""
-    if pfr1 > 0 and pfr2 >= 0:
-        return EquivalentBand(pfr1 + pfr2, _tau_at(model, float(np.exp(-model.b * pfr2 / pfr1))))
-    return EquivalentBand(pfr1 + pfr2, equivalent_tau(model, pfr1, pfr2, single_band_passthrough))
+def canonical_equivalent(pfr1: float, pfr2: float,
+                         model: TauSurfaceModel = CANONICAL_SURFACE) -> EquivalentBand:
+    """Equivalent band of magnitude PFR1 + PFR2 and equivalent_tau's tau.
+
+    equivalent_tau checks the magnitudes first, then the record checks PFR1 +
+    PFR2 before the tau.
+    """
+    return EquivalentBand(pfr1 + pfr2, equivalent_tau(model, pfr1, pfr2))
 
 
 def _mape_arrays(exact: np.ndarray, approx: np.ndarray) -> float:

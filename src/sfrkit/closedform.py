@@ -13,12 +13,15 @@ the ramp, on purpose, so the divergence from the saturating oracle shows. The
 public deviation functions check their bands' kind and call the kernel.
 
 The nadir algebra uses K = P_cont/PFR, A = D'*tau/(2H), B = 1 + K*(A - 1) and
-C = A/(A - 1). `_branch` decides B and its branch: an interior nadir iff
-B > B_EPS, else the deviation decays monotonically to its settling value
-("asymptotic"); |B| <= B_EPS is the boundary, where the caps of both branches
-meet. `lag_nadir` applies the same rule in its own frame. The D' > 0 guard and
-the K and A checks live here too (a LagBand's tau needs none); `_delta_f`
-takes checked times, and `trace` builds its grid from model._grid_steps.
+C = A/(A - 1). One frame, `_nadir_terms`, forms B and decides the branch for
+every caller (`lag_nadir`, `nadir_shape_factor` and the calculators in
+`applications`): an interior nadir iff B > B_EPS, where it also gives the
+nadir time in units of tau and the shape factor; else the deviation decays
+monotonically to its settling value ("asymptotic"). Only the contingency cap
+tells the boundary |B| <= B_EPS, where the caps of both branches meet, from
+the rest of the asymptotic regime. The D' > 0 guard and the K and A checks
+live here too (a LagBand's tau needs none); `_delta_f` takes checked times,
+and `trace` builds its grid from model._grid_steps.
 
 A = 1 is a removable singularity of the lag term and the nadir. Their expm1
 and log1p forms keep every digit through it, and only A - 1 == 0 exactly takes
@@ -52,7 +55,6 @@ B_EPS = 1e-9
 
 INTERIOR_MINIMUM = "interior_minimum"
 ASYMPTOTIC = "asymptotic"
-_BOUNDARY = "boundary"  # |B| <= B_EPS: asymptotic, but the caps of both branches meet
 
 _BAND_TYPES = {"lag": LagBand, "ramp": RampBand}
 _NO_DAMPING = "D' = d * p_load must be > 0 for this expression"
@@ -83,16 +85,24 @@ def _a_ratio(dprime: float, h: float, tau: float) -> float:
     return dprime * tau / (2.0 * h)
 
 
-def _branch(k: float, a: float):
-    """(A - 1, K(A - 1), branch) for scalar K and A.
+def _nadir_terms(k: float, a: float):
+    """(B, L, shape factor) for scalar K and A; L and the factor are None unless B > B_EPS.
 
-    branch is INTERIOR_MINIMUM, _BOUNDARY or ASYMPTOTIC.
+    L = ln(B)/(A - 1), K where K(A - 1) == 0, puts the nadir at tau L. With
+    z = -(A - 1)L, B^(-C/A) = e^-L and B^-C = e^-L (1 + expm1(z)), so the
+    factor is -A L e^-L exprel(z) + (K - 1) e^-L (1 + expm1(z)) + 1 - K.
     """
     em1 = a - 1.0
     kam1 = k * em1
     b = 1.0 + kam1
-    branch = INTERIOR_MINIMUM if b > B_EPS else _BOUNDARY if abs(b) <= B_EPS else ASYMPTOTIC
-    return em1, kam1, branch
+    if not b > B_EPS:
+        return b, None, None
+    l = math.log1p(kam1) / em1 if kam1 else k
+    z = -em1 * l
+    decay = math.exp(-l)
+    g = math.expm1(z)
+    rel = g / z if z else 1.0
+    return b, l, -a * l * decay * rel + (k - 1.0) * decay * (1.0 + g) + 1.0 - k
 
 
 def _at_times(sc: SystemConditions, bands, t):
@@ -181,30 +191,17 @@ def _k_ratio(p_cont: float, pfr: float) -> float:
     return k
 
 
-def _shape(k: float, a: float, em1: float, kam1: float):
-    """(L, nadir_shape_factor) at an interior point: L = ln(B)/(A - 1), K where K(A - 1) == 0.
-
-    With z = -(A - 1)L, B^(-C/A) = e^-L and B^-C = e^-L (1 + expm1(z)), so the
-    factor is -A L e^-L exprel(z) + (K - 1) e^-L (1 + expm1(z)) + 1 - K.
-    """
-    l = math.log1p(kam1) / em1 if kam1 else k
-    z = -em1 * l
-    decay = math.exp(-l)
-    g = math.expm1(z)
-    rel = g / z if z else 1.0
-    return l, -a * l * decay * rel + (k - 1.0) * decay * (1.0 + g) + 1.0 - k
-
-
 def nadir_shape_factor(k: float, a: float) -> float:
-    """(C + K - 1) B^-C - C B^(-C/A) - K + 1 for B > 0, in _shape's form (1 - K - e^-K at A = 1).
+    """(C + K - 1) B^-C - C B^(-C/A) - K + 1 for B > B_EPS, in _nadir_terms' form.
 
-    Multiplying by PFR/D' gives the nadir deviation; it is negative whenever
-    K > 0 (under- and over-frequency alike, by the sign convention).
+    1 - K - e^-K at A = 1. Multiplying by PFR/D' gives the nadir deviation; it
+    is negative whenever K > 0 (under- and over-frequency alike, by the sign
+    convention).
     """
-    em1, kam1, branch = _branch(k, a)
-    if branch != INTERIOR_MINIMUM:
+    shape = _nadir_terms(k, a)[2]
+    if shape is None:
         raise BranchError("shape factor undefined: inputs are in the asymptotic regime")
-    return _shape(k, a, em1, kam1)[1]
+    return shape
 
 
 def asymptotic_nadir(sc: SystemConditions, total_pfr: float) -> float:
@@ -222,9 +219,9 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
 
     The one entry point for the nadir's time, depth and regime. An interior
     nadir lies at tau L, L = ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'tau/2H - 1),
-    which is K*tau at A = 1; its depth is PFR/D' times _shape's factor.
-    Otherwise the kind is ASYMPTOTIC, t_nadir is None and the depth is the
-    settling value. The settling value and RoCoF use asymptotic_nadir's and
+    which is K*tau at A = 1; its depth is PFR/D' times the shape factor. Both
+    come from _nadir_terms, which also decides the branch. Otherwise the kind
+    is ASYMPTOTIC, t_nadir is None and the depth is the settling value. The settling value and RoCoF use asymptotic_nadir's and
     max_rocof's expressions. Each field is read once; the checks are
     _require_damping's and _k_ratio's, in that order.
     """
@@ -235,12 +232,9 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     p_cont, pfr, tau = sc.p_cont, band.pfr, band.tau
     k = _k_ratio(p_cont, pfr)
     rocof = -p_cont / h2
-    a = dprime * tau / h2
-    em1 = a - 1.0
-    kam1 = k * em1
-    if not 1.0 + kam1 > B_EPS:
+    _, l, shape = _nadir_terms(k, dprime * tau / h2)
+    if l is None:
         return NadirResult(ASYMPTOTIC, None, (pfr - p_cont) / dprime, rocof)
-    l, shape = _shape(k, a, em1, kam1)
     return NadirResult(INTERIOR_MINIMUM, tau * l, pfr / dprime * shape, rocof)
 
 

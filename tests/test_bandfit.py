@@ -141,10 +141,8 @@ class TestEquivalentTauModel:
     def test_ratio_zero_gives_fast_tau(self):
         assert equivalent_tau(CANONICAL_SURFACE, 55.0, 0.0) == 0.4
 
-    def test_passthrough_and_forced_branches(self):
+    def test_passthrough_branch(self):
         assert equivalent_tau(CANONICAL_SURFACE, 0.0, 210.0) == 2.0
-        forced = equivalent_tau(CANONICAL_SURFACE, 0.0, 210.0, single_band_passthrough=False)
-        assert forced == pytest.approx(CANONICAL_SURFACE.a + 0.4, rel=1e-15)
 
     def test_both_zero_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,17 +1,18 @@
 """The scalar screening path gives the same doubles as its one-expression forms.
 
-Each public call of the screening path does its ratio algebra in one frame:
-`lag_nadir` reads every field of the system and the band once,
-`derive_params` reads the fields instead of the properties, `max_contingency`
-forms D' and A itself, `canonical_equivalent` evaluates the common case
-PFR1 > 0, PFR2 >= 0 directly and `sensitivity_report` checks PFR1 and PFR2
-once, forms -b*PFR2/PFR1 once and takes ln A once. `_field` returns a finite
-float at once. Each reference below writes the earlier one-expression form of
-the same arithmetic, through the properties and in the same order, so every
-rounding step is the same and the results must agree bit for bit (signed
-zeros included) across the (K, A) plane: A = 1 and its neighbourhood, the
-B = 0 guard band and over-frequency mirrors included. The precedence tests
-pin which message wins when an input breaks two rules at once.
+Each public call of the screening path takes its ratio algebra from one
+place: `lag_nadir` reads every field of the system and the band once, and it
+and `max_contingency` decide the branch in closedform's one frame;
+`derive_params` reads the fields instead of the properties;
+`canonical_equivalent` and `sensitivity_report` take tau from
+`equivalent_tau`'s one checked path, and `sensitivity_report` takes ln A once.
+`_field` returns a finite float at once. Each reference below writes the
+earlier one-expression form of the same arithmetic, through the properties
+and in the same order, so every rounding step is the same and the results
+must agree bit for bit (signed zeros included) across the (K, A) plane: A = 1
+and its neighbourhood, the B = 0 guard band and over-frequency mirrors
+included. The precedence tests pin which message wins when an input breaks
+two rules at once.
 """
 import math
 
@@ -302,10 +303,7 @@ class TestEquivalentBand:
     def test_equivalent_tau_is_a_float_on_every_branch(self, model):
         for args in ((130.0, 80.0), (0.0, 210.0)):
             assert type(equivalent_tau(model, *args)) is float
-            assert type(equivalent_tau(model, *args, single_band_passthrough=False)) is float
         assert equivalent_tau(model, 0.0, 210.0) == model.tau2
-        assert equivalent_tau(model, 0.0, 210.0, single_band_passthrough=False) == \
-            model.a + model.tau1
 
     @pytest.mark.parametrize("pfr1, pfr2, message", [
         (-1.0, -1.0, "band magnitudes must be >= 0"),
@@ -328,8 +326,6 @@ class TestEquivalentBand:
     def test_passthrough_branches_are_unchanged(self):
         assert canonical_equivalent(0.0, 210.0) == canonical_equivalent(-0.0, 210.0)
         assert canonical_equivalent(0.0, 210.0).tau_eq == CANONICAL_SURFACE.tau2
-        band = canonical_equivalent(0.0, 210.0, single_band_passthrough=False)
-        assert band.tau_eq == CANONICAL_SURFACE.a + CANONICAL_SURFACE.tau1
         assert _bits(canonical_equivalent(130.0, -0.0).tau_eq) == _bits(CANONICAL_SURFACE.tau1)
 
 
