@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 
 from .bandfit import TauSurfaceModel, equivalent_tau
-from .closedform import B_EPS, _a_ratio, _k_ratio, _nadir_terms, _require_damping
+from .closedform import (B_EPS, _a_ratio, _k_ratio, _nadir_terms, _require_damping,
+                         _require_ratios)
 from .errors import BranchError, InvalidInputError
 from .model import DerivedParams, LagBand, SystemConditions, _record
 
@@ -132,9 +133,7 @@ def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> 
 
     A and K must be finite and > 0, as max_contingency's are when D' > 0.
     """
-    for name, value in (("A", a), ("K", k)):
-        if not 0 < value < math.inf:
-            raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
+    _require_ratios(k, a)
     return _cap(k, a, delta_f_max, 1.0)
 
 
@@ -158,20 +157,20 @@ def min_effective_tau(dp: DerivedParams, k: float) -> float:
 def _k1_factors(a: float):
     """A^(1/(A-1)) and (A - 1 - A ln A) / (A - 1)^2, from one ln A.
 
-    Both removable singularities at A = 1 (-> e and -1/2) are bridged by
-    series: the power's within 1e-8 of A = 1, and the bracket's within
-    _K1_BRACKET_BAND, since its difference loses about eps/|A - 1| of itself.
+    Both have removable singularities at A = 1 (-> e and -1/2). The power keeps
+    every digit through it, so only A - 1 == 0 exactly takes the limit; the
+    bracket's difference loses about eps/|A - 1| of itself, so within
+    _K1_BRACKET_BAND it is its series.
     """
     em1 = a - 1.0
+    ln_a = math.log(a)
+    power = math.exp(ln_a / em1) if em1 else math.e
     if abs(em1) > _K1_BRACKET_BAND:
-        ln_a = math.log(a)
-        return math.exp(ln_a / em1), (em1 - a * ln_a) / (em1 * em1)
+        return power, (em1 - a * ln_a) / (em1 * em1)
     bracket = 0.0  # the series, by Horner
     for c in _K1_BRACKET_SERIES:
         bracket = bracket * em1 + c
-    if abs(em1) <= 1e-8:
-        return math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0), bracket
-    return math.exp(math.log(a) / em1), bracket
+    return power, bracket
 
 
 def special_case_max_contingency(dp: DerivedParams, delta_f_max: float, tau: float) -> float:

@@ -85,12 +85,20 @@ def _a_ratio(dprime: float, h: float, tau: float) -> float:
     return dprime * tau / (2.0 * h)
 
 
+def _require_ratios(k: float, a: float) -> None:
+    """A, then K, must be finite and > 0, as they are when D', tau and PFR are valid."""
+    for name, value in (("A", a), ("K", k)):
+        if not 0 < value < math.inf:
+            raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
+
+
 def _nadir_terms(k: float, a: float):
     """(B, L, shape factor) for scalar K and A; L and the factor are None unless B > B_EPS.
 
     L = ln(B)/(A - 1), K where K(A - 1) == 0, puts the nadir at tau L. With
-    z = -(A - 1)L, B^(-C/A) = e^-L and B^-C = e^-L (1 + expm1(z)), so the
-    factor is -A L e^-L exprel(z) + (K - 1) e^-L (1 + expm1(z)) + 1 - K.
+    z = -(A - 1)L, B^(-C/A) = e^-L and B^-C = e^-AL, so the factor is
+    -(1 - K) expm1(-AL) - A L e^-L exprel(z): two terms of order K that keep
+    their digits as K -> 0, where the factor is of order K^2.
     """
     em1 = a - 1.0
     kam1 = k * em1
@@ -99,10 +107,8 @@ def _nadir_terms(k: float, a: float):
         return b, None, None
     l = math.log1p(kam1) / em1 if kam1 else k
     z = -em1 * l
-    decay = math.exp(-l)
-    g = math.expm1(z)
-    rel = g / z if z else 1.0
-    return b, l, -a * l * decay * rel + (k - 1.0) * decay * (1.0 + g) + 1.0 - k
+    rel = math.expm1(z) / z if z else 1.0
+    return b, l, -(1.0 - k) * math.expm1(-a * l) - a * l * math.exp(-l) * rel
 
 
 def _at_times(sc: SystemConditions, bands, t):
@@ -196,8 +202,9 @@ def nadir_shape_factor(k: float, a: float) -> float:
 
     1 - K - e^-K at A = 1. Multiplying by PFR/D' gives the nadir deviation; it
     is negative whenever K > 0 (under- and over-frequency alike, by the sign
-    convention).
+    convention). K and A must be finite and > 0.
     """
+    _require_ratios(k, a)
     shape = _nadir_terms(k, a)[2]
     if shape is None:
         raise BranchError("shape factor undefined: inputs are in the asymptotic regime")
@@ -221,9 +228,10 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     nadir lies at tau L, L = ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'tau/2H - 1),
     which is K*tau at A = 1; its depth is PFR/D' times the shape factor. Both
     come from _nadir_terms, which also decides the branch. Otherwise the kind
-    is ASYMPTOTIC, t_nadir is None and the depth is the settling value. The settling value and RoCoF use asymptotic_nadir's and
-    max_rocof's expressions. Each field is read once; the checks are
-    _require_damping's and _k_ratio's, in that order.
+    is ASYMPTOTIC, t_nadir is None and the depth is the settling value. The
+    settling value and RoCoF use asymptotic_nadir's and max_rocof's
+    expressions. Each field is read once; the checks are _require_damping's
+    and _k_ratio's, in that order.
     """
     dprime = sc.d * sc.p_load
     if not dprime > 0:

@@ -208,6 +208,21 @@ class TestNadir:
         with pytest.raises(BranchError):
             nadir_shape_factor(300.0 / 210.0, 80.0 * 0.4 / 360.0)
 
+    @pytest.mark.parametrize("k, a, message", [
+        (math.nan, 0.5, "K must be finite and > 0, got nan"),
+        (0.5, math.inf, "A must be finite and > 0, got inf"),
+        (-0.5, 0.5, "K must be finite and > 0, got -0.5"),
+        (0.0, 1.0, "K must be finite and > 0, got 0.0"),
+        (math.inf, 2.0, "K must be finite and > 0, got inf"),
+        (0.5, -0.0, "A must be finite and > 0, got -0.0"),
+        # A is checked before K, as universal_max_contingency_factor does
+        (math.nan, math.nan, "A must be finite and > 0, got nan"),
+    ], ids=["nan-K", "inf-A", "negative-K", "zero-K", "inf-K", "zero-A", "A-before-K"])
+    def test_invalid_ratios_rejected(self, k, a, message):
+        with pytest.raises(InvalidInputError) as err:
+            nadir_shape_factor(k, a)
+        assert str(err.value) == message
+
     def test_nadir_deviation(self, base_system):
         assert lag_nadir(base_system, LAG_BAND).delta_f_nadir == pytest.approx(DF_NADIR, rel=1e-12)
 

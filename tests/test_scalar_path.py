@@ -38,10 +38,12 @@ from sfrkit import (
     equivalent_tau,
     lag_nadir,
     max_contingency,
+    nadir_constants,
     required_ffr_share,
     sensitivity_report,
     sensitivity_tau_bands,
 )
+from sfrkit.closedform import nadir_shape_factor
 from sfrkit.model import scenario_from_dict
 
 B_EPS = 1e-9    # closedform's guard band around B = 0
@@ -53,14 +55,18 @@ def _bits(*values):
 
 
 def ref_shape(k, a):
-    """(L, shape factor): L = ln(B)/(A - 1), K where K(A - 1) == 0, and the exprel form."""
+    """(L, shape factor): L = ln(B)/(A - 1), K where K(A - 1) == 0, and the factor's two terms.
+
+    The first is -(1 - K) expm1(-A L), the second A L e^-L exprel(z) with z = -(A - 1)L.
+    """
     em1 = a - 1.0
     kam1 = k * em1
     l = math.log1p(kam1) / em1 if kam1 != 0.0 else k
     z = -em1 * l
     exprel = math.expm1(z) / z if z != 0.0 else 1.0
-    return l, (-a * l * math.exp(-l) * exprel + (k - 1.0) * math.exp(-l) * (1.0 + math.expm1(z))
-               + 1.0 - k)
+    first = -(1.0 - k) * math.expm1(-a * l)
+    second = a * l * math.exp(-l) * exprel
+    return l, first - second
 
 
 def ref_lag_nadir(sc, band):
@@ -101,10 +107,7 @@ def ref_sensitivity(dp, delta_f_max, model, pfr1, pfr2):
     tau = ref_tau(model, pfr1, pfr2)
     a = dp.dprime * tau / (2.0 * dp.h)
     em1 = a - 1.0
-    if abs(em1) <= 1e-8:
-        power = math.exp(1.0 - em1 / 2.0 + em1 * em1 / 3.0)
-    else:
-        power = math.exp(math.log(a) / em1)
+    power = math.exp(math.log(a) / em1) if em1 != 0.0 else math.e
     if abs(em1) <= 0.1:
         # the series of the bracket in A - 1, terms k = 16 down to 2 by Horner
         bracket = 0.0
@@ -172,6 +175,28 @@ class TestLagNadir:
         want = ref_lag_nadir(sc, band)
         assert got.kind == want[0]
         assert _bits(got.t_nadir, got.delta_f_nadir, got.max_rocof) == _bits(*want[1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(sys_params=systems, k=st.floats(0.1, 6.0), where=a_values,
+           p_cont=st.floats(50.0, 500.0), over=st.booleans())
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=2.0, where=("b0", 0.0), p_cont=300.0, over=True)
+    @example(sys_params=(2000.0, 0.04, 9000.0), k=1.5, where=("a1", 0.0), p_cont=300.0, over=True)
+    def test_one_branch_rule(self, sys_params, k, where, p_cont, over):
+        """nadir_constants, lag_nadir and nadir_shape_factor decide the branch alike."""
+        sign = -1.0 if over else 1.0
+        sc = _system(sys_params, sign * p_cont)
+        band = LagBand(pfr=sign * p_cont / k, tau=_a(k, where) * 2.0 * sc.h / sc.dprime)
+        consts = nadir_constants(sc, band.pfr, band.tau)
+        ratio_k = sc.p_cont / band.pfr
+        ratio_a = sc.dprime * band.tau / (2.0 * sc.h)
+        assert _bits(consts.b) == _bits(1.0 + ratio_k * (ratio_a - 1.0))
+        assert consts.asymptotic == (lag_nadir(sc, band).kind == ASYMPTOTIC)
+        if consts.asymptotic:
+            with pytest.raises(BranchError, match="asymptotic regime"):
+                nadir_shape_factor(consts.k, consts.a)
+        else:
+            assert _bits(nadir_shape_factor(consts.k, consts.a)) == \
+                _bits(ref_shape(ratio_k, ratio_a)[1])
 
     def test_validation_order_is_unchanged(self, base_system):
         flat = SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.0, p_cont=300.0)
