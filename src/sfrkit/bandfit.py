@@ -16,8 +16,8 @@ condition reads exactly zero; tau is searched over [tau1/2, 2*tau2] from
 log-spaced inner knots that run from tau1 to tau2, both exact, and b in log
 space from log-spaced knots; either set brackets its root closely at once.
 The canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships with
-pre-fitted coefficients. The default sampling grid, [0, max(30, 5*tau2)]
-s at 10 ms, is bounded by the step ceiling of model._grid_steps, so
+pre-fitted coefficients. Every fit and map samples one grid, [0, max(30,
+5*tau2)] s at 10 ms, bounded by the step ceiling of model._grid_steps, so
 tau2 <= 20 000 s.
 
 Approximation quality is reported as the mean absolute percentage error
@@ -29,8 +29,8 @@ flattened grid, and every class's tau comes from one numpy expression of the
 tau model, whose exp gives each element the bits of the scalar path. The
 classes' curves are built a few rows at a time in reused buffers and reduced
 along each row, which gives every value the same bits as mape() on that cell
-alone. On an ascending time grid every curve rises monotonically from 0, so
-its peak is its last sample and the samples it keeps are a suffix, found by
+alone. On the sampling grid every curve rises monotonically from 0, so its
+peak is its last sample and the samples it keeps are a suffix, found by
 binary search.
 """
 from __future__ import annotations
@@ -181,52 +181,29 @@ CANONICAL_SURFACE = TauSurfaceModel(a=1.3141629, b=0.63075533, tau1=0.4, tau2=2.
 
 def default_fit_times(tau2: float) -> np.ndarray:
     """Sampling grid for curve fits and accuracy maps: [0, max(30, 5*tau2)] s."""
-    n, dt = _fit_grid(None, tau2)
+    n, dt = _fit_grid(tau2)
     return np.arange(n) * dt
 
 
-def _check_times(times: np.ndarray, tau2: float) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise InvalidInputError("time grid must contain at least two samples")
-    if not ((times >= 0.0) & (times < math.inf)).all():
-        raise InvalidInputError("time grid must hold finite sample times >= 0")
-    if times[0] != 0.0 or times[-1] < 5.0 * tau2:
-        raise InvalidInputError(f"time grid must span [0, {5.0 * tau2}] for tau2={tau2}")
-    return times
-
-
-def _fit_grid(times, tau2: float):
-    """Grid of a fit: (n, dt) when it is t_k = k*dt for k < n, else the times.
-
-    The default grid samples [0, max(30, 5*tau2)] s every _FIT_DT.
-    """
-    if times is None:
-        return _grid_steps(max(5.0 * tau2, 30.0), _FIT_DT, "fit window 5*tau2") + 1, _FIT_DT
-    t = _check_times(times, tau2)
-    n, dt = len(t), float(t[1])
-    return (n, dt) if np.array_equal(t, np.arange(n) * dt) else t
+def _fit_grid(tau2: float):
+    """The sampling grid as (n, dt): t_k = k*dt for k < n, [0, max(30, 5*tau2)] s every _FIT_DT."""
+    return _grid_steps(max(5.0 * tau2, 30.0), _FIT_DT, "fit window 5*tau2") + 1, _FIT_DT
 
 
 def _exp_sums(alpha, grid):
     """E(alpha) = sum_k exp(-alpha t_k) and F(alpha) = sum_k t_k exp(-alpha t_k).
 
-    The only code that looks at the grid. On a uniform grid (n, dt) both are
-    geometric series in q = exp(-alpha dt), summed in closed form; on an array
-    of times they are summed sample by sample.
+    The only code that looks at the grid (n, dt): both are geometric series
+    in q = exp(-alpha dt), summed in closed form.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if isinstance(grid, tuple):
-        n, dt = grid
-        x = alpha * dt
-        neg_x, neg_nx = -x, -n * x
-        one_q = -np.expm1(neg_x)
-        q_n = np.exp(neg_nx)
-        e = -np.expm1(neg_nx) / one_q
-        f = dt * (np.exp(neg_x) - q_n * (1.0 + (n - 1) * one_q)) / one_q**2
-        return e, f
-    w = np.exp(-alpha[..., None] * grid)
-    return w.sum(axis=-1), w @ grid
+    n, dt = grid
+    x = np.asarray(alpha, dtype=float) * dt
+    neg_x, neg_nx = -x, -n * x
+    one_q = -np.expm1(neg_x)
+    q_n = np.exp(neg_nx)
+    e = -np.expm1(neg_nx) / one_q
+    f = dt * (np.exp(neg_x) - q_n * (1.0 + (n - 1) * one_q)) / one_q**2
+    return e, f
 
 
 def _zeroed(p, q):
@@ -317,9 +294,9 @@ def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
     [tau1/2, 2*tau2], started from tau1/2, _TAU_KNOTS log-spaced knots from
     tau1 to tau2 inclusive and 2*tau2. Every inner product <s_lam, s_mu> of
     rates lam = 1/tau is n - E(lam) - E(mu) + E(lam + mu), so no sample array
-    is built on a uniform grid. p1 and p2 broadcast; returns arrays (pfr, tau, ssr).
+    is built. p1 and p2 broadcast; returns arrays (pfr, tau, ssr).
     """
-    n = grid[0] if isinstance(grid, tuple) else len(grid)
+    n = grid[0]
     l1, l2 = 1.0 / tau1, 1.0 / tau2
     (e1, e2, e11, e12, e22), _ = _exp_sums([l1, l2, 2 * l1, l1 + l2, 2 * l2], grid)
     yy = p1**2 * (n - 2 * e1 + e11) + 2 * p1 * p2 * (n - e1 - e2 + e12) + p2**2 * (n - 2 * e2 + e22)
@@ -385,7 +362,7 @@ def _fit_tau_model(tau1: float, ratios, weights, tau_eqs):
     return a, b, float(weights @ (res * res))
 
 
-def fit_equivalent_band(tb: TwoBandPfr, times=None) -> EquivalentBand:
+def fit_equivalent_band(tb: TwoBandPfr) -> EquivalentBand:
     """Fit one lag band to the sum of two by least squares.
 
     The magnitude is projected out, and the time constant is the root of the
@@ -397,11 +374,11 @@ def fit_equivalent_band(tb: TwoBandPfr, times=None) -> EquivalentBand:
     if not p_total > 0:
         raise InvalidInputError("total PFR must be > 0 to fit an equivalent band")
     pfr, tau, ssr = _fit_lag_bands(tb.band1.pfr, tb.band1.tau, tb.band2.pfr, tb.band2.tau,
-                                   _fit_grid(times, tb.band2.tau))
+                                   _fit_grid(tb.band2.tau))
     return EquivalentBand(pfr_eq=float(pfr), tau_eq=float(tau), fit_residual=float(ssr))
 
 
-def build_tau_surface(tau1: float, tau2: float, pfr_grid=None, times=None) -> TauSurfaceModel:
+def build_tau_surface(tau1: float, tau2: float, pfr_grid=None) -> TauSurfaceModel:
     """Fit the tau model to equivalent bands over a magnitude grid.
 
     Grid cells with PFR1 = 0 have an undefined magnitude ratio and are
@@ -412,7 +389,7 @@ def build_tau_surface(tau1: float, tau2: float, pfr_grid=None, times=None) -> Ta
     """
     _check_tau_pair(tau1, tau2)
     grid = _magnitude_grid(pfr_grid)
-    fit_grid = _fit_grid(times, tau2)
+    fit_grid = _fit_grid(tau2)
 
     p1 = grid[grid != 0.0]
     if len(p1) == 0:
@@ -518,8 +495,8 @@ class MapeReport:
     max_pct: float
 
 
-def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | None = None,
-             times=None) -> MapeReport:
+def mape_map(tau1: float, tau2: float, pfr_grid=None,
+             model: TauSurfaceModel | None = None) -> MapeReport:
     """Per-cell MAPE between exact two-band and equivalent response curves.
 
     The model, CANONICAL_SURFACE by default, must be fitted for (tau1, tau2).
@@ -532,7 +509,7 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None, model: TauSurfaceModel | N
     if (model.tau1, model.tau2) != (tau1, tau2):
         raise InvalidInputError(f"surface model is for tau1={model.tau1}, tau2={model.tau2}, not "
                                 f"the requested tau1={tau1}, tau2={tau2}; build one for them")
-    t = default_fit_times(tau2) if times is None else _check_times(times, tau2)
+    t = default_fit_times(tau2)
 
     # A cell's MAPE and exclusion mask depend on its magnitudes only through
     # PFR2/PFR1, and a power-of-two rescaling of both magnitudes leaves every
@@ -580,14 +557,14 @@ def _class_mapes(reps: np.ndarray, model: TauSurfaceModel, t: np.ndarray) -> np.
     fails as canonical_equivalent fails it. Rows are built _MAP_BLOCK at a
     time into two buffers reused across blocks: p2*e2 goes into the approx
     buffer and is added to p1*e1 in the exact buffer, the sum's bits in either
-    order, before the approx buffer takes the equivalent curve. When e1 and e2
-    are nondecreasing, as on any ascending time grid, every row p1*e1 + p2*e2
-    (magnitudes >= 0) is nondecreasing from 0: its peak is its last sample and
-    it keeps a suffix of samples, located by searchsorted. Where every row of
-    a block keeps the same suffix [m:], the relative error is taken in place
-    on the slice [:, m:] and summed along each row with the same pairwise sum
-    as a 1-D array; any other grid or block goes row by row through
-    _mape_arrays.
+    order, before the approx buffer takes the equivalent curve. Where e1 and
+    e2 are nondecreasing on the sampling grid t, as checked, every row
+    p1*e1 + p2*e2 (magnitudes >= 0) is nondecreasing from 0: its peak is its
+    last sample and it keeps a suffix of samples, located by searchsorted.
+    Where every row of a block keeps the same suffix [m:], the relative error
+    is taken in place on the slice [:, m:] and summed along each row with the
+    same pairwise sum as a 1-D array; any other block, as one of tiny
+    magnitudes whose thresholds sit at _MAPE_FLOOR, goes row by row.
     """
     e1 = 1.0 - np.exp(-t / model.tau1)
     e2 = 1.0 - np.exp(-t / model.tau2)

@@ -20,6 +20,7 @@ from .model import (
     LagBand,
     RampBand,
     SystemConditions,
+    _number,
     _reject_non_finite,
     derive_params,
     load_scenario,
@@ -190,14 +191,19 @@ def _load_surface(path) -> bandfit.TauSurfaceModel:
             doc = json.load(fh, parse_constant=_reject_non_finite(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot load surface model {path}: {exc}") from exc
-    try:
-        return bandfit.TauSurfaceModel(
-            a=float(doc["a"]), b=float(doc["b"]),
-            tau1=float(doc["tau1_s"]), tau2=float(doc["tau2_s"]),
-            rms_residual=doc.get("rms_residual"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"cannot load surface model {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"cannot load surface model {path}: top level must be an object")
+
+    def number(key):
+        # the scenario files' number rule; the record names a value that is not finite
+        if key not in doc:
+            raise InvalidInputError(f"cannot load surface model {path}: missing field '{key}'")
+        return _number(doc[key], f"{path}.{key}")
+
+    return bandfit.TauSurfaceModel(
+        a=number("a"), b=number("b"), tau1=number("tau1_s"), tau2=number("tau2_s"),
+        rms_residual=number("rms_residual") if "rms_residual" in doc else None,
+    )
 
 
 def _surface_or_canonical(args) -> bandfit.TauSurfaceModel:
@@ -409,7 +415,7 @@ def _fig4():
     # one vectorised fit; each cell equals its fit_equivalent_band result bit for bit
     grid = np.array(bandfit.DEFAULT_PFR_GRID)
     p1, p2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-    pfr, tau, _ = bandfit._fit_lag_bands(p1, 0.4, p2, 2.0, bandfit._fit_grid(None, 2.0))
+    pfr, tau, _ = bandfit._fit_lag_bands(p1, 0.4, p2, 2.0, bandfit._fit_grid(2.0))
     return ("pfr1_mw", "pfr2_mw", "pfr_eq_mw", "tau_eq_s"), zip(p1, p2, pfr, tau)
 
 

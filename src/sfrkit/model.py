@@ -273,13 +273,18 @@ def _field(doc: dict, where: str, key: str) -> float:
     # a finite float, what JSON gives for most fields, is returned as it is
     if type(value) is float and -math.inf < value < math.inf:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"{where}.{key}: expected a number, got {value!r}")
-    value = float(value)
+    value = _number(value, f"{where}.{key}")
     # literals such as 1e999 parse to infinity without a NaN/Infinity token
     if not math.isfinite(value):
         raise InvalidInputError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float, finite or not; a bool or any other value is bad input."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{name}: expected a number, got {value!r}")
+    return float(value)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -298,8 +303,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _field(s, "system", "p_cont_mw"),
     )
 
+    band_docs = doc.get("bands", [])
+    if not isinstance(band_docs, list):
+        raise InvalidInputError("bands: expected a list")
     bands = []
-    for i, b in enumerate(doc.get("bands", [])):
+    for i, b in enumerate(band_docs):
         where = f"bands.{i}"
         if not isinstance(b, dict):
             raise InvalidInputError(f"{where}: expected an object")

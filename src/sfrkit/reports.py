@@ -9,6 +9,8 @@ import itertools
 import json
 import math
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .model import FrequencyTrace
 
@@ -29,7 +31,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_trace_csv(path, trace: FrequencyTrace) -> None:
-    """Standard trace artifact: t_s,delta_f_hz."""
+    """Standard trace artifact: t_s,delta_f_hz. As in write_json, a non-finite
+    sample raises InvalidInputError, naming its time, before the file is opened."""
+    finite = np.isfinite(trace.samples)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise InvalidInputError(f"delta_f_hz at t_s = {trace.times[i].item()!r} is "
+                                f"{trace.samples[i].item()!r}: a trace must be finite")
     write_csv(path, ("t_s", "delta_f_hz"), zip(trace.times.tolist(), trace.samples.tolist()))
 
 

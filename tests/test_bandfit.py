@@ -1,5 +1,6 @@
 import collections
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,10 +69,6 @@ class TestEquivalentBandFit:
     def test_zero_total_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_equivalent_band(TwoBandPfr(LagBand(0.0, 0.4), LagBand(0.0, 2.0)))
-
-    def test_short_time_grid_rejected(self):
-        with pytest.raises(InvalidInputError):
-            fit_equivalent_band(CANONICAL_PAIR, times=np.arange(0, 5.0, 0.01))
 
     def test_band_ordering_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -271,11 +268,13 @@ def dense_scan_ssr(t, y, tau_lo, tau_hi, n=1200):
 class TestVariableProjection:
     def test_closed_form_sums_match_sampled(self):
         t = bandfit.default_fit_times(2.0)
-        n, dt = bandfit._fit_grid(t, 2.0)
+        n, dt = bandfit._fit_grid(2.0)
         assert (n, dt) == (len(t), 0.01)
         alpha = np.geomspace(0.05, 50.0, 200)
         e_closed, f_closed = bandfit._exp_sums(alpha, (n, dt))
-        e_sampled, f_sampled = bandfit._exp_sums(alpha, t)
+        # the reference: both sums taken sample by sample
+        w = np.exp(-alpha[:, None] * t)
+        e_sampled, f_sampled = w.sum(axis=-1), w @ t
         np.testing.assert_allclose(e_closed, e_sampled, rtol=1e-12, atol=0)
         np.testing.assert_allclose(f_closed, f_sampled, rtol=1e-12, atol=0)
 
@@ -292,7 +291,7 @@ class TestVariableProjection:
                 devs.append(abs(eq.pfr_eq - (p1 + p2)) / (p1 + p2))
         # the per-ratio fits behind the surface are the cell fits up to rounding
         _, tau_r, _ = bandfit._fit_lag_bands(1.0, tau1, np.array(ratios), tau2,
-                                             bandfit._fit_grid(None, tau2))
+                                             bandfit._fit_grid(tau2))
         np.testing.assert_allclose(tau_r, taus, rtol=1e-10, atol=0)
         assert model.pfr_plane_dev == pytest.approx(max(devs), rel=1e-9)
 
@@ -306,19 +305,6 @@ class TestVariableProjection:
         for step in (1 - 1e-4, 1 + 1e-4):
             assert best < ssr(model.a * step, model.b)
             assert best < ssr(model.a, model.b * step)
-
-    def test_uniform_times_argument_is_the_default_grid(self):
-        t = np.arange(0, 3001) * 0.01
-        assert fit_equivalent_band(CANONICAL_PAIR, times=t) == fit_equivalent_band(CANONICAL_PAIR)
-
-    def test_nonuniform_grid_uses_sampled_sums(self):
-        t = np.concatenate([np.arange(0.0, 2.0, 0.002), np.arange(2.0, 30.001, 0.05)])
-        eq = fit_equivalent_band(CANONICAL_PAIR, times=t)
-        y = total_pfr_value((CANONICAL_PAIR.band1, CANONICAL_PAIR.band2), t)
-        ssr = sampled_ssr(t, y, eq.pfr_eq, eq.tau_eq)
-        assert eq.fit_residual == pytest.approx(ssr, rel=1e-9)
-        assert ssr <= dense_scan_ssr(t, y, 0.2, 4.0) * (1.0 + 1e-9)
-        assert eq.tau_eq != fit_equivalent_band(CANONICAL_PAIR).tau_eq
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -621,7 +607,7 @@ class TestBracketedSearch:
         sweep = np.array(bandfit.DEFAULT_SWEEP_PFR_GRID)
         cases = [(p1, p2), (1.0, np.unique(np.divide.outer(sweep, sweep)))]
         cases += list(zip(p1[::37], p2[::37]))
-        fit_grid = bandfit._fit_grid(None, 2.0)
+        fit_grid = bandfit._fit_grid(2.0)
         fits = [bandfit._fit_lag_bands(a, 0.4, b, 2.0, fit_grid) for a, b in cases]
         monkeypatch.setattr(bandfit, "_find_root", stepwise_find_root)
         for (a, b), fit in zip(cases, fits):
@@ -650,9 +636,9 @@ class TestMapeMapSharedRows:
         # 0 gives the PFR1 = 0 passthrough column and the PFR2 = 0 column; 30/90
         # and 40/120 share a ratio without being power-of-two multiples
         grid = (0.0, 30.0, 40.0, 60.0, 90.0, 120.0)
-        t = np.arange(0, 2401) * 0.005
-        report = mape_map(0.4, 2.0, pfr_grid=grid, times=t)
-        want = per_cell_mape_map(0.4, 2.0, grid, CANONICAL_SURFACE, t)
+        report = mape_map(0.4, 2.0, pfr_grid=grid)
+        want = per_cell_mape_map(0.4, 2.0, grid, CANONICAL_SURFACE,
+                                 bandfit.default_fit_times(2.0))
         assert [(c.pfr1, c.pfr2) for c in report.cells] == [cell for cell, _ in want]
         # cells share a row only with power-of-two multiples, so every value is
         # the cell's own, bit for bit; cells that merely share a ratio agree to rounding
@@ -678,50 +664,35 @@ class TestMapeMapSharedRows:
 
 @st.composite
 def map_cases(draw):
-    """(tau1, tau2, model, grid, times) for a MAPE map on a custom time grid.
+    """(tau1, tau2, model, grid) for a MAPE map on the sampling grid.
 
-    Grids hold 0 and ratios that are not powers of two. Times are uniform,
-    non-uniform, or unsorted with a second t = 0 inside, whose exclusion is
-    not a leading run of samples.
+    Grids hold 0 and ratios that are not powers of two, and may hold
+    magnitudes so small that _MAPE_FLOOR sets their rows' thresholds.
     """
     tau1 = draw(st.floats(0.1, 2.0))
     tau2 = tau1 * draw(st.sampled_from([1.0]) | st.floats(1.0, 4.0))
     model = TauSurfaceModel(a=draw(st.floats(0.0, 3.0)), b=draw(st.floats(0.05, 3.0)),
                             tau1=tau1, tau2=tau2)
-    magnitude = st.sampled_from([10.0, 30.0, 40.0, 90.0, 120.0]) | st.floats(0.5, 300.0)
-    grid = (0.0, *draw(st.lists(magnitude, min_size=1, max_size=6)))
-    t_end = 5.0 * tau2 * draw(st.floats(1.0, 2.0))
-    kind = draw(st.sampled_from(["uniform", "non-uniform", "unsorted"]))
-    if kind == "uniform":
-        dt = draw(st.sampled_from([0.005, 0.01, 0.05]))
-        return tau1, tau2, model, grid, np.arange(math.ceil(t_end / dt) + 2) * dt
-    # tiny times give rows whose leading exclusions differ
-    inner = draw(st.lists(st.sampled_from([1e-9, 1e-7, 1e-6, 1e-5]) | st.floats(1e-9, t_end),
-                          min_size=5, max_size=300))
-    if kind == "non-uniform":
-        return tau1, tau2, model, grid, np.array([0.0, *sorted(inner), t_end])
-    shuffled = draw(st.permutations([0.0, *inner]))
-    return tau1, tau2, model, grid, np.array([0.0, t_end, *shuffled, t_end])
+    magnitude = (st.sampled_from([10.0, 30.0, 40.0, 90.0, 120.0, 1e-306, 3e-307])
+                 | st.floats(0.5, 300.0))
+    return tau1, tau2, model, (0.0, *draw(st.lists(magnitude, min_size=1, max_size=6)))
 
 
 class TestMapeMapBlocks:
     @settings(max_examples=60, deadline=None)
-    @given(case=map_cases())
-    # at t = 1e-6 s only the cells with a large enough fast share are kept
-    @example(case=(0.4, 2.0, TauSurfaceModel(a=1.0, b=0.5, tau1=0.4, tau2=2.0),
-                   (0.0, 30.0, 50.0), np.array([0.0, 1e-6, 0.3, 1.0, 3.0, 5.0, 10.0])))
-    # the second block's first row, (100, 1), keeps t = 1e-6 s and (100, 1000) does not
-    @example(case=(0.4, 2.0, TauSurfaceModel(a=1.0, b=0.5, tau1=0.4, tau2=2.0),
-                   (0.0, 1.0, 100.0, 1000.0), np.array([0.0, 1e-6, 0.3, 1.0, 3.0, 5.0, 10.0])))
-    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (0.0, 30.0, 50.0),
-                   np.array([0.0, 10.0, 3.0, 0.0, 0.3, 1.0, 10.0])))
-    # an unsorted grid with a duplicate and a 0, on the default times
-    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (60.0, 0.0, 30.0, 30.0, 120.0),
-                   bandfit.default_fit_times(2.0)))
-    def test_matches_per_cell_recomputation(self, case):
-        tau1, tau2, model, grid, t = case
-        report = mape_map(tau1, tau2, pfr_grid=grid, model=model, times=t)
-        want = per_cell_mape_map(tau1, tau2, grid, model, t)
+    @given(case=map_cases(), row_by_row=st.none())
+    # the tiny rows' thresholds sit at _MAPE_FLOOR, so the rows keep different
+    # suffixes of samples and the block goes row by row
+    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (0.0, 1e-306, 100.0)), row_by_row=8)
+    # an unsorted grid with a duplicate and a 0
+    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (60.0, 0.0, 30.0, 30.0, 120.0)), row_by_row=0)
+    def test_matches_per_cell_recomputation(self, case, row_by_row):
+        tau1, tau2, model, grid = case
+        with mock.patch.object(bandfit, "_mape_arrays", wraps=bandfit._mape_arrays) as rows:
+            report = mape_map(tau1, tau2, pfr_grid=grid, model=model)
+        if row_by_row is not None:
+            assert rows.call_count == row_by_row
+        want = per_cell_mape_map(tau1, tau2, grid, model, bandfit.default_fit_times(tau2))
         assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
 
     @pytest.mark.parametrize("tau1, tau2", [(0.95, 1.0), (0.3, 2.5)])
@@ -801,10 +772,11 @@ class TestMapeMapSetUp:
     def test_band_that_is_not_finite_fails_as_canonical_equivalent(self):
         with pytest.raises(InvalidInputError, match="^pfr_eq must be finite and >= 0, got inf$"):
             mape_map(0.4, 2.0, pfr_grid=(1e308, 1.7e308))
-        # a*(1 - exp(-1000)) + tau1 overflows
+        # a*(1 - exp(-1000)) + tau1 would overflow, but the sampling grid
+        # caps tau2 at 20 000 s first
         model = TauSurfaceModel(a=1.7e308, b=1e3, tau1=3e307, tau2=3e307)
-        with pytest.raises(InvalidInputError, match="^tau_eq must be finite and > 0, got inf$"):
-            mape_map(3e307, 3e307, pfr_grid=(10.0, 20.0), model=model, times=[0.0, 1.6e308])
+        with pytest.raises(InvalidInputError, match="^fit window 5\\*tau2="):
+            mape_map(3e307, 3e307, pfr_grid=(10.0, 20.0), model=model)
 
 
 SURFACE_FIELDS = dict(a=1.3, b=0.6, tau1=0.4, tau2=2.0, rms_residual=0.01, pfr_plane_dev=0.005)

@@ -199,7 +199,8 @@ class TestOracle:
 def test_trace_csv_matches_the_generic_writer(tmp_path):
     from sfrkit import FrequencyTrace, reports
 
-    tr = FrequencyTrace(t0=0.0, dt=0.1, samples=[-0.0, 0.0, 1.0 / 3.0, -2.5e-300, 1e21, np.nan])
+    # a NaN sample is refused before the file is opened (test_reports), so none is written here
+    tr = FrequencyTrace(t0=0.0, dt=0.1, samples=[-0.0, 0.0, 1.0 / 3.0, -2.5e-300, 1e21])
     reports.write_trace_csv(tmp_path / "fast.csv", tr)
     reports.write_csv(tmp_path / "rows.csv", ("t_s", "delta_f_hz"), zip(tr.times, tr.samples))
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

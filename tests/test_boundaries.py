@@ -361,42 +361,3 @@ class TestHugePfr1Sensitivities:
                      "--pfr1", "1e-200", "--pfr2", "100", "--out", str(out)]) == 1
         assert "the tau model's derivatives are not finite" in capsys.readouterr().err
         assert not out.exists()
-
-
-BAD_TIMES = [[0.0, 1.0, math.nan, 10.0], [0.0, 1.0, math.inf, 10.0], [0.0, -1.0, 5.0, 10.0]]
-TIME_GRID_FITS = {
-    "build_tau_surface": lambda t: build_tau_surface(0.4, 2.0, pfr_grid=[20.0, 40.0], times=t),
-    "mape_map": lambda t: mape_map(0.4, 2.0, pfr_grid=[20.0, 40.0], times=t),
-    "fit_equivalent_band": lambda t: bandfit.fit_equivalent_band(
-        bandfit.TwoBandPfr(LagBand(20.0, 0.4), LagBand(40.0, 2.0)), times=t),
-}
-
-
-class TestTimeGridCheck:
-    @pytest.mark.parametrize("times", BAD_TIMES, ids=["nan", "inf", "negative"])
-    @pytest.mark.parametrize("fit", list(TIME_GRID_FITS))
-    def test_library_names_the_time_grid_before_any_work(self, fit, times, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a rejected time grid must not be fitted or mapped")
-
-        monkeypatch.setattr(bandfit, "_fit_lag_bands", no_work)
-        monkeypatch.setattr(bandfit, "_class_mapes", no_work)
-        with pytest.raises(InvalidInputError, match="^time grid must hold finite sample times"):
-            _no_warnings(lambda: TIME_GRID_FITS[fit](times))
-
-    @pytest.mark.parametrize("fit", list(TIME_GRID_FITS))
-    def test_finite_unsorted_grid_accepted(self, fit):
-        _no_warnings(lambda: TIME_GRID_FITS[fit]([0.0, 10.0, 3.0, 0.0, 0.3, 1.0, 10.0]))
-
-    @pytest.mark.parametrize("args", [["mape-map"],
-                                      ["fit-surface", "--tau1", "0.4", "--tau2", "2"]])
-    def test_cli_default_grid_is_not_rechecked(self, args, monkeypatch, tmp_path):
-        # the CLI takes no time grid, and the default one needs no check
-        def no_check(*args, **kwargs):
-            raise AssertionError("the default time grid must not be checked")
-
-        monkeypatch.setattr(bandfit, "_check_times", no_check)
-        out = tmp_path / "out"
-        assert main([*args, "--pfr-min", "20", "--pfr-max", "40", "--pfr-step", "20",
-                     "--out", str(out)]) == 0
-        assert out.stat().st_size > 0

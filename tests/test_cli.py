@@ -320,6 +320,15 @@ class TestOverridesAndErrors:
         err = capsys.readouterr().err
         assert "dt=0.001" in err and f"largest stable step is {largest} s" in err
 
+    def test_overflowing_trace_exits_1(self, scenario, tmp_path, capsys):
+        # the oracle's trace overflows to NaN at the first step: no CSV of NaN rows
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--scenario", scenario(BASE),
+                     "--set", "system.p_cont_mw=1.7e308", "--set", "bands.0.pfr_mw=1.7e308",
+                     "--set", "system.ke_mws=1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "delta_f_hz at t_s = 0.001 is nan" in capsys.readouterr().err
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -438,6 +447,26 @@ class TestSurfaceErrors:
         assert main(["mape-map", "--surface", str(surface), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count(str(surface)) == 1
+
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"a": "1.3141629", "b": 0.6, "tau1_s": 0.4, "tau2_s": 2.0}',
+         "a: expected a number, got '1.3141629'"),
+        ('{"a": 1.3, "b": true, "tau1_s": 0.4, "tau2_s": 2.0}', "b: expected a number, got True"),
+        ('{"a": 1.3, "b": 0.6, "tau1_s": 0.4, "tau2_s": "2"}',
+         "tau2_s: expected a number, got '2'"),
+        ('{"a": 1.3, "b": 0.6, "tau1_s": 0.4, "tau2_s": 2.0, "rms_residual": "0"}',
+         "rms_residual: expected a number, got '0'"),
+        ('{"a": 1.3, "b": 0.6, "tau1_s": 0.4}', "missing field 'tau2_s'"),
+        ("[1.3, 0.6, 0.4, 2.0]", "top level must be an object"),
+    ], ids=["string", "bool", "string-tau2", "string-rms", "missing", "list"])
+    def test_surface_numbers_follow_the_scenario_rule(self, doc, message, tmp_path, capsys):
+        surface = tmp_path / "s.json"
+        surface.write_text(doc)
+        out = tmp_path / "map.csv"
+        assert main(["mape-map", "--surface", str(surface), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
 
 class TestOracleNadirOvershoot:

@@ -90,12 +90,12 @@ class TestClosedFormTrace:
 class TestFitGrid:
     def test_largest_default_grid_is_virtual(self):
         # tau2 = 20 000 s at 10 ms is the ceiling exactly; nothing is allocated
-        assert bandfit._fit_grid(None, 20_000.0) == (_MAX_STEPS + 1, 0.01)
+        assert bandfit._fit_grid(20_000.0) == (_MAX_STEPS + 1, 0.01)
 
     @pytest.mark.parametrize("tau2", [20_000.01, 1e9, 1e300, math.inf, math.nan])
     def test_oversized_window_names_tau2(self, guarded_arange, tau2):
         with pytest.raises(InvalidInputError, match="tau2"):
-            bandfit._fit_grid(None, tau2)
+            bandfit._fit_grid(tau2)
         with pytest.raises(InvalidInputError, match="tau2"):
             bandfit.default_fit_times(tau2)
 

@@ -202,6 +202,12 @@ class TestScenario:
         with pytest.raises(InvalidInputError, match="line 1"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("value", ["5", '"ab"', "{}"])
+    def test_bands_must_be_a_list(self, value):
+        doc = apply_overrides(json.loads(json.dumps(SCENARIO)), [f"bands={value}"])
+        with pytest.raises(InvalidInputError, match="^bands: expected a list"):
+            scenario_from_dict(doc)
+
     def test_band_sign_must_match_contingency(self):
         doc = json.loads(json.dumps(SCENARIO))
         doc["bands"][0]["pfr_mw"] = -270

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sfrkit import FrequencyTrace
+from sfrkit import FrequencyTrace, InvalidInputError
 from sfrkit.reports import fmt, write_csv, write_json, write_trace_csv
 
 
@@ -41,3 +41,10 @@ class TestFormatting:
             with pytest.raises(ValueError):
                 write_json(path, {"delta_f_nadir_hz": value})
             assert not path.exists()
+
+    def test_trace_csv_rejects_non_finite_without_writing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        trace = FrequencyTrace(t0=0.0, dt=0.5, samples=np.array([0.0, -0.25, np.nan, -np.inf]))
+        with pytest.raises(InvalidInputError, match=r"^delta_f_hz at t_s = 1\.0 is nan"):
+            write_trace_csv(path, trace)
+        assert not path.exists()
