@@ -286,17 +286,24 @@ def _find_root(stationarity, knots, xtol, what):
     return _where(abs(f1) <= abs(f2), x1, x2)
 
 
-def _fit_lag_bands(p1, tau1: float, p2, tau2: float, grid):
+def _fit_lag_bands(p1, tau1: float, p2, tau2: float):
     """Least-squares single lag band for the targets y = p1*s(tau1) + p2*s(tau2).
 
     With s(tau) = 1 - exp(-t/tau), the best magnitude for a given tau is
     <s,y>/<s,s>, clipped at 0, which leaves a 1-D search over the box
     [tau1/2, 2*tau2], started from tau1/2, _TAU_KNOTS log-spaced knots from
     tau1 to tau2 inclusive and 2*tau2. Every inner product <s_lam, s_mu> of
-    rates lam = 1/tau is n - E(lam) - E(mu) + E(lam + mu), so no sample array
-    is built. p1 and p2 broadcast; returns arrays (pfr, tau, ssr).
+    rates lam = 1/tau over tau2's sampling grid is n - E(lam) - E(mu) +
+    E(lam + mu), so no sample array is built. p1 >= 0 and p2 >= 0 broadcast;
+    returns arrays (pfr, tau, ssr). Sums reach (p1 + p2)^2 * n: one that
+    overflows for the largest p1 and p2 is bad input, named before any sum.
     """
+    grid = _fit_grid(tau2)
     n = grid[0]
+    m1, m2 = float(np.max(p1)), float(np.max(p2))  # Python floats overflow to inf, silently
+    if not (m1 + m2) * (m1 + m2) * n < math.inf:
+        raise InvalidInputError(f"equivalent-band fit: magnitudes PFR1 = {m1!r} and PFR2 = "
+                                f"{m2!r} overflow its sums of squares over {n} samples")
     l1, l2 = 1.0 / tau1, 1.0 / tau2
     (e1, e2, e11, e12, e22), _ = _exp_sums([l1, l2, 2 * l1, l1 + l2, 2 * l2], grid)
     yy = p1**2 * (n - 2 * e1 + e11) + 2 * p1 * p2 * (n - e1 - e2 + e12) + p2**2 * (n - 2 * e2 + e22)
@@ -373,8 +380,7 @@ def fit_equivalent_band(tb: TwoBandPfr) -> EquivalentBand:
     p_total = tb.band1.pfr + tb.band2.pfr
     if not p_total > 0:
         raise InvalidInputError("total PFR must be > 0 to fit an equivalent band")
-    pfr, tau, ssr = _fit_lag_bands(tb.band1.pfr, tb.band1.tau, tb.band2.pfr, tb.band2.tau,
-                                   _fit_grid(tb.band2.tau))
+    pfr, tau, ssr = _fit_lag_bands(tb.band1.pfr, tb.band1.tau, tb.band2.pfr, tb.band2.tau)
     return EquivalentBand(pfr_eq=float(pfr), tau_eq=float(tau), fit_residual=float(ssr))
 
 
@@ -383,13 +389,13 @@ def build_tau_surface(tau1: float, tau2: float, pfr_grid=None) -> TauSurfaceMode
 
     Grid cells with PFR1 = 0 have an undefined magnitude ratio and are
     skipped. The equivalent band depends on the cell only through PFR2/PFR1,
-    so each distinct ratio is fitted once and weighted by its number of cells.
+    so each distinct ratio is fitted once, as PFR1 = 1 and PFR2 = ratio, and
+    weighted by its number of cells.
     The largest relative drift of the fitted magnitudes from the PFR1 + PFR2
     plane is recorded on the model as pfr_plane_dev.
     """
     _check_tau_pair(tau1, tau2)
     grid = _magnitude_grid(pfr_grid)
-    fit_grid = _fit_grid(tau2)
 
     p1 = grid[grid != 0.0]
     if len(p1) == 0:
@@ -399,7 +405,7 @@ def build_tau_surface(tau1: float, tau2: float, pfr_grid=None) -> TauSurfaceMode
     if ratios[-1] == math.inf:
         raise InvalidInputError(f"pfr grid: the ratio {float(grid.max())!r}/{float(p1.min())!r} "
                                 "of two magnitudes overflows")
-    pfr, tau_eqs, _ = _fit_lag_bands(1.0, tau1, ratios, tau2, fit_grid)
+    pfr, tau_eqs, _ = _fit_lag_bands(1.0, tau1, ratios, tau2)
     plane_dev = float(np.max(np.abs(pfr - (1.0 + ratios)) / (1.0 + ratios)))
     a, b, ssr = _fit_tau_model(tau1, ratios, counts.astype(float), tau_eqs)
     return TauSurfaceModel(
@@ -476,8 +482,8 @@ def mape(exact: FrequencyTrace, approx: FrequencyTrace) -> float:
     Samples where the exact value is below 1e-6 of its peak magnitude are
     excluded; the exact curve passes through zero at t = 0 by construction.
     """
-    if (exact.t0, exact.dt, len(exact)) != (approx.t0, approx.dt, len(approx)):
-        raise InvalidInputError("traces must share t0, dt and length")
+    if (exact.dt, len(exact)) != (approx.dt, len(approx)):
+        raise InvalidInputError("traces must share dt and length")
     return _mape_arrays(exact.samples, approx.samples)
 
 
@@ -626,7 +632,7 @@ class TauSweepCell:
     tau2: float
     mean_mape_pct: float
     max_mape_pct: float
-    pfr_plane_dev: float | None = None  # the cell's TauSurfaceModel.pfr_plane_dev
+    pfr_plane_dev: float  # the cell's TauSurfaceModel.pfr_plane_dev
 
 
 @_record

@@ -55,7 +55,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _require_finite_flags(args)
-        return args.handler(args)
+        # no numpy warnings: every artifact writer refuses a value that is not finite
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (ValueError, OverflowError) as exc:
         # InvalidInputError, and non-finite results that write_json refuses
         print(f"error: {exc}", file=sys.stderr)
@@ -415,7 +417,7 @@ def _fig4():
     # one vectorised fit; each cell equals its fit_equivalent_band result bit for bit
     grid = np.array(bandfit.DEFAULT_PFR_GRID)
     p1, p2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-    pfr, tau, _ = bandfit._fit_lag_bands(p1, 0.4, p2, 2.0, bandfit._fit_grid(2.0))
+    pfr, tau, _ = bandfit._fit_lag_bands(p1, 0.4, p2, 2.0)
     return ("pfr1_mw", "pfr2_mw", "pfr_eq_mw", "tau_eq_s"), zip(p1, p2, pfr, tau)
 
 

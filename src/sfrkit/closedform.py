@@ -254,4 +254,4 @@ def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> Fr
     times = np.arange(n + 1, dtype=float)
     times *= dt  # a grid built here needs no time check
     samples = _delta_f(sc, _of_kind(bands, kind), _require_damping(sc), times)
-    return FrequencyTrace(t0=0.0, dt=dt, samples=samples)
+    return FrequencyTrace(dt=dt, samples=samples)

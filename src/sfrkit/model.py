@@ -210,9 +210,8 @@ def total_pfr_value(bands, t):
 
 @_record
 class FrequencyTrace:
-    """Uniformly sampled frequency-deviation samples, Hz."""
+    """Frequency-deviation samples, Hz, at t = 0, dt, 2*dt, ..."""
 
-    t0: float
     dt: float
     samples: np.ndarray
 
@@ -226,7 +225,7 @@ class FrequencyTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.samples), dtype=float)
+        return self.dt * np.arange(len(self.samples), dtype=float)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -284,7 +283,11 @@ def _number(value, name: str) -> float:
     """A JSON number as a float, finite or not; a bool or any other value is bad input."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{name}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise InvalidInputError(
+            f"{name}: expected a finite number, got an integer too large for a float") from None
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -56,24 +56,17 @@ class IntegrationSpec:
             raise InvalidInputError(f"method must be '{RK4}' or '{FORWARD_EULER}'")
 
 
-def _eval_p(p_of_t, times: np.ndarray) -> np.ndarray:
-    """Evaluate a PFR callable on a grid, tolerating scalar-only callables."""
-    try:
-        values = np.asarray(p_of_t(times), dtype=float)
-        if values.shape == times.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(p_of_t(float(t))) for t in times])
-
-
 def _forcing(p_of_t, steps: np.ndarray, unit: float, p_cont: float, scale: float) -> np.ndarray:
     """a(t) = (p(t) - P_cont)/(2H) at t = steps*unit, computed in place over steps.
 
-    The callable's own result is only read, never written.
+    p_of_t is called once, on the array of times; its result is only read, never written.
     """
     steps *= unit
-    np.subtract(_eval_p(p_of_t, steps), p_cont, out=steps)
+    values = np.asarray(p_of_t(steps), dtype=float)
+    if values.shape not in (steps.shape, ()):
+        raise InvalidInputError(f"p(t) returned shape {values.shape} for times of shape "
+                                f"{steps.shape}: it must return one value per time, or a constant")
+    np.subtract(values, p_cont, out=steps)
     steps *= scale
     return steps
 
@@ -112,7 +105,10 @@ def _linear_scan(d: float, y: np.ndarray, work: np.ndarray) -> np.ndarray:
 def integrate(sc: SystemConditions, p_of_t, spec: IntegrationSpec) -> FrequencyTrace:
     """Integrate d(df)/dt = [p(t) - P_cont - D'*df] / (2H) from df(0) = 0.
 
-    Raises InvalidInputError when dt is beyond the method's stability limit.
+    p_of_t takes the array of sample times and returns an array of the same
+    shape, or a constant; wrap a function of one float in np.vectorize. Raises
+    InvalidInputError for any other result, and when dt is beyond the method's
+    stability limit.
     """
     dt = spec.dt
     n = _grid_steps(spec.t_end, dt)
@@ -147,7 +143,7 @@ def integrate(sc: SystemConditions, p_of_t, spec: IntegrationSpec) -> FrequencyT
             f"dt={dt} s is unstable for {spec.method} with D'/(2H)={lam:.6g} 1/s "
             f"(step gain {1.0 + d:.6g}); the largest stable step is "
             f"{_STABLE_H_LAM[spec.method] / lam:.6g} s")
-    return FrequencyTrace(t0=0.0, dt=dt, samples=_linear_scan(d, y, work))
+    return FrequencyTrace(dt=dt, samples=_linear_scan(d, y, work))
 
 
 def trace_nadir(trace: FrequencyTrace):
@@ -162,4 +158,4 @@ def trace_nadir(trace: FrequencyTrace):
     moved = np.flatnonzero(samples)
     under = moved.size == 0 or samples[moved[0]] < 0
     idx = int(np.argmin(samples)) if under else int(np.argmax(samples))
-    return trace.t0 + trace.dt * idx, float(samples[idx])
+    return trace.dt * idx, float(samples[idx])

@@ -9,8 +9,6 @@ import itertools
 import json
 import math
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .model import FrequencyTrace
 
@@ -23,21 +21,26 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of one number per header column, each formatted as fmt formats it."""
+    """Write rows of one number per header column, each formatted as fmt formats it.
+
+    As in write_json, a non-finite value raises InvalidInputError, naming its
+    column and its row's first value, before the file is opened.
+    """
+    rows = list(rows)
     line = ",".join(["{:.9g}"] * len(header)) + "\n"
+    body = "".join(itertools.starmap(line.format, rows))
+    if "n" in body:  # finite values format to digits, '.', '-', '+' and 'e'; nan and inf hold an n
+        row = rows[body.count("\n", 0, body.index("n"))]
+        j = next(j for j, value in enumerate(row) if not math.isfinite(value))
+        raise InvalidInputError(f"{header[j]} at {header[0]} = {float(row[0])!r} is "
+                                f"{float(row[j])!r}: a CSV artifact must be finite")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(itertools.starmap(line.format, rows))
+        fh.write(body)
 
 
 def write_trace_csv(path, trace: FrequencyTrace) -> None:
-    """Standard trace artifact: t_s,delta_f_hz. As in write_json, a non-finite
-    sample raises InvalidInputError, naming its time, before the file is opened."""
-    finite = np.isfinite(trace.samples)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise InvalidInputError(f"delta_f_hz at t_s = {trace.times[i].item()!r} is "
-                                f"{trace.samples[i].item()!r}: a trace must be finite")
+    """Standard trace artifact: t_s,delta_f_hz."""
     write_csv(path, ("t_s", "delta_f_hz"), zip(trace.times.tolist(), trace.samples.tolist()))
 
 

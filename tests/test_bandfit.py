@@ -163,30 +163,30 @@ class TestEquivalentTauModel:
 
 class TestMape:
     def test_identical_traces(self):
-        tr = FrequencyTrace(0.0, 0.1, np.array([-0.5, -1.0, -1.5]))
+        tr = FrequencyTrace(0.1, np.array([-0.5, -1.0, -1.5]))
         assert mape(tr, tr) == 0.0
 
     def test_hand_example(self):
-        exact = FrequencyTrace(0.0, 1.0, np.array([-1.0, -2.0]))
-        approx = FrequencyTrace(0.0, 1.0, np.array([-1.1, -2.2]))
+        exact = FrequencyTrace(1.0, np.array([-1.0, -2.0]))
+        approx = FrequencyTrace(1.0, np.array([-1.1, -2.2]))
         assert mape(exact, approx) == pytest.approx(10.0, rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
-        a = FrequencyTrace(0.0, 0.1, np.array([-1.0, -2.0]))
-        b = FrequencyTrace(0.0, 0.2, np.array([-1.0, -2.0]))
+        a = FrequencyTrace(0.1, np.array([-1.0, -2.0]))
+        b = FrequencyTrace(0.2, np.array([-1.0, -2.0]))
         with pytest.raises(InvalidInputError):
             mape(a, b)
 
     def test_all_zero_exact_undefined(self):
-        zero = FrequencyTrace(0.0, 0.1, np.zeros(4))
-        other = FrequencyTrace(0.0, 0.1, np.ones(4))
+        zero = FrequencyTrace(0.1, np.zeros(4))
+        other = FrequencyTrace(0.1, np.ones(4))
         with pytest.raises(InvalidInputError):
             mape(zero, other)
 
     def test_near_zero_samples_excluded(self):
         # first sample sits below 1e-6 of the peak and must not blow up the mean
-        exact = FrequencyTrace(0.0, 1.0, np.array([1e-9, -1.0, -2.0]))
-        approx = FrequencyTrace(0.0, 1.0, np.array([0.5, -1.1, -2.2]))
+        exact = FrequencyTrace(1.0, np.array([1e-9, -1.0, -2.0]))
+        approx = FrequencyTrace(1.0, np.array([0.5, -1.1, -2.2]))
         assert mape(exact, approx) == pytest.approx(10.0, rel=1e-9)
 
 
@@ -207,8 +207,8 @@ class TestMapeMap:
         t = np.arange(0, 3001) * 0.01
         tb = TwoBandPfr(LagBand(130.0, 0.4), LagBand(130.0, 2.0))
         eq = canonical_equivalent(130.0, 130.0)
-        exact = FrequencyTrace(0.0, 0.01, total_pfr_value((tb.band1, tb.band2), t))
-        approx = FrequencyTrace(0.0, 0.01, eq.pfr_eq * (1 - np.exp(-t / eq.tau_eq)))
+        exact = FrequencyTrace(0.01, total_pfr_value((tb.band1, tb.band2), t))
+        approx = FrequencyTrace(0.01, eq.pfr_eq * (1 - np.exp(-t / eq.tau_eq)))
         assert report.cells[0].mape_pct == pytest.approx(mape(exact, approx), rel=1e-12)
 
     def test_noncanonical_taus_need_a_model(self):
@@ -290,8 +290,7 @@ class TestVariableProjection:
                 taus.append(eq.tau_eq)
                 devs.append(abs(eq.pfr_eq - (p1 + p2)) / (p1 + p2))
         # the per-ratio fits behind the surface are the cell fits up to rounding
-        _, tau_r, _ = bandfit._fit_lag_bands(1.0, tau1, np.array(ratios), tau2,
-                                             bandfit._fit_grid(tau2))
+        _, tau_r, _ = bandfit._fit_lag_bands(1.0, tau1, np.array(ratios), tau2)
         np.testing.assert_allclose(tau_r, taus, rtol=1e-10, atol=0)
         assert model.pfr_plane_dev == pytest.approx(max(devs), rel=1e-9)
 
@@ -607,11 +606,10 @@ class TestBracketedSearch:
         sweep = np.array(bandfit.DEFAULT_SWEEP_PFR_GRID)
         cases = [(p1, p2), (1.0, np.unique(np.divide.outer(sweep, sweep)))]
         cases += list(zip(p1[::37], p2[::37]))
-        fit_grid = bandfit._fit_grid(2.0)
-        fits = [bandfit._fit_lag_bands(a, 0.4, b, 2.0, fit_grid) for a, b in cases]
+        fits = [bandfit._fit_lag_bands(a, 0.4, b, 2.0) for a, b in cases]
         monkeypatch.setattr(bandfit, "_find_root", stepwise_find_root)
         for (a, b), fit in zip(cases, fits):
-            for got, want in zip(fit, bandfit._fit_lag_bands(a, 0.4, b, 2.0, fit_grid)):
+            for got, want in zip(fit, bandfit._fit_lag_bands(a, 0.4, b, 2.0)):
                 assert np.array_equal(got, want)
 
 
@@ -625,8 +623,8 @@ def per_cell_mape_map(tau1, tau2, grid, model, t):
             if p1 == 0 and p2 == 0:
                 continue
             eq = canonical_equivalent(p1, p2, model)
-            exact = FrequencyTrace(0.0, dt, p1 * e1 + p2 * e2)
-            approx = FrequencyTrace(0.0, dt, eq.pfr_eq * (1.0 - np.exp(-t / eq.tau_eq)))
+            exact = FrequencyTrace(dt, p1 * e1 + p2 * e2)
+            approx = FrequencyTrace(dt, eq.pfr_eq * (1.0 - np.exp(-t / eq.tau_eq)))
             out.append(((p1, p2), mape(exact, approx)))
     return out
 

@@ -3,6 +3,7 @@ import argparse
 import inspect
 import json
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -284,6 +285,57 @@ class TestMagnitudeGridCheck:
             "fit-surface", "--tau1", "0.4", "--tau2", "2.0", "--pfr-min", "1e-200",
             "--pfr-max", "1e200", "--pfr-step", "5e199", "--out", str(out)])) == 1
         assert capsys.readouterr().err.startswith("error: pfr grid: the ratio ")
+        assert not out.exists()
+
+
+TWO_BAND_SCENARIO = str(Path(SCENARIO).with_name("two_band_mix.json"))
+
+
+class TestBandFitSquares:
+    """The band fit's sums reach (PFR1 + PFR2)^2 * n, with n = 3001 samples at tau2 = 2 s.
+
+    Below the bound a fit runs clean; above it, the magnitudes are bad input.
+    A surface fits each ratio as PFR1 = 1, PFR2 = ratio, so its bound is a
+    ratio of about 2.4475e152; two equal bands' is about 1.2238e152 each.
+    """
+
+    @pytest.mark.filterwarnings("error")
+    def test_below_the_bound_fits_clean(self):
+        surface = build_tau_surface(0.4, 2.0, pfr_grid=(100.0 / 2.4e152, 50.0, 100.0))
+        assert math.isfinite(surface.a) and math.isfinite(surface.b)
+        eq = bandfit.fit_equivalent_band(
+            bandfit.TwoBandPfr(LagBand(1.2e152, 0.4), LagBand(1.2e152, 2.0)))
+        assert eq.pfr_eq == pytest.approx(2.4e152, rel=0.05)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratio", [2.5e152, 1e308])
+    def test_surface_ratio_above_the_bound(self, ratio):
+        with pytest.raises(InvalidInputError, match=r"^equivalent-band fit: magnitudes PFR1 = "
+                                                    r"1\.0 and PFR2 = .* over 3001 samples"):
+            build_tau_surface(0.4, 2.0, pfr_grid=(100.0 / ratio, 50.0, 100.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pfr", [1.3e152, 1e160, 1.7e308])
+    def test_band_magnitudes_above_the_bound(self, pfr):
+        pair = bandfit.TwoBandPfr(LagBand(pfr, 0.4), LagBand(pfr, 2.0))
+        message = f"equivalent-band fit: magnitudes PFR1 = {pfr!r} and PFR2 = {pfr!r} overflow"
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+            bandfit.fit_equivalent_band(pair)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, named", [
+        (["fit-surface", "--tau1", "0.4", "--tau2", "2", "--pfr-min", "1e-306", "--pfr-max",
+          "100", "--pfr-step", "50"], "PFR2 = 1e+308"),
+        (["fit-band", "--scenario", TWO_BAND_SCENARIO, "--set", "system.p_cont_mw=1e160",
+          "--set", "bands.0.pfr_mw=1e160", "--set", "bands.1.pfr_mw=1e160"],
+         "PFR1 = 1e+160 and PFR2 = 1e+160"),
+    ], ids=["fit-surface", "fit-band"])
+    def test_cli_exits_1(self, args, named, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: equivalent-band fit: magnitudes ") and named in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

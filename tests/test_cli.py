@@ -329,6 +329,22 @@ class TestOverridesAndErrors:
         assert not out.exists()
         assert "delta_f_hz at t_s = 0.001 is nan" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, message", [
+        ("simulate", "error: delta_f_hz at t_s = 0.001 is nan"),
+        ("compare", "error: closed form and oracle differ by nan"),
+    ], ids=["simulate", "compare"])
+    def test_overflowing_scenario_prints_one_error_line(self, command, message, scenario,
+                                                        tmp_path, capsys):
+        # the overflow is reported once, by the writer's check, with no numpy warning before it
+        path = scenario(BASE)
+        assert main([command, "--scenario", path,
+                     "--set", "system.p_cont_mw=1.7e308", "--set", "bands.0.pfr_mw=1.7e308",
+                     "--set", "system.ke_mws=1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [Path(path).name]  # no artifact
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -459,7 +475,9 @@ class TestSurfaceErrors:
          "rms_residual: expected a number, got '0'"),
         ('{"a": 1.3, "b": 0.6, "tau1_s": 0.4}', "missing field 'tau2_s'"),
         ("[1.3, 0.6, 0.4, 2.0]", "top level must be an object"),
-    ], ids=["string", "bool", "string-tau2", "string-rms", "missing", "list"])
+        ('{"a": 1' + "0" * 400 + ', "b": 0.6, "tau1_s": 0.4, "tau2_s": 2.0}',
+         "a: expected a finite number, got an integer too large for a float"),
+    ], ids=["string", "bool", "string-tau2", "string-rms", "missing", "list", "huge-int"])
     def test_surface_numbers_follow_the_scenario_rule(self, doc, message, tmp_path, capsys):
         surface = tmp_path / "s.json"
         surface.write_text(doc)

@@ -17,7 +17,7 @@ def test_subnormal_map_exits_1(tmp_path, capsys):
 
 
 def test_subnormal_curve_has_no_mape():
-    exact = FrequencyTrace(t0=0.0, dt=1.0, samples=[0.0, 5e-324, 1e-320])
+    exact = FrequencyTrace(dt=1.0, samples=[0.0, 5e-324, 1e-320])
     with pytest.raises(InvalidInputError, match="every sample was excluded"):
         bandfit.mape(exact, exact)
 

@@ -160,15 +160,15 @@ class TestPfrValues:
 
 class TestFrequencyTrace:
     def test_times_grid(self):
-        tr = FrequencyTrace(t0=0.0, dt=0.5, samples=np.array([0.0, -0.1, -0.2]))
+        tr = FrequencyTrace(dt=0.5, samples=np.array([0.0, -0.1, -0.2]))
         assert np.array_equal(tr.times, [0.0, 0.5, 1.0])
         assert len(tr) == 3
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            FrequencyTrace(t0=0.0, dt=0.0, samples=np.array([0.0]))
+            FrequencyTrace(dt=0.0, samples=np.array([0.0]))
         with pytest.raises(InvalidInputError):
-            FrequencyTrace(t0=0.0, dt=0.1, samples=np.array([]))
+            FrequencyTrace(dt=0.1, samples=np.array([]))
 
 
 SCENARIO = {
@@ -257,6 +257,7 @@ class TestScenario:
 
     @pytest.mark.parametrize("assignment", [
         "system.p_cont_mw=1e999", "bands.0.pfr_mw=-1e999", "sim.dt_s=1e999",
+        pytest.param("system.ke_mws=1" + "0" * 400, id="system.ke_mws=1e400-as-an-integer"),
     ])
     def test_overflowing_literal_names_the_field(self, assignment):
         # finite JSON literals that parse to infinity pass the token hook

@@ -1,4 +1,4 @@
-import math
+import re
 
 import numpy as np
 import pytest
@@ -143,14 +143,6 @@ class TestIntegrate:
         assert gap_rk4 <= 1e-9
         assert gap_rk4 < gap_euler <= 1e-3
 
-    def test_scalar_only_callable(self, base_system):
-        def p(t):
-            return 270.0 * (1.0 - math.exp(-t / 2.0))
-
-        tr = integrate(base_system, p, IntegrationSpec(t_end=1.0, dt=0.01))
-        vec = integrate(base_system, fig_p, IntegrationSpec(t_end=1.0, dt=0.01))
-        assert np.allclose(tr.samples, vec.samples, rtol=1e-15)
-
     def test_rk4_matches_closed_form_to_rounding(self, base_system):
         # 30 000 steps: powers of the step gain formed by squaring g itself
         # would compound its rounding and miss this by about 1e-13 Hz
@@ -196,20 +188,39 @@ class TestIntegrate:
         tr = integrate(base_system, lambda t: 300.0, IntegrationSpec(t_end=0.5, dt=0.01))
         assert np.all(tr.samples == 0.0)
 
+    @pytest.mark.parametrize("method, times", [(RK4, 51), (FORWARD_EULER, 50)])
+    @pytest.mark.parametrize("p, shape", [(lambda t: t[:-1], lambda n: (n - 1,)),
+                                          (lambda t: t[:, None], lambda n: (n, 1)),
+                                          (lambda t: [270.0], lambda n: (1,))],
+                             ids=["short", "column", "one-element"])
+    def test_wrong_shape_callable_names_both_shapes(self, base_system, method, times, p, shape):
+        # one call on the array of times, and no sample-by-sample retry
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape)
+            return p(t)
+
+        spec = IntegrationSpec(t_end=0.5, dt=0.01, method=method)
+        message = f"p(t) returned shape {shape(times)} for times of shape {(times,)}"
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+            integrate(base_system, counted, spec)
+        assert calls == [(times,)]
+
 
 class TestTraceNadir:
     def test_monotone_trace_ends_at_last_sample(self):
-        tr = FrequencyTrace(t0=0.0, dt=1.0, samples=np.array([0.0, -0.5, -0.9, -1.1]))
+        tr = FrequencyTrace(dt=1.0, samples=np.array([0.0, -0.5, -0.9, -1.1]))
         assert trace_nadir(tr) == (3.0, -1.1)
 
     def test_all_zero_trace(self):
-        tr = FrequencyTrace(t0=0.0, dt=1.0, samples=np.zeros(5))
+        tr = FrequencyTrace(dt=1.0, samples=np.zeros(5))
         assert trace_nadir(tr) == (0.0, 0.0)
 
     def test_over_frequency_picks_maximum(self):
-        tr = FrequencyTrace(t0=0.0, dt=1.0, samples=np.array([0.0, 0.8, 1.2, 0.4]))
+        tr = FrequencyTrace(dt=1.0, samples=np.array([0.0, 0.8, 1.2, 0.4]))
         assert trace_nadir(tr) == (2.0, 1.2)
 
     def test_tie_breaks_earliest(self):
-        tr = FrequencyTrace(t0=0.0, dt=1.0, samples=np.array([0.0, -1.0, -1.0, -0.5]))
+        tr = FrequencyTrace(dt=1.0, samples=np.array([0.0, -1.0, -1.0, -0.5]))
         assert trace_nadir(tr) == (1.0, -1.0)

@@ -21,7 +21,8 @@ from sfrkit.errors import InvalidInputError
 _LAG = model.LagBand(pfr=100.0, tau=2.0)
 _SYSTEM = model.SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.04, p_cont=300.0)
 _CELL = bandfit.MapeCell(pfr1=10.0, pfr2=20.0, mape_pct=1.5)
-_SWEEP_CELL = bandfit.TauSweepCell(tau1=0.4, tau2=2.0, mean_mape_pct=0.8, max_mape_pct=1.9)
+_SWEEP_CELL = bandfit.TauSweepCell(tau1=0.4, tau2=2.0, mean_mape_pct=0.8, max_mape_pct=1.9,
+                                   pfr_plane_dev=0.003)
 
 # record type -> (keyword arguments of a valid instance, one invalid field value or None)
 RECORDS = {
@@ -30,7 +31,7 @@ RECORDS = {
     model.DerivedParams: (dict(dprime=80.0, h=180.0), ("h", 0.0)),
     model.LagBand: (dict(pfr=100.0, tau=2.0), ("tau", -1.0)),
     model.RampBand: (dict(pfr=100.0, t_r=5.0), ("t_r", 0.0)),
-    model.FrequencyTrace: (dict(t0=0.0, dt=0.01, samples=np.array([0.0, -0.1, -0.2])),
+    model.FrequencyTrace: (dict(dt=0.01, samples=np.array([0.0, -0.1, -0.2])),
                            ("dt", 0.0)),
     model.Scenario: (dict(system=_SYSTEM, bands=(_LAG,)), None),
     closedform.NadirResult: (dict(kind=closedform.INTERIOR_MINIMUM, t_nadir=4.0,
@@ -46,7 +47,8 @@ RECORDS = {
     bandfit.TauSurfaceModel: (dict(a=1.3, b=0.63, tau1=0.4, tau2=2.0), ("b", 0.0)),
     bandfit.MapeCell: (dict(pfr1=10.0, pfr2=20.0, mape_pct=1.5), None),
     bandfit.MapeReport: (dict(cells=(_CELL,), mean_pct=1.5, max_pct=1.5), None),
-    bandfit.TauSweepCell: (dict(tau1=0.4, tau2=2.0, mean_mape_pct=0.8, max_mape_pct=1.9), None),
+    bandfit.TauSweepCell: (dict(tau1=0.4, tau2=2.0, mean_mape_pct=0.8, max_mape_pct=1.9,
+                                pfr_plane_dev=0.003), None),
     bandfit.TauSweepReport: (dict(cells=(_SWEEP_CELL,), mean_pct=0.8, max_pct=1.9), None),
     oracle.IntegrationSpec: (dict(t_end=30.0), ("dt", 0.5)),
 }
@@ -56,7 +58,6 @@ DEFAULTS = {
     model.Scenario: {"t_end": None, "dt": None},
     bandfit.EquivalentBand: {"fit_residual": None},
     bandfit.TauSurfaceModel: {"rms_residual": None, "pfr_plane_dev": None},
-    bandfit.TauSweepCell: {"pfr_plane_dev": None},
     oracle.IntegrationSpec: {"dt": 0.001, "method": oracle.RK4},
 }
 
@@ -178,7 +179,7 @@ def test_replace_reruns_validation(cls):
 
 
 def test_post_init_normalises_through_the_slot():
-    trace = model.FrequencyTrace(t0=0.0, dt=0.5, samples=[0, -1, -2])
+    trace = model.FrequencyTrace(dt=0.5, samples=[0, -1, -2])
     assert trace.samples.dtype == float
     assert np.array_equal(trace.times, [0.0, 0.5, 1.0])
 

@@ -15,7 +15,7 @@ class TestFormatting:
         assert fmt(2.7755575615628914e-15) == "2.77555756e-15"
 
     def test_trace_csv_bytes(self, tmp_path):
-        trace = FrequencyTrace(t0=0.0, dt=0.5, samples=np.array([0.0, -0.123456789123, -0.25]))
+        trace = FrequencyTrace(dt=0.5, samples=np.array([0.0, -0.123456789123, -0.25]))
         path = tmp_path / "t.csv"
         write_trace_csv(path, trace)
         assert path.read_bytes() == b"t_s,delta_f_hz\n0,0\n0.5,-0.123456789\n1,-0.25\n"
@@ -42,9 +42,21 @@ class TestFormatting:
                 write_json(path, {"delta_f_nadir_hz": value})
             assert not path.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (float("inf"), "^y at x = 0.5 is inf: "), (float("nan"), "^y at x = 0.5 is nan: "),
+        (-float("inf"), "^y at x = 0.5 is -inf: "),
+    ])
+    def test_csv_rejects_non_finite_without_writing(self, tmp_path, bad, message):
+        # a map or figure table is checked as a trace is: nothing is written
+        path = tmp_path / "table.csv"
+        rows = iter([(0.0, 1.0), (0.5, bad), (1.0, float("nan"))])
+        with pytest.raises(InvalidInputError, match=message):
+            write_csv(path, ("x", "y"), rows)
+        assert not path.exists()
+
     def test_trace_csv_rejects_non_finite_without_writing(self, tmp_path):
         path = tmp_path / "t.csv"
-        trace = FrequencyTrace(t0=0.0, dt=0.5, samples=np.array([0.0, -0.25, np.nan, -np.inf]))
+        trace = FrequencyTrace(dt=0.5, samples=np.array([0.0, -0.25, np.nan, -np.inf]))
         with pytest.raises(InvalidInputError, match=r"^delta_f_hz at t_s = 1\.0 is nan"):
             write_trace_csv(path, trace)
         assert not path.exists()
