@@ -11,10 +11,12 @@ whose coefficients (a, b) are themselves fitted. Both fits are separable: the
 magnitude is linear given tau and `a` is linear given `b`, so each is solved by
 variable projection as a 1-D root of its stationarity condition. Both roots
 are found by one bracketed superlinear search (Chandrupatla's method), which
-evaluates its knots in one call and stops at the first point where the
-condition reads exactly zero; tau is searched over [tau1/2, 2*tau2] from
-log-spaced inner knots that run from tau1 to tau2, both exact, and b in log
-space from log-spaced knots; either set brackets its root closely at once.
+evaluates its knots in one call, interpolates from its first step on through
+the knots on either side of the root and the knot past them, and stops at
+the first point where the condition reads exactly zero; tau is searched over
+[tau1/2, 2*tau2] from log-spaced inner knots that run from tau1 to tau2, both
+exact, and b in log space from log-spaced knots; either set brackets its root
+closely at once.
 The canonical fast/standard pair tau1 = 0.4 s, tau2 = 2.0 s ships with
 pre-fitted coefficients. Every fit and map samples one grid, [0, max(30,
 5*tau2)] s at 10 ms, bounded by the step ceiling of model._grid_steps, so
@@ -55,7 +57,6 @@ __all__ = [
     "DEFAULT_SWEEP_PFR_GRID",
     "DEFAULT_TAU1_RANGE",
     "DEFAULT_TAU2_RANGE",
-    "default_fit_times",
     "fit_equivalent_band",
     "build_tau_surface",
     "equivalent_tau",
@@ -93,9 +94,11 @@ _B_KNOTS = 64
 # the knots in log b, shared by every surface fit
 _LOG_B_KNOTS = np.linspace(math.log(_B_BOX[0]), math.log(_B_BOX[1]), _B_KNOTS)
 # log-spaced knots of the band fit from tau1 to tau2, evaluated in one call
-# with tau1/2 and 2*tau2: on the sweep pairs a fit then takes at most 6
-# evaluations, where tau1 and tau2 alone as inner knots took up to 13
-_TAU_KNOTS = 10
+# with tau1/2 and 2*tau2 as one column that every element shares, so a knot
+# costs one exp-sum column: on the sweep pairs a fit then takes at most 5
+# evaluations, the knot call counted as one, where 10 knots took up to 6
+# and tau1 and tau2 alone up to 13
+_TAU_KNOTS = 32
 _TAU_KNOT_EXPONENTS = np.linspace(0.0, 1.0, _TAU_KNOTS)
 # rows per block of the MAPE map, built in two (8, n) buffers. On the sweep
 # grid (75 classes x 3001 samples, 2-vCPU x86-64 host) a map took about
@@ -179,12 +182,6 @@ def _magnitude_grid(pfr_grid) -> np.ndarray:
 CANONICAL_SURFACE = TauSurfaceModel(a=1.3141629, b=0.63075533, tau1=0.4, tau2=2.0)
 
 
-def default_fit_times(tau2: float) -> np.ndarray:
-    """Sampling grid for curve fits and accuracy maps: [0, max(30, 5*tau2)] s."""
-    n, dt = _fit_grid(tau2)
-    return np.arange(n) * dt
-
-
 def _fit_grid(tau2: float):
     """The sampling grid as (n, dt): t_k = k*dt for k < n, [0, max(30, 5*tau2)] s every _FIT_DT."""
     return _grid_steps(max(5.0 * tau2, 30.0), _FIT_DT, "fit window 5*tau2") + 1, _FIT_DT
@@ -229,18 +226,18 @@ def _find_root(stationarity, knots, xtol, what):
     knots ascend along the first axis and are evaluated in one call; they may
     broadcast against the gap, as a column of knots shared by every element.
     The first knot where the zeroed gap is <= 0 and the knot before it bracket
-    the root.
+    the root, and the knot after it, or the last knot, is the third point.
     Chandrupatla's method then narrows each bracket by inverse quadratic
-    interpolation through its last three points, or by bisection where that
-    interpolant is not monotone. An element is done at the first point where
-    the gap is exactly 0, so a direction that is flat at knots[0] settles
-    there, or when its bracket is narrower than xtol. Done elements are
-    evaluated again at their newest point, which moves nothing, and each root
-    is picked once, at exit; 0-d elements stay numpy scalars. A non-finite
-    point also ends its element's search, so each step makes one check. Raises
-    FitError unless the box brackets a sign change, the condition is finite
-    wherever it is evaluated and every element is done within _MAX_STEPS
-    evaluations after the knots.
+    interpolation through its last three points, from the first step on, or
+    by bisection where that interpolant is not monotone. An element is done
+    at the first point where the gap is exactly 0, so a direction that is
+    flat at knots[0] settles there, or when its bracket is narrower than
+    xtol. Done elements are evaluated again at their newest point, which
+    moves nothing, and each root is picked once, at exit; 0-d elements stay
+    numpy scalars. A non-finite point also ends its element's search, so
+    each step makes one check. Raises FitError unless the box brackets a
+    sign change, the condition is finite wherever it is evaluated and every
+    element is done within _MAX_STEPS evaluations after the knots.
     """
     def gap(x):
         return _zeroed(*stationarity(x))
@@ -253,32 +250,32 @@ def _find_root(stationarity, knots, xtol, what):
     if not _all(np.isfinite(g), axis=None):
         raise FitError(f"{what}: non-finite stationarity condition")
     k = np.argmax(g <= 0.0, axis=0)
-    j = np.maximum(k - 1, 0)
-    # each element's knots k and j, by plain indexing; 0-d elements index with k alone
+    j, i = np.maximum(k - 1, 0), np.minimum(k + 1, len(g) - 1)
+    # each element's knots k, j and i, by plain indexing; 0-d elements index with k alone
     at = np.indices(k.shape, sparse=True)
     x1, f1 = knots[(k, *at)], g[(k, *at)]
     x2, f2 = knots[(j, *at)], g[(j, *at)]
-    x3, f3, t = x2, f2, 0.5
+    x3, f3 = knots[(i, *at)], g[(i, *at)]
     done = (f1 == 0.0) | (abs(x2 - x1) <= xtol)
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while steps < _MAX_STEPS and not _all(done):
             steps += 1
-            # x1 is the newest point, [x1, x2] the bracket, x3 the point x1 replaced
+            # x1 is the newest point, [x1, x2] the bracket, x3 the point x1
+            # replaced, or at first the knot past x1
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = _where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                       + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            tl = 0.5 * xtol / abs(x2 - x1)
+            t = np.minimum(np.maximum(t, tl), 1.0 - tl)
             x = _where(done, x1, x1 + t * (x2 - x1))
             f = gap(x)
             same = (f > 0.0) == (f1 > 0.0)
             x3, f3 = _where(same, x1, x2), _where(same, f1, f2)
             x2, f2 = _where(same, x2, x1), _where(same, f2, f1)
             x1, f1 = x, f
-            width = abs(x2 - x1)
-            done = done | (f1 == 0.0) | (width <= xtol) | ~np.isfinite(f1)
-            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = _where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                       + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
-            tl = 0.5 * xtol / width
-            t = np.minimum(np.maximum(t, tl), 1.0 - tl)
+            done = done | (f1 == 0.0) | (abs(x2 - x1) <= xtol) | ~np.isfinite(f1)
     if not _all(np.isfinite(f1)):
         raise FitError(f"{what}: non-finite stationarity condition")
     if not _all(done):
@@ -515,7 +512,8 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None,
     if (model.tau1, model.tau2) != (tau1, tau2):
         raise InvalidInputError(f"surface model is for tau1={model.tau1}, tau2={model.tau2}, not "
                                 f"the requested tau1={tau1}, tau2={tau2}; build one for them")
-    t = default_fit_times(tau2)
+    n, dt = _fit_grid(tau2)
+    t = np.arange(n) * dt
 
     # A cell's MAPE and exclusion mask depend on its magnitudes only through
     # PFR2/PFR1, and a power-of-two rescaling of both magnitudes leaves every

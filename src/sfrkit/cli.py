@@ -20,8 +20,8 @@ from .model import (
     LagBand,
     RampBand,
     SystemConditions,
+    _json_hooks,
     _number,
-    _reject_non_finite,
     derive_params,
     load_scenario,
     total_pfr_value,
@@ -189,8 +189,8 @@ def _closed_and_oracle(system, bands, t_end, dt):
 def _load_surface(path) -> bandfit.TauSurfaceModel:
     try:
         with open(path, encoding="utf-8") as fh:
-            # the hook's InvalidInputError names the path already
-            doc = json.load(fh, parse_constant=_reject_non_finite(path))
+            # the hooks' InvalidInputError names the path already
+            doc = json.load(fh, **_json_hooks(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot load surface model {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -340,22 +340,35 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(system, tuple(bands), t_end, dt)
 
 
-def _reject_non_finite(where):
-    """A json parse_constant hook: NaN, Infinity and -Infinity are bad input."""
+def _json_hooks(where):
+    """json's parse_constant and parse_int hooks, as keywords; bad input names where.
+
+    NaN, Infinity and -Infinity are rejected, and so is an integer literal
+    longer than int() converts (4300 digits by default), whose ValueError
+    would name neither the file nor the override.
+    """
     def reject(token):
         raise InvalidInputError(f"{where}: non-finite value {token}")
-    return reject
+
+    def integer(literal):
+        try:
+            return int(literal)
+        except ValueError:
+            raise InvalidInputError(f"{where}: an integer literal of {len(literal)} characters "
+                                    "is too long to convert") from None
+    return {"parse_constant": reject, "parse_int": integer}
 
 
 def load_scenario(path, overrides=()) -> Scenario:
     """Load and validate a scenario JSON file.
 
     overrides are dotted assignments like 'system.ke_mws=7000' applied to the
-    raw document before validation.
+    raw document before validation. A NaN or Infinity token, or an integer
+    literal too long to convert, is bad input that names the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_non_finite(path))
+            doc = json.load(fh, **_json_hooks(path))
     except OSError as exc:
         raise InvalidInputError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -370,15 +383,16 @@ def apply_overrides(doc: dict, assignments) -> dict:
     """Apply 'dotted.path=value' assignments to a scenario document.
 
     Values are parsed as JSON literals, falling back to plain strings; the
-    non-finite tokens NaN, Infinity and -Infinity are rejected. List elements
-    are addressed by integer index (e.g. bands.0.tau_s=1.5).
+    non-finite tokens NaN, Infinity and -Infinity and integer literals too
+    long to convert are rejected, naming the path. List elements are
+    addressed by integer index (e.g. bands.0.tau_s=1.5).
     """
     for assignment in assignments:
         if "=" not in assignment:
             raise InvalidInputError(f"override '{assignment}': expected path=value")
         path, raw = assignment.split("=", 1)
         try:
-            value = json.loads(raw, parse_constant=_reject_non_finite(f"override '{path}'"))
+            value = json.loads(raw, **_json_hooks(f"override '{path}'"))
         except json.JSONDecodeError:
             value = raw
         keys = path.split(".")

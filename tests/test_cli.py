@@ -477,7 +477,11 @@ class TestSurfaceErrors:
         ("[1.3, 0.6, 0.4, 2.0]", "top level must be an object"),
         ('{"a": 1' + "0" * 400 + ', "b": 0.6, "tau1_s": 0.4, "tau2_s": 2.0}',
          "a: expected a finite number, got an integer too large for a float"),
-    ], ids=["string", "bool", "string-tau2", "string-rms", "missing", "list", "huge-int"])
+        # more digits than int() converts: json's own error names no file
+        ('{"a": 1' + "0" * 5000 + ', "b": 0.6, "tau1_s": 0.4, "tau2_s": 2.0}',
+         "s.json: an integer literal of 5001 characters is too long to convert"),
+    ], ids=["string", "bool", "string-tau2", "string-rms", "missing", "list", "huge-int",
+            "long-int"])
     def test_surface_numbers_follow_the_scenario_rule(self, doc, message, tmp_path, capsys):
         surface = tmp_path / "s.json"
         surface.write_text(doc)

@@ -96,8 +96,6 @@ class TestFitGrid:
     def test_oversized_window_names_tau2(self, guarded_arange, tau2):
         with pytest.raises(InvalidInputError, match="tau2"):
             bandfit._fit_grid(tau2)
-        with pytest.raises(InvalidInputError, match="tau2"):
-            bandfit.default_fit_times(tau2)
 
     def test_surface_and_map_reject(self, guarded_arange, recwarn):
         with pytest.raises(InvalidInputError, match="tau2"):

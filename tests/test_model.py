@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,19 @@ class TestScenario:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(SCENARIO).replace("300", "NaN"))
         with pytest.raises(InvalidInputError, match="NaN"):
+            load_scenario(path)
+
+    def test_integer_too_long_to_convert_names_the_override(self):
+        # int() converts at most 4300 digits by default, and its error names no input
+        doc = json.loads(json.dumps(SCENARIO))
+        with pytest.raises(InvalidInputError, match="override 'system.ke_mws': an integer literal "
+                                                    "of 5001 characters is too long to convert"):
+            apply_overrides(doc, ["system.ke_mws=1" + "0" * 5000])
+
+    def test_integer_too_long_to_convert_names_the_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(SCENARIO).replace("300", "1" + "0" * 5000))
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: an integer literal")):
             load_scenario(path)
 
     @pytest.mark.parametrize("assignment", [
