@@ -11,7 +11,6 @@ Library layout:
 """
 
 from .applications import (
-    NadirConstants,
     SecurityPolicy,
     SensitivityReport,
     WEM_K_POLICY,
@@ -19,13 +18,11 @@ from .applications import (
     max_contingency,
     max_contingency_k_sensitivity,
     min_effective_tau,
-    nadir_constants,
     required_ffr_share,
     sensitivity_pcont,
     sensitivity_report,
     sensitivity_report_fd,
     sensitivity_tau_bands,
-    special_case_max_contingency,
     universal_max_contingency_factor,
 )
 from .bandfit import (

@@ -17,22 +17,18 @@ from __future__ import annotations
 import math
 
 from .bandfit import TauSurfaceModel, equivalent_tau
-from .closedform import (B_EPS, _a_ratio, _k_ratio, _nadir_terms, _require_damping,
-                         _require_ratios)
+from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping, _require_ratios
 from .errors import BranchError, InvalidInputError
-from .model import DerivedParams, LagBand, SystemConditions, _record
+from .model import DerivedParams, _record
 
 __all__ = [
-    "NadirConstants",
     "SecurityPolicy",
     "SensitivityReport",
     "WEM_K_POLICY",
-    "nadir_constants",
     "max_contingency",
     "universal_max_contingency_factor",
     "asymptotic_max_contingency",
     "min_effective_tau",
-    "special_case_max_contingency",
     "sensitivity_pcont",
     "sensitivity_tau_bands",
     "sensitivity_report",
@@ -55,17 +51,6 @@ _K1_BRACKET_SERIES = tuple((-1.0) ** (k + 1) / (k * (k - 1)) for k in range(16, 
 
 
 @_record
-class NadirConstants:
-    """Dimensionless constants of the nadir algebra for one operating point."""
-
-    k: float
-    a: float
-    b: float          # 1 + K(A-1); non-positive marks the asymptotic regime
-    c: float           # A/(A-1); NaN at A = 1 exactly
-    asymptotic: bool   # B <= 0 (boundary included: the nadir time is infinite)
-
-
-@_record
 class SecurityPolicy:
     """PFR adequacy ratio and the deviation the system must never exceed."""
 
@@ -79,19 +64,6 @@ class SecurityPolicy:
             raise InvalidInputError(
                 f"delta_f_max must be finite and nonzero, got {self.delta_f_max}"
             )
-
-
-def nadir_constants(sc: SystemConditions, pfr: float, tau: float) -> NadirConstants:
-    """K, A, B, C for a contingency met by a single lag response.
-
-    K follows lag_nadir's rule: pfr is finite, nonzero and shares the sign
-    of p_cont, so an over-frequency point gives its mirror's constants.
-    """
-    k = _k_ratio(sc.p_cont, LagBand(pfr, tau).pfr)
-    a = _a_ratio(sc.dprime, sc.h, tau)
-    b, l, _ = _nadir_terms(k, a)
-    em1 = a - 1.0
-    return NadirConstants(k, a, b, a / em1 if em1 else math.nan, l is None)
 
 
 def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
@@ -154,45 +126,33 @@ def min_effective_tau(dp: DerivedParams, k: float) -> float:
     return max((1.0 - 1.0 / k) * 2.0 * dp.h / dp.dprime, 0.0)
 
 
-def _k1_factors(a: float):
-    """A^(1/(A-1)) and (A - 1 - A ln A) / (A - 1)^2, from one ln A.
+def _k1_bracket(a: float) -> float:
+    """(A - 1 - A ln A) / (A - 1)^2, d ln P / d ln A of the K = 1 cap P; -1/2 at A = 1.
 
-    Both have removable singularities at A = 1 (-> e and -1/2). The power keeps
-    every digit through it, so only A - 1 == 0 exactly takes the limit; the
-    bracket's difference loses about eps/|A - 1| of itself, so within
+    The difference loses about eps/|A - 1| of itself, so within
     _K1_BRACKET_BAND it is its series.
     """
     em1 = a - 1.0
-    ln_a = math.log(a)
-    power = math.exp(ln_a / em1) if em1 else math.e
     if abs(em1) > _K1_BRACKET_BAND:
-        return power, (em1 - a * ln_a) / (em1 * em1)
+        return (em1 - a * math.log(a)) / (em1 * em1)
     bracket = 0.0  # the series, by Horner
     for c in _K1_BRACKET_SERIES:
         bracket = bracket * em1 + c
-    return power, bracket
-
-
-def special_case_max_contingency(dp: DerivedParams, delta_f_max: float, tau: float) -> float:
-    """Cap when the response exactly matches the contingency (K = 1), MW.
-
-    -D' * delta_f_max * A^(1/(A-1)); the A -> 1 limit is -D' * delta_f_max * e.
-    """
-    dprime = _require_damping(dp)
-    return -dprime * delta_f_max * _k1_factors(_a_ratio(dprime, dp.h, tau))[0]
+    return bracket
 
 
 def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
-    """(dP/dtau, dP/dH) of the K = 1 cap.
+    """(dP/dtau, dP/dH) of the K = 1 cap P, max_contingency at SecurityPolicy(1.0, delta_f_max).
 
-    dP/dtau = -(D' df_max / tau) * [(A-1-A lnA)/(A-1)^2] * A^(1/(A-1))
-    dP/dH   = +(D' df_max / H)   * [(A-1-A lnA)/(A-1)^2] * A^(1/(A-1))
+    P = -D' df_max A^(1/(A-1)) and A is proportional to tau/H, so with the
+    bracket beta = (A-1-A lnA)/(A-1)^2:
+    dP/dtau = P * beta / tau
+    dP/dH   = -P * beta / H
     """
     dprime = _require_damping(dp)
-    h = dp.h
-    power, bracket = _k1_factors(_a_ratio(dprime, h, tau))
-    common = bracket * power * dprime * delta_f_max
-    return -common / tau, common / h
+    a = _a_ratio(dprime, dp.h, tau)
+    common = _cap(1.0, a, delta_f_max, dprime) * _k1_bracket(a)
+    return common / tau, -common / dp.h
 
 
 def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
@@ -255,12 +215,13 @@ def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfa
     """Central-difference counterpart of sensitivity_report."""
     tau = equivalent_tau(model, pfr1, pfr2)
     step = _FD_REL_STEP * pfr1  # forward step in PFR2 when PFR2 = 0
+    matched = SecurityPolicy(1.0, delta_f_max)
 
     def p_of_tau(t):
-        return special_case_max_contingency(dp, delta_f_max, t)
+        return max_contingency(dp, matched, t)
 
     def p_of_h(h):
-        return special_case_max_contingency(DerivedParams(dp.dprime, h), delta_f_max, tau)
+        return max_contingency(DerivedParams(dp.dprime, h), matched, tau)
 
     def tau_of(p1, p2):
         return equivalent_tau(model, p1, p2)
@@ -284,7 +245,11 @@ def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfa
 
 
 def max_contingency_k_sensitivity(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> float:
-    """dP/dK of the general cap by central differences (no closed form), MW."""
+    """dP/dK of the general cap by central differences, MW.
+
+    The shape factor's K derivative has a closed form, expm1(-A L) at the
+    nadir; this takes central differences of max_contingency instead.
+    """
 
     def p_of_k(k):
         return max_contingency(dp, SecurityPolicy(k, policy.delta_f_max), tau)

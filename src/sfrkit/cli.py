@@ -191,7 +191,7 @@ def _load_surface(path) -> bandfit.TauSurfaceModel:
         with open(path, encoding="utf-8") as fh:
             # the hooks' InvalidInputError names the path already
             doc = json.load(fh, **_json_hooks(path))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot load surface model {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError(f"cannot load surface model {path}: top level must be an object")
@@ -315,8 +315,8 @@ def _parse_floats(raw):
 
 
 def _cmd_tau_sweep(args) -> int:
-    tau1s = _parse_floats(args.tau1_values) if args.tau1_values else None
-    tau2s = _parse_floats(args.tau2_values) if args.tau2_values else None
+    tau1s = None if args.tau1_values is None else _parse_floats(args.tau1_values)
+    tau2s = None if args.tau2_values is None else _parse_floats(args.tau2_values)
     grid = _pfr_grid(args)
     pairs = len(bandfit._sweep_pairs(tau1s, tau2s))
     if pairs * len(grid) ** 2 > _MAX_CELLS:

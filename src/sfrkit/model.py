@@ -371,6 +371,8 @@ def load_scenario(path, overrides=()) -> Scenario:
             doc = json.load(fh, **_json_hooks(path))
     except OSError as exc:
         raise InvalidInputError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"

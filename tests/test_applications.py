@@ -1,14 +1,10 @@
-import dataclasses
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from sfrkit import (
-    ASYMPTOTIC,
     BranchError,
     CANONICAL_SURFACE,
     DerivedParams,
@@ -23,71 +19,19 @@ from sfrkit import (
     max_contingency,
     max_contingency_k_sensitivity,
     min_effective_tau,
-    nadir_constants,
     required_ffr_share,
     sensitivity_pcont,
     sensitivity_report,
     sensitivity_report_fd,
     sensitivity_tau_bands,
-    special_case_max_contingency,
     universal_max_contingency_factor,
 )
-from sfrkit.applications import _K1_BRACKET_BAND, _k1_factors
+from sfrkit.applications import _K1_BRACKET_BAND, _k1_bracket
+from sfrkit.closedform import _nadir_terms
 
 POLICY = SecurityPolicy(k_policy=WEM_K_POLICY, delta_f_max=-1.25)
-
-
-class TestNadirConstants:
-    def test_canonical_point(self, base_system):
-        nc = nadir_constants(base_system, pfr=270.0, tau=2.0)
-        assert nc.k == pytest.approx(300.0 / 270.0, rel=1e-15)
-        assert nc.a == pytest.approx(4.0 / 9.0, rel=1e-15)
-        assert nc.b == pytest.approx(0.3827160493827160, rel=1e-12)
-        assert nc.c == pytest.approx(-0.8, rel=1e-12)
-        assert not nc.asymptotic
-        # C = A/(A - 1) is NaN at A = 1 exactly, and finite one step away
-        assert math.isnan(nadir_constants(base_system, pfr=270.0, tau=4.5).c)
-        assert math.isfinite(nadir_constants(base_system, pfr=270.0, tau=4.5 + 1e-15).c)
-
-    def test_matched_response_b_equals_a(self, base_system):
-        sc = SystemConditions(f_n=50, ke=9000, p_load=2000, d=0.04, p_cont=250.0)
-        nc = nadir_constants(sc, pfr=250.0, tau=1.3)
-        assert nc.b == pytest.approx(nc.a, rel=1e-15)
-
-    def test_boundary_flagged_asymptotic(self, security_dp):
-        # A = 1 - 1/K exactly: K = 1/0.7, A = 0.3 -> B = 0
-        sc = SystemConditions(f_n=50, ke=7000, p_load=2500, d=0.04, p_cont=100 * WEM_K_POLICY)
-        nc = nadir_constants(sc, pfr=100.0, tau=0.84)
-        assert abs(nc.b) < 1e-12
-        assert nc.asymptotic
-
-    def test_validation(self, base_system):
-        with pytest.raises(InvalidInputError):
-            nadir_constants(base_system, pfr=0.0, tau=1.0)
-        with pytest.raises(InvalidInputError):
-            nadir_constants(base_system, pfr=100.0, tau=0.0)
-
-    @settings(max_examples=150, deadline=None)
-    @given(k=st.floats(0.05, 6.0),
-           a=st.one_of(st.floats(0.02, 6.0), st.floats(1.0 - 2e-9, 1.0 + 2e-9)),
-           over=st.booleans())
-    @example(k=300.0 / 270.0, a=2.0 / 4.5, over=True)
-    @example(k=1.0 / 0.7, a=0.3, over=True)  # B = 0
-    def test_k_rule_is_lag_nadirs(self, k, a, over):
-        # under- and over-frequency points of the base system (2H/D' = 4.5 s)
-        sign = -1.0 if over else 1.0
-        sc, mirror = (SystemConditions(f_n=50, ke=9000, p_load=2000, d=0.04, p_cont=300.0 * s)
-                      for s in (sign, -sign))
-        pfr, tau = sc.p_cont / k, a * 4.5
-        nc = nadir_constants(sc, pfr, tau)
-        assert nc.asymptotic == (lag_nadir(sc, LagBand(pfr, tau)).kind == ASYMPTOTIC)
-        # NaN-aware: C is NaN on the A = 1 guard band
-        np.testing.assert_equal(dataclasses.astuple(nadir_constants(mirror, -pfr, tau)),
-                                dataclasses.astuple(nc))
-        with pytest.raises(InvalidInputError, match="share the sign"):
-            nadir_constants(sc, -pfr, tau)
-        with pytest.raises(InvalidInputError, match="share the sign"):
-            lag_nadir(sc, LagBand(-pfr, tau))
+# the matched response, K = P_cont/PFR = 1
+MATCHED = SecurityPolicy(k_policy=1.0, delta_f_max=-1.25)
 
 
 class TestMaxContingency:
@@ -107,9 +51,10 @@ class TestMaxContingency:
         assert all(a >= b - 1e-9 for a, b in zip(caps, caps[1:]))
 
     def test_k_one_matches_special_case(self, security_dp):
-        policy = SecurityPolicy(k_policy=1.0, delta_f_max=-1.25)
-        assert max_contingency(security_dp, policy, 1.0) == pytest.approx(
-            special_case_max_contingency(security_dp, -1.25, 1.0), rel=1e-12
+        # the paper's K = 1 special case: -D' * df_max * A^(1/(A-1))
+        a = security_dp.dprime * 1.0 / (2.0 * security_dp.h)
+        assert max_contingency(security_dp, MATCHED, 1.0) == pytest.approx(
+            -security_dp.dprime * -1.25 * a ** (1.0 / (a - 1.0)), rel=1e-12
         )
 
     def test_asymptotic_region_raises(self, security_dp):
@@ -201,29 +146,29 @@ class TestMinEffectiveTau:
 
 class TestSpecialCase:
     def test_anchor_point(self, security_dp):
-        assert special_case_max_contingency(security_dp, -1.25, 1.0) == pytest.approx(
+        assert max_contingency(security_dp, MATCHED, 1.0) == pytest.approx(
             620.13918315586, rel=1e-11
         )
 
     def test_unity_ratio_limit(self, security_dp):
         # A = 1 at tau = 2H/D' = 2.8: cap = -D' * df_max * e
-        cap = special_case_max_contingency(security_dp, -1.25, 2.8)
+        cap = max_contingency(security_dp, MATCHED, 2.8)
         assert cap == pytest.approx(100 * 1.25 * math.e, rel=1e-12)
 
     def test_continuity_at_unity_ratio(self, security_dp):
-        exact = special_case_max_contingency(security_dp, -1.25, 2.8)
+        exact = max_contingency(security_dp, MATCHED, 2.8)
         for pert in (1 + 1e-6, 1 - 1e-6):
-            near = special_case_max_contingency(security_dp, -1.25, 2.8 * pert)
+            near = max_contingency(security_dp, MATCHED, 2.8 * pert)
             assert near == pytest.approx(exact, rel=1e-5)
 
 
 def decimal_k1_factors(a):
-    """A^(1/(A-1)) and (A - 1 - A ln A)/(A - 1)^2 at the double a, to 60 digits."""
+    """A^(1/(A-1)) and (A - 1 - A ln A)/(A - 1)^2 at the double a, as 60-digit Decimals."""
     with localcontext() as ctx:
         ctx.prec = 60
         big_a = Decimal(a)
         u, ln_a = big_a - 1, big_a.ln()
-        return float((ln_a / u).exp()), float((u - big_a * ln_a) / (u * u))
+        return (ln_a / u).exp(), (u - big_a * ln_a) / (u * u)
 
 
 class TestK1Factors:
@@ -241,21 +186,42 @@ class TestK1Factors:
             a = 1.0 + u
             if a == 1.0:
                 continue
-            power, bracket = _k1_factors(a)
-            want_power, want_bracket = decimal_k1_factors(a)
+            # the K = 1 cap factor f(A, 1) at delta_f_max = -1 is A^(1/(A-1))
+            power = universal_max_contingency_factor(a, 1.0, -1.0)
+            bracket = _k1_bracket(a)
+            want_power, want_bracket = map(float, decimal_k1_factors(a))
             worst_power = max(worst_power, abs(power - want_power) / want_power)
             worst_bracket = max(worst_bracket, abs(bracket - want_bracket) / -want_bracket)
         assert worst_bracket <= 1e-14
         assert worst_power <= 1e-15
 
     def test_limits_at_unity(self):
-        assert _k1_factors(1.0) == (math.e, -0.5)
+        assert _k1_bracket(1.0) == -0.5
+        assert -1.0 / _nadir_terms(1.0, 1.0)[2] == math.e
 
     def test_closed_form_kept_outside_the_band(self):
         # about the A of sensitivities on lag_270mw.json, whose bytes stay
         for a in (0.168, 0.5, 1.1000001, 4.0):
             em1 = a - 1.0
-            assert _k1_factors(a)[1] == (em1 - a * math.log(a)) / (em1 * em1)
+            assert _k1_bracket(a) == (em1 - a * math.log(a)) / (em1 * em1)
+
+    def test_sensitivity_against_decimal_references(self, security_dp):
+        # dP/dtau = -D' df_max A^(1/(A-1)) bracket / tau and dP/dH = -dP/dtau tau/H
+        dprime, h = security_dp.dprime, security_dp.h
+        worst = 0.0
+        for u in self.OFFSETS:
+            tau = (1.0 + u) * 2.0 * h / dprime
+            a = dprime * tau / (2.0 * h)  # the A that sensitivity_pcont forms
+            if a == 1.0:
+                continue
+            power, bracket = decimal_k1_factors(a)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                common = -Decimal(dprime) * Decimal(-1.25) * power * bracket
+                want_tau, want_h = float(common / Decimal(tau)), float(-common / Decimal(h))
+            dp_dtau, dp_dh = sensitivity_pcont(security_dp, -1.25, tau)
+            worst = max(worst, abs(dp_dtau / want_tau - 1.0), abs(dp_dh / want_h - 1.0))
+        assert worst <= 5e-15
 
 
 class TestSensitivities:
@@ -283,13 +249,13 @@ class TestSensitivities:
             dp_dtau, dp_dh = sensitivity_pcont(dp, -1.25, tau)
             step = 1e-5 * tau
             fd_tau = (
-                special_case_max_contingency(dp, -1.25, tau + step)
-                - special_case_max_contingency(dp, -1.25, tau - step)
+                max_contingency(dp, MATCHED, tau + step)
+                - max_contingency(dp, MATCHED, tau - step)
             ) / (2 * step)
             step_h = 1e-5 * h
             fd_h = (
-                special_case_max_contingency(DerivedParams(dp.dprime, h + step_h), -1.25, tau)
-                - special_case_max_contingency(DerivedParams(dp.dprime, h - step_h), -1.25, tau)
+                max_contingency(DerivedParams(dp.dprime, h + step_h), MATCHED, tau)
+                - max_contingency(DerivedParams(dp.dprime, h - step_h), MATCHED, tau)
             ) / (2 * step_h)
             assert dp_dtau == pytest.approx(fd_tau, rel=1e-4)
             assert dp_dh == pytest.approx(fd_h, rel=1e-4)
@@ -300,10 +266,15 @@ class TestSensitivities:
         dp_dtau, _ = sensitivity_pcont(security_dp, -1.25, tau)
         step = 1e-4
         fd = (
-            special_case_max_contingency(security_dp, -1.25, tau + step)
-            - special_case_max_contingency(security_dp, -1.25, tau - step)
+            max_contingency(security_dp, MATCHED, tau + step)
+            - max_contingency(security_dp, MATCHED, tau - step)
         ) / (2 * step)
         assert dp_dtau == pytest.approx(fd, rel=1e-4)
+
+    def test_unbounded_within_the_guard_band(self, security_dp):
+        # A <= B_EPS is B <= B_EPS at K = 1, where the matched cap is unbounded
+        with pytest.raises(BranchError, match="^unbounded"):
+            sensitivity_pcont(security_dp, -1.25, 1e-12)
 
 
 class TestTauBandSensitivities:

@@ -273,6 +273,15 @@ class TestSecurityCommands:
             -0.0026615762709064805, rel=1e-9
         )
 
+    def test_sensitivities_zero_limit_exits_1(self, scenario, tmp_path, capsys):
+        # the finite differences take the cap of max-contingency, which rejects a zero limit
+        out = tmp_path / "sens.json"
+        assert main(["sensitivities", "--scenario", scenario(BASE), "--delta-f-max", "0",
+                     "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: delta_f_max must be finite and nonzero, got 0.0\n"
+        assert not out.exists()
+
 
 class TestOverridesAndErrors:
     def test_set_override(self, scenario, tmp_path):
@@ -351,6 +360,16 @@ class TestOverridesAndErrors:
         assert main(["nadir", "--scenario", str(bad),
                      "--out", str(tmp_path / "x.json")]) == 1
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["nadir", "--scenario"], ["mape-map", "--surface"]])
+    def test_non_utf8_file_names_its_path(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a": "\xff"}')
+        out = tmp_path / "out"
+        assert main(argv + [str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -440,6 +459,13 @@ class TestFiniteFlags:
         assert main(["tau-sweep", "--tau1-values", "0.4,inf", "--out", str(out)]) == 1
         assert not out.exists()
         assert "0.4,inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tau1-values", "--tau2-values"])
+    def test_empty_sweep_list_exits_1(self, flag, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["tau-sweep", flag, "", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: expected comma-separated numbers, got ''\n"
 
     @pytest.mark.parametrize("argv", [
         ["--pfr-min", "0", "--pfr-max", "1000", "--pfr-step", "1"],  # one magnitude over

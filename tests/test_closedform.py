@@ -295,8 +295,10 @@ class TestRocofAndSigns:
         assert result.delta_f_nadir == pytest.approx(-DF_NADIR, rel=1e-12)
 
     def test_sign_mismatch_rejected(self, base_system):
-        with pytest.raises(InvalidInputError):
-            lag_nadir(base_system, LagBand(pfr=-100.0, tau=1.0))
+        over = SystemConditions(f_n=50, ke=9000, p_load=2000, d=0.04, p_cont=-300.0)
+        for sc, pfr in ((base_system, -100.0), (over, 100.0)):
+            with pytest.raises(InvalidInputError, match="share the sign"):
+                lag_nadir(sc, LagBand(pfr=pfr, tau=1.0))
 
 
 class TestSingularityGuard:

@@ -36,7 +36,6 @@ RECORDS = {
     model.Scenario: (dict(system=_SYSTEM, bands=(_LAG,)), None),
     closedform.NadirResult: (dict(kind=closedform.INTERIOR_MINIMUM, t_nadir=4.0,
                                   delta_f_nadir=-0.6, max_rocof=-0.8), None),
-    applications.NadirConstants: (dict(k=1.5, a=0.8, b=0.7, c=-4.0, asymptotic=False), None),
     applications.SecurityPolicy: (dict(k_policy=1.0 / 0.7, delta_f_max=-0.5),
                                   ("delta_f_max", 0.0)),
     applications.SensitivityReport: (dict(dp_dtau=-295.0, dp_dh=1.3, dtau_dpfr1=-0.0027,
@@ -85,7 +84,7 @@ def test_every_record_of_the_package_is_listed():
              if isinstance(obj, type) and dataclasses.is_dataclass(obj)
              and obj.__module__ == mod.__name__}
     assert found == set(RECORDS)
-    assert len(found) == 18
+    assert len(found) == 17
 
 
 @records

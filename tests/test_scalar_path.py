@@ -5,7 +5,8 @@ place: `lag_nadir` reads every field of the system and the band once, and it
 and `max_contingency` decide the branch in closedform's one frame;
 `derive_params` reads the fields instead of the properties;
 `canonical_equivalent` and `sensitivity_report` take tau from
-`equivalent_tau`'s one checked path, and `sensitivity_report` takes ln A once.
+`equivalent_tau`'s one checked path, and `sensitivity_report` takes the K = 1
+cap from `max_contingency`'s arithmetic.
 `_field` returns a finite float at once. Each reference below writes the
 earlier one-expression form of the same arithmetic, through the properties
 and in the same order, so every rounding step is the same and the results
@@ -38,12 +39,11 @@ from sfrkit import (
     equivalent_tau,
     lag_nadir,
     max_contingency,
-    nadir_constants,
     required_ffr_share,
     sensitivity_report,
     sensitivity_tau_bands,
 )
-from sfrkit.closedform import nadir_shape_factor
+from sfrkit.closedform import _a_ratio, _k_ratio, _nadir_terms, nadir_shape_factor
 from sfrkit.model import scenario_from_dict
 
 B_EPS = 1e-9    # closedform's guard band around B = 0
@@ -104,10 +104,10 @@ def ref_share(model, tau_target):
 
 
 def ref_sensitivity(dp, delta_f_max, model, pfr1, pfr2):
+    """The K = 1 cap P times the bracket beta, over tau and -H, then the tau model's slopes."""
     tau = ref_tau(model, pfr1, pfr2)
     a = dp.dprime * tau / (2.0 * dp.h)
     em1 = a - 1.0
-    power = math.exp(math.log(a) / em1) if em1 != 0.0 else math.e
     if abs(em1) <= 0.1:
         # the series of the bracket in A - 1, terms k = 16 down to 2 by Horner
         bracket = 0.0
@@ -115,8 +115,8 @@ def ref_sensitivity(dp, delta_f_max, model, pfr1, pfr2):
             bracket = bracket * em1 + (-1.0) ** (k + 1) / (k * (k - 1))
     else:
         bracket = (em1 - a * math.log(a)) / (em1 * em1)
-    common = bracket * power * dp.dprime * delta_f_max
-    dp_dtau, dp_dh = -common / tau, common / dp.h
+    common = ref_cap(dp, 1.0, delta_f_max, tau) * bracket
+    dp_dtau, dp_dh = common / tau, -common / dp.h
     decay = math.exp(-model.b * pfr2 / pfr1)
     dtau_d1 = -(model.a * model.b) * pfr2 / pfr1**2 * decay
     dtau_d2 = (model.a * model.b) / pfr1 * decay
@@ -182,20 +182,22 @@ class TestLagNadir:
     @example(sys_params=(2000.0, 0.04, 9000.0), k=2.0, where=("b0", 0.0), p_cont=300.0, over=True)
     @example(sys_params=(2000.0, 0.04, 9000.0), k=1.5, where=("a1", 0.0), p_cont=300.0, over=True)
     def test_one_branch_rule(self, sys_params, k, where, p_cont, over):
-        """nadir_constants, lag_nadir and nadir_shape_factor decide the branch alike."""
+        """closedform's frame, lag_nadir and nadir_shape_factor decide the branch alike."""
         sign = -1.0 if over else 1.0
         sc = _system(sys_params, sign * p_cont)
         band = LagBand(pfr=sign * p_cont / k, tau=_a(k, where) * 2.0 * sc.h / sc.dprime)
-        consts = nadir_constants(sc, band.pfr, band.tau)
+        frame_k, frame_a = _k_ratio(sc.p_cont, band.pfr), _a_ratio(sc.dprime, sc.h, band.tau)
+        b, l, _ = _nadir_terms(frame_k, frame_a)
         ratio_k = sc.p_cont / band.pfr
         ratio_a = sc.dprime * band.tau / (2.0 * sc.h)
-        assert _bits(consts.b) == _bits(1.0 + ratio_k * (ratio_a - 1.0))
-        assert consts.asymptotic == (lag_nadir(sc, band).kind == ASYMPTOTIC)
-        if consts.asymptotic:
+        assert _bits(b) == _bits(1.0 + ratio_k * (ratio_a - 1.0))
+        asymptotic = l is None
+        assert asymptotic == (lag_nadir(sc, band).kind == ASYMPTOTIC)
+        if asymptotic:
             with pytest.raises(BranchError, match="asymptotic regime"):
-                nadir_shape_factor(consts.k, consts.a)
+                nadir_shape_factor(frame_k, frame_a)
         else:
-            assert _bits(nadir_shape_factor(consts.k, consts.a)) == \
+            assert _bits(nadir_shape_factor(frame_k, frame_a)) == \
                 _bits(ref_shape(ratio_k, ratio_a)[1])
 
     def test_validation_order_is_unchanged(self, base_system):
