@@ -3,6 +3,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfrkit import (
     BranchError,
@@ -10,6 +12,7 @@ from sfrkit import (
     DerivedParams,
     InvalidInputError,
     LagBand,
+    ASYMPTOTIC,
     SecurityPolicy,
     equivalent_tau,
     SystemConditions,
@@ -27,11 +30,40 @@ from sfrkit import (
     universal_max_contingency_factor,
 )
 from sfrkit.applications import _K1_BRACKET_BAND, _k1_bracket
-from sfrkit.closedform import _nadir_terms
+from sfrkit.closedform import B_EPS, _nadir_terms
 
 POLICY = SecurityPolicy(k_policy=WEM_K_POLICY, delta_f_max=-1.25)
 # the matched response, K = P_cont/PFR = 1
 MATCHED = SecurityPolicy(k_policy=1.0, delta_f_max=-1.25)
+
+
+class TestNadirConstants:
+    """The paper's nadir constants K = P_cont/PFR, A = D'tau/2H and B = 1 + K(A - 1)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.floats(0.05, 6.0),
+           a=st.one_of(st.floats(0.02, 6.0), st.floats(1.0 - 2e-9, 1.0 + 2e-9)),
+           over=st.booleans())
+    @example(k=300.0 / 270.0, a=2.0 / 4.5, over=True)
+    @example(k=1.0 / 0.7, a=0.3, over=True)  # B = 0
+    def test_k_rule_is_lag_nadirs(self, k, a, over):
+        # under- and over-frequency points of the base system (2H/D' = 4.5 s)
+        sign = -1.0 if over else 1.0
+        sc, mirror = (SystemConditions(f_n=50, ke=9000, p_load=2000, d=0.04, p_cont=300.0 * s)
+                      for s in (sign, -sign))
+        pfr, tau = sc.p_cont / k, a * 4.5
+        res = lag_nadir(sc, LagBand(pfr, tau))
+        # the regime is the sign of B, read at the (K, A) lag_nadir itself sees
+        dprime, h2 = sc.d * sc.p_load, 2.0 * (sc.ke / sc.f_n)
+        b = 1.0 + (sc.p_cont / pfr) * (dprime * tau / h2 - 1.0)
+        assert (res.kind == ASYMPTOTIC) == (not b > B_EPS)
+        # the over-frequency point mirrors the under-frequency one exactly
+        flipped = lag_nadir(mirror, LagBand(-pfr, tau))
+        assert (flipped.kind, flipped.t_nadir) == (res.kind, res.t_nadir)
+        assert flipped.delta_f_nadir == -res.delta_f_nadir
+        assert flipped.max_rocof == -res.max_rocof
+        with pytest.raises(InvalidInputError, match="share the sign"):
+            lag_nadir(sc, LagBand(-pfr, tau))
 
 
 class TestMaxContingency:
