@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .bandfit import TauSurfaceModel, equivalent_tau
+from .bandfit import TauSurfaceModel, _tau_and_decay, equivalent_tau
 from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping, _require_ratios
 from .errors import BranchError, InvalidInputError
 from .model import DerivedParams, _record
@@ -161,12 +161,18 @@ def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
     Either pair that is not finite is rejected, naming pfr1. A PFR1^2 that
     overflows is inf, so dtau/dPFR1 reads -0.0 where dtau/dPFR2 is finite.
     """
+    return _tau_slopes(model, pfr1, pfr2, None)
+
+
+def _tau_slopes(model: TauSurfaceModel, pfr1: float, pfr2: float, decay):
+    """sensitivity_tau_bands at decay = math.exp(-b*PFR2/PFR1), taken here when None."""
     if not pfr1 > 0:
         raise InvalidInputError("pfr1 must be > 0: the magnitude ratio is singular at 0")
     if not pfr2 >= 0:
         raise InvalidInputError(f"pfr2 must be >= 0, got {pfr2}")
     ab = model.a * model.b
-    decay = math.exp(-model.b * pfr2 / pfr1)
+    if decay is None:
+        decay = math.exp(-model.b * pfr2 / pfr1)
     try:
         sq = pfr1**2
     except OverflowError:  # Python's float power raises instead of returning inf
@@ -195,12 +201,12 @@ def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceM
                        pfr1: float, pfr2: float) -> SensitivityReport:
     """sensitivity_pcont at equivalent_tau's tau, then sensitivity_tau_bands.
 
-    Their checks run in that order. Both form -b*PFR2/PFR1 alike: tau takes
-    numpy's exp of it and the tau model's slopes math.exp, which can differ in
-    the last bit.
+    Their checks run in that order. One math.exp of -b*PFR2/PFR1 serves tau
+    and the tau model's slopes, so both have the bits of the separate calls.
     """
-    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, equivalent_tau(model, pfr1, pfr2))
-    dtau_d1, dtau_d2 = sensitivity_tau_bands(model, pfr1, pfr2)
+    tau, decay = _tau_and_decay(model, pfr1, pfr2)
+    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, tau)
+    dtau_d1, dtau_d2 = _tau_slopes(model, pfr1, pfr2, decay)
     return SensitivityReport(dp_dtau, dp_dh, dtau_d1, dtau_d2, dp_dtau * dtau_d1,
                              dp_dtau * dtau_d2)
 
@@ -212,35 +218,30 @@ def _central(f, x: float) -> float:
 
 def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                           pfr1: float, pfr2: float) -> SensitivityReport:
-    """Central-difference counterpart of sensitivity_report."""
+    """Central differences of sensitivity_report's slopes; forward ones in PFR2 at PFR2 = 0."""
     tau = equivalent_tau(model, pfr1, pfr2)
-    step = _FD_REL_STEP * pfr1  # forward step in PFR2 when PFR2 = 0
     matched = SecurityPolicy(1.0, delta_f_max)
 
     def p_of_tau(t):
         return max_contingency(dp, matched, t)
 
-    def p_of_h(h):
-        return max_contingency(DerivedParams(dp.dprime, h), matched, tau)
+    def tau_of_pfr1(p1):
+        return equivalent_tau(model, p1, pfr2)
 
-    def tau_of(p1, p2):
-        return equivalent_tau(model, p1, p2)
+    def tau_of_pfr2(p2):
+        return equivalent_tau(model, pfr1, p2)
 
-    def p_of_pfr1(p1):
-        return p_of_tau(tau_of(p1, pfr2))
-
-    def p_of_pfr2(p2):
-        return p_of_tau(tau_of(pfr1, p2))
+    def d_pfr2(f):
+        step = _FD_REL_STEP * pfr1
+        return _central(f, pfr2) if pfr2 != 0 else (f(step) - f(0.0)) / step
 
     return SensitivityReport(
         dp_dtau=_central(p_of_tau, tau),
-        dp_dh=_central(p_of_h, dp.h),
-        dtau_dpfr1=_central(lambda p: tau_of(p, pfr2), pfr1),
-        dtau_dpfr2=_central(lambda p: tau_of(pfr1, p), pfr2) if pfr2 != 0
-        else (tau_of(pfr1, step) - tau_of(pfr1, 0.0)) / step,
-        dp_dpfr1=_central(p_of_pfr1, pfr1),
-        dp_dpfr2=_central(p_of_pfr2, pfr2) if pfr2 != 0
-        else (p_of_pfr2(step) - p_of_pfr2(0.0)) / step,
+        dp_dh=_central(lambda h: max_contingency(DerivedParams(dp.dprime, h), matched, tau), dp.h),
+        dtau_dpfr1=_central(tau_of_pfr1, pfr1),
+        dtau_dpfr2=d_pfr2(tau_of_pfr2),
+        dp_dpfr1=_central(lambda p: p_of_tau(tau_of_pfr1(p)), pfr1),
+        dp_dpfr2=d_pfr2(lambda p: p_of_tau(tau_of_pfr2(p))),
     )
 
 
@@ -250,11 +251,8 @@ def max_contingency_k_sensitivity(dp: DerivedParams, policy: SecurityPolicy, tau
     The shape factor's K derivative has a closed form, expm1(-A L) at the
     nadir; this takes central differences of max_contingency instead.
     """
-
-    def p_of_k(k):
-        return max_contingency(dp, SecurityPolicy(k, policy.delta_f_max), tau)
-
-    return _central(p_of_k, policy.k_policy)
+    return _central(lambda k: max_contingency(dp, SecurityPolicy(k, policy.delta_f_max), tau),
+                    policy.k_policy)
 
 
 def required_ffr_share(model: TauSurfaceModel, tau_target: float) -> float:

@@ -27,13 +27,12 @@ between the exact and equivalent response curves, per grid cell. It depends
 on a cell only through PFR2/PFR1, so cells that are power-of-two multiples of
 one another share one computation. The classes, their first cells as
 representatives and each cell's class are found in whole arrays over the
-flattened grid, and every class's tau comes from one numpy expression of the
-tau model, whose exp gives each element the bits of the scalar path. The
-classes' curves are built a few rows at a time in reused buffers and reduced
-along each row, which gives every value the same bits as mape() on that cell
-alone. On the sampling grid every curve rises monotonically from 0, so its
-peak is its last sample and the samples it keeps are a suffix, found by
-binary search.
+flattened grid, and every class's tau takes math.exp, the tau model's only
+exponential, of one element of a numpy argument array. The classes' curves are
+built a few rows at a time in reused buffers and reduced along each row,
+which gives every value the same bits as mape() on that cell alone. On the
+sampling grid every curve rises monotonically from 0, so its peak is its
+last sample and the samples it keeps are a suffix, found by binary search.
 """
 from __future__ import annotations
 
@@ -422,34 +421,38 @@ def equivalent_tau(model: TauSurfaceModel, pfr1: float, pfr2: float) -> float:
     passed through exactly (tau2). The result is a Python float on every
     branch.
     """
+    return _tau_and_decay(model, pfr1, pfr2)[0]
+
+
+def _tau_and_decay(model: TauSurfaceModel, pfr1: float, pfr2: float):
+    """equivalent_tau's checks and (tau, decay), decay = math.exp(-b*PFR2/PFR1); None for tau2."""
     if pfr1 < 0 or pfr2 < 0:
         raise InvalidInputError("band magnitudes must be >= 0")
     if pfr1 == 0:
         if pfr2 == 0:
             raise InvalidInputError("at least one band magnitude must be > 0")
-        return float(model.tau2)
-    return _tau_at(model, float(np.exp(-model.b * pfr2 / pfr1)))
+        return float(model.tau2), None
+    decay = math.exp(-model.b * pfr2 / pfr1)
+    return _tau_at(model, decay), decay
 
 
 def _tau_at(model: TauSurfaceModel, decay):
-    """The tau model a * (1 - decay) + tau1 at decay = exp(-b*PFR2/PFR1), a float or an array.
-
-    Every caller takes decay from numpy's exp (not math's), whose vector and
-    scalar forms give the same bits, so an array's taus are its elements'.
-    """
+    """The tau model a*(1 - decay) + tau1 at decay = math.exp(-b*PFR2/PFR1), or an array of them."""
     return model.a * (1.0 - decay) + model.tau1
 
 
 def _equivalent_taus(model: TauSurfaceModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """canonical_equivalent(p1, p2, model).tau_eq of each element, bit for bit.
+    """canonical_equivalent(p1, p2, model).tau_eq of each element of 1-D arrays, bit for bit.
 
-    Magnitudes are >= 0 and not both 0; PFR1 = 0 passes tau2 through, and
-    its ratio, which may read 0/0, is never used. A ratio that overflows gives
-    exp(-inf) = 0, and a tau that overflows is inf, as a float's are, without
-    a warning.
+    Magnitudes are >= 0 and not both 0. math.exp takes -b*p2/p1 an element
+    at a time (cli._MAX_CELLS bounds their number); PFR1 = 0 passes tau2
+    through, and its exp(-inf) or exp(nan) is never used. A ratio that
+    overflows gives exp(-inf) = 0, and a tau that overflows is inf, as a
+    float's are, without a warning.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(p1 > 0, _tau_at(model, np.exp(-model.b * p2 / p1)), model.tau2)
+        decay = np.fromiter(map(math.exp, (-model.b * p2 / p1).tolist()), float, len(p1))
+        return np.where(p1 > 0, _tau_at(model, decay), model.tau2)
 
 
 def canonical_equivalent(pfr1: float, pfr2: float,
@@ -554,8 +557,8 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None,
 def _class_mapes(reps: np.ndarray, model: TauSurfaceModel, t: np.ndarray) -> np.ndarray:
     """MAPE of each representative row (p1, p2) of reps, as _mape_arrays gives it for its row.
 
-    Every class's equivalent band is set up at once: tau_eq from one numpy
-    expression of the tau model, with canonical_equivalent's bits, and
+    Every class's equivalent band is set up at once: tau_eq from
+    _equivalent_taus, with canonical_equivalent's bits, and
     pfr_eq = p1 + p2; (p1, p2, tau_eq, pfr_eq) are the columns of one
     (classes, 4) array that each block slices. A band that is not finite
     fails as canonical_equivalent fails it. Rows are built _MAP_BLOCK at a

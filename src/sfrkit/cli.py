@@ -336,7 +336,15 @@ def _cmd_max_contingency(args) -> int:
     scenario = _scenario(args)
     dp = derive_params(scenario.system)
     policy = apps.SecurityPolicy(k_policy=args.k_policy, delta_f_max=args.delta_f_max)
-    cap = apps.max_contingency(dp, policy, args.tau)
+    try:
+        cap = apps.max_contingency(dp, policy, args.tau)
+    except BranchError:
+        bound = apps.min_effective_tau(dp, args.k_policy)
+        if not bound > 0:  # K <= 1: the cap is unbounded
+            raise
+        raise BranchError(f"asymptotic regime: tau = {args.tau} s is below min-tau's "
+                          f"(1 - 1/K)*2H/D' = {reports.fmt(bound)} s "
+                          f"at K = {reports.fmt(args.k_policy)}") from None
     surface = _surface_or_canonical(args)
     try:
         share = apps.required_ffr_share(surface, args.tau)
@@ -492,18 +500,8 @@ def _fig11():
     return ("A", "K", "f_AK"), rows
 
 
-_FIGURES = {
-    "fig1": _fig1,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-}
+_FIGURES = {"fig1": _fig1, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6,
+            "fig7": _fig7, "fig8": _fig8, "fig9": _fig9, "fig10": _fig10, "fig11": _fig11}
 
 
 def _cmd_reproduce(args) -> int:

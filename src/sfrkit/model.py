@@ -254,6 +254,7 @@ def _grid_steps(t_end: float, dt: float, where: str = "t_end") -> int:
 # {"system": {"f_n_hz", "ke_mws", "p_load_mw", "d_relief", "p_cont_mw"},
 #  "bands":  [{"kind": "lag"|"ramp", "pfr_mw", "tau_s"|"t_r_s"}, ...],
 #  "sim":    {"t_end_s", "dt_s"}}            # sim is optional
+_SYSTEM_KEYS = ("f_n_hz", "ke_mws", "p_load_mw", "d_relief", "p_cont_mw")
 
 
 @_record
@@ -268,11 +269,7 @@ def _field(doc: dict, where: str, key: str) -> float:
     """The finite number doc[key] as a float; the message names where.key."""
     if key not in doc:
         raise InvalidInputError(f"{where}: missing required field '{key}'")
-    value = doc[key]
-    # a finite float, what JSON gives for most fields, is returned as it is
-    if type(value) is float and -math.inf < value < math.inf:
-        return value
-    value = _number(value, f"{where}.{key}")
+    value = _number(doc[key], f"{where}.{key}")
     # literals such as 1e999 parse to infinity without a NaN/Infinity token
     if not math.isfinite(value):
         raise InvalidInputError(f"{where}.{key}: expected a finite number, got {value!r}")
@@ -291,49 +288,53 @@ def _number(value, name: str) -> float:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Validate a scenario document; error messages name the offending field."""
+    """Validate a scenario document; error messages name the offending field.
+
+    A group of plain floats whose sum times 0.0 is 0.0, so each is finite, is
+    taken as read; any other goes through _field and the checks in order.
+    """
     if not isinstance(doc, dict):
         raise InvalidInputError("scenario: top level must be an object")
-    if "system" not in doc or not isinstance(doc["system"], dict):
+    s = doc.get("system")
+    if not isinstance(s, dict):
         raise InvalidInputError("scenario: missing 'system' object")
-    s = doc["system"]
-    # records are built positionally here: a keyword costs about 0.1 us a field
-    system = SystemConditions(
-        _field(s, "system", "f_n_hz"),
-        _field(s, "system", "ke_mws"),
-        _field(s, "system", "p_load_mw"),
-        _field(s, "system", "d_relief"),
-        _field(s, "system", "p_cont_mw"),
-    )
+    f_n, ke, p_load, d, p_cont = fields = (s.get("f_n_hz"), s.get("ke_mws"), s.get("p_load_mw"),
+                                           s.get("d_relief"), s.get("p_cont_mw"))
+    if not (type(f_n) is type(ke) is type(p_load) is type(d) is type(p_cont) is float
+            and (f_n + ke + p_load + d + p_cont) * 0.0 == 0.0):
+        fields = [_field(s, "system", key) for key in _SYSTEM_KEYS]
+    system = SystemConditions(*fields)
+    p_cont = system.p_cont
 
     band_docs = doc.get("bands", [])
     if not isinstance(band_docs, list):
         raise InvalidInputError("bands: expected a list")
     bands = []
     for i, b in enumerate(band_docs):
-        where = f"bands.{i}"
-        if not isinstance(b, dict):
-            raise InvalidInputError(f"{where}: expected an object")
-        kind = b.get("kind")
-        pfr = _field(b, where, "pfr_mw")
+        kind = pfr = time = None
+        if isinstance(b, dict):
+            kind = b.get("kind")
+            pfr, time = b.get("pfr_mw"), b.get("tau_s" if kind == "lag" else "t_r_s")
+        band_type = LagBand if kind == "lag" else RampBand if kind == "ramp" else None
         # nonzero bands must push in the same direction as the contingency
-        if pfr * system.p_cont < 0:
-            raise InvalidInputError(
-                f"{where}.pfr_mw: sign must match p_cont_mw ({system.p_cont})"
-            )
-        if kind == "lag":
-            bands.append(LagBand(pfr, _field(b, where, "tau_s")))
-        elif kind == "ramp":
-            bands.append(RampBand(pfr, _field(b, where, "t_r_s")))
-        else:
-            raise InvalidInputError(f"{where}.kind: expected 'lag' or 'ramp', got {kind!r}")
+        if not (band_type and type(pfr) is type(time) is float
+                and (pfr + time) * 0.0 == 0.0 and pfr * p_cont >= 0):
+            where = f"bands.{i}"
+            if not isinstance(b, dict):
+                raise InvalidInputError(f"{where}: expected an object")
+            pfr = _field(b, where, "pfr_mw")
+            if pfr * p_cont < 0:
+                raise InvalidInputError(f"{where}.pfr_mw: sign must match p_cont_mw ({p_cont})")
+            if band_type is None:
+                raise InvalidInputError(f"{where}.kind: expected 'lag' or 'ramp', got {kind!r}")
+            time = _field(b, where, "tau_s" if kind == "lag" else "t_r_s")
+        bands.append(band_type(pfr, time))
 
     t_end = dt = None
     if "sim" in doc:
         if not isinstance(doc["sim"], dict):
             raise InvalidInputError("sim: expected an object")
-        t_end = _field(doc["sim"], "sim", "t_end_s")
-        dt = _field(doc["sim"], "sim", "dt_s")
+        t_end, dt = _field(doc["sim"], "sim", "t_end_s"), _field(doc["sim"], "sim", "dt_s")
         if not t_end > 0 or not dt > 0:
             raise InvalidInputError("sim: t_end_s and dt_s must be > 0")
 

@@ -749,7 +749,7 @@ def assert_taus_are_canonical_equivalents(model, p1, p2):
 
 
 class TestClassTaus:
-    """One numpy expression of the tau model gives every class canonical_equivalent's bits."""
+    """math.exp, element by element, gives every class canonical_equivalent's bits."""
 
     @pytest.mark.parametrize("grid", [bandfit.DEFAULT_PFR_GRID, bandfit.DEFAULT_SWEEP_PFR_GRID])
     @pytest.mark.parametrize("surface", ["canonical", "fitted"])

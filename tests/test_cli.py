@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfrkit import bandfit
+from sfrkit import applications as apps
+from sfrkit import bandfit, reports
 from sfrkit.cli import _FIGURES, main
 
 BASE = {
@@ -250,6 +251,31 @@ class TestSecurityCommands:
         assert code == 2
         assert not out.exists()
         assert "asymptotic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_flags, k_shown", [([], "1.42857143"), (["--k-policy", "2"], "2")])
+    def test_max_contingency_asymptotic_names_the_min_tau_bound(self, tmp_path, capsys, k_flags,
+                                                                k_shown):
+        scenario = str(Path(__file__).resolve().parent.parent / "demos/scenarios/lag_270mw.json")
+        k = k_flags[1] if k_flags else repr(apps.WEM_K_POLICY)
+        assert main(["min-tau", "--scenario", scenario, "--k", k,
+                     "--out", str(tmp_path / "mt.json")]) == 0
+        bound = json.loads((tmp_path / "mt.json").read_text())["min_effective_tau_s"]
+        out = tmp_path / "cap.json"
+        assert main(["max-contingency", "--scenario", scenario, "--delta-f-max", "-1",
+                     "--tau", "0.1", *k_flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # D' = 80 MW/Hz and H = 180 MW.s/Hz: (1 - 1/K)*2H/D' is 1.35 s at K = 1/0.7, 2.25 s at 2
+        assert err == (f"error: asymptotic regime: tau = 0.1 s is below min-tau's (1 - 1/K)*2H/D' "
+                       f"= {reports.fmt(bound)} s at K = {k_shown}\n")
+        assert reports.fmt(bound) == ("2.25" if k_flags else "1.35")
+        assert not out.exists()
+
+    def test_max_contingency_unbounded_keeps_its_message(self, tmp_path, capsys):
+        # K = 1 and A <= B_EPS: the cap is unbounded, which no tau bound explains
+        scenario = str(Path(__file__).resolve().parent.parent / "demos/scenarios/lag_270mw.json")
+        assert main(["max-contingency", "--scenario", scenario, "--delta-f-max", "-1",
+                     "--tau", "1e-12", "--k-policy", "1", "--out", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: unbounded: with K <= 1")
 
     def test_min_tau(self, scenario, tmp_path):
         out = tmp_path / "mt.json"

@@ -13,6 +13,7 @@ from sfrkit import (
     InvalidInputError,
     LagBand,
     RampBand,
+    Scenario,
     SystemConditions,
     derive_params,
     load_scenario,
@@ -278,3 +279,164 @@ class TestScenario:
         doc = apply_overrides(json.loads(json.dumps(SCENARIO)), [assignment])
         with pytest.raises(InvalidInputError, match=assignment.split("=")[0]):
             scenario_from_dict(doc)
+
+
+def _field_as_it_was(doc, where, key):
+    """model._field, with model._number inline, as it was."""
+    if key not in doc:
+        raise InvalidInputError(f"{where}: missing required field '{key}'")
+    value = doc[key]
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
+    name = f"{where}.{key}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{name}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InvalidInputError(
+            f"{name}: expected a finite number, got an integer too large for a float") from None
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name}: expected a finite number, got {value!r}")
+    return value
+
+
+def scenario_from_dict_as_it_was(doc):
+    """scenario_from_dict as it was: every field through one checked call, in check order."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError("scenario: top level must be an object")
+    if "system" not in doc or not isinstance(doc["system"], dict):
+        raise InvalidInputError("scenario: missing 'system' object")
+    s = doc["system"]
+    system = SystemConditions(
+        _field_as_it_was(s, "system", "f_n_hz"),
+        _field_as_it_was(s, "system", "ke_mws"),
+        _field_as_it_was(s, "system", "p_load_mw"),
+        _field_as_it_was(s, "system", "d_relief"),
+        _field_as_it_was(s, "system", "p_cont_mw"),
+    )
+    band_docs = doc.get("bands", [])
+    if not isinstance(band_docs, list):
+        raise InvalidInputError("bands: expected a list")
+    bands = []
+    for i, b in enumerate(band_docs):
+        where = f"bands.{i}"
+        if not isinstance(b, dict):
+            raise InvalidInputError(f"{where}: expected an object")
+        kind = b.get("kind")
+        pfr = _field_as_it_was(b, where, "pfr_mw")
+        if pfr * system.p_cont < 0:
+            raise InvalidInputError(
+                f"{where}.pfr_mw: sign must match p_cont_mw ({system.p_cont})"
+            )
+        if kind == "lag":
+            bands.append(LagBand(pfr, _field_as_it_was(b, where, "tau_s")))
+        elif kind == "ramp":
+            bands.append(RampBand(pfr, _field_as_it_was(b, where, "t_r_s")))
+        else:
+            raise InvalidInputError(f"{where}.kind: expected 'lag' or 'ramp', got {kind!r}")
+    t_end = dt = None
+    if "sim" in doc:
+        if not isinstance(doc["sim"], dict):
+            raise InvalidInputError("sim: expected an object")
+        t_end = _field_as_it_was(doc["sim"], "sim", "t_end_s")
+        dt = _field_as_it_was(doc["sim"], "sim", "dt_s")
+        if not t_end > 0 or not dt > 0:
+            raise InvalidInputError("sim: t_end_s and dt_s must be > 0")
+    return Scenario(system, tuple(bands), t_end, dt)
+
+
+@st.composite
+def scenario_documents(draw):
+    """Valid scenario documents: under- or over-frequency, 0-3 bands, sim optional.
+
+    Half of them hold only floats, as the single pass takes them; in the other
+    half any number may be an int, as a file written without decimals gives.
+    """
+    ints = draw(st.booleans())
+
+    def number_in(lo, hi):
+        floats = st.floats(lo, hi)
+        return floats | st.integers(math.ceil(lo), math.floor(hi)) if ints else floats
+
+    sign = draw(st.sampled_from([1, -1]))
+    doc = {"system": {"f_n_hz": draw(number_in(1, 100)), "ke_mws": draw(number_in(1, 1e5)),
+                      "p_load_mw": draw(number_in(1, 1e4)), "d_relief": draw(number_in(0, 0.1)),
+                      "p_cont_mw": sign * draw(number_in(0, 1000))}}
+    bands = []
+    for kind in draw(st.lists(st.sampled_from(["lag", "ramp"]), max_size=3)):
+        bands.append({"kind": kind, "pfr_mw": sign * draw(number_in(0, 500)),
+                      "tau_s" if kind == "lag" else "t_r_s": draw(number_in(0.01, 100))})
+    if bands or draw(st.booleans()):
+        doc["bands"] = bands
+    if draw(st.booleans()):
+        doc["sim"] = {"t_end_s": draw(number_in(0.01, 100)), "dt_s": draw(st.floats(1e-4, 0.01))}
+    return doc
+
+
+_MISSING, _NEGATED = object(), object()
+# what one field of a document can be mutated to
+_BAD_NUMBERS = [_MISSING, True, "7000", 10**400, math.inf, -math.inf, math.nan, _NEGATED,
+                0.0, -1.0, None]
+_BAD_KINDS = [_MISSING, "step", None, [], 5]
+_NOT_OBJECTS = [5, "x", [], None]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one field, band, bands list or sim block made bad."""
+    doc = draw(scenario_documents())
+    fields = [(doc["system"], key) for key in doc["system"]]
+    fields += [(band, key) for band in doc.get("bands", []) for key in band]
+    fields += [(doc["sim"], key) for key in doc.get("sim", {})]
+    fields += [(doc.get("bands", []), i) for i in range(len(doc.get("bands", [])))]
+    fields += [(doc, "bands"), (doc, "sim")]
+    node, key = draw(st.sampled_from(fields))
+    if key in ("bands", "sim") or isinstance(node, list):
+        node[key] = draw(st.sampled_from(_NOT_OBJECTS))
+        return doc
+    value = draw(st.sampled_from(_BAD_KINDS if key == "kind" else _BAD_NUMBERS))
+    if value is _MISSING:
+        del node[key]
+    else:
+        # a sign mismatch for a band, a negative value for the other fields
+        node[key] = (-node[key] or -1.0) if value is _NEGATED else value
+    return doc
+
+
+def _outcome(parse, doc):
+    """The record's repr, or the type and the message of what the parser raised."""
+    try:
+        return repr(parse(doc))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParserAsItWas:
+    """The single-pass parser gives the records and the errors of the field-by-field one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=scenario_documents())
+    @example(doc=SCENARIO)
+    def test_valid_documents_give_equal_records(self, doc):
+        got = scenario_from_dict(doc)
+        want = scenario_from_dict_as_it_was(doc)
+        assert got == want and repr(got) == repr(want)
+
+    @settings(max_examples=600, deadline=None)
+    @given(doc=mutated_documents())
+    def test_one_bad_field_gives_the_same_error(self, doc):
+        # a few mutations leave the document valid, as a missing bands list or a negated 0
+        assert _outcome(scenario_from_dict, doc) == _outcome(scenario_from_dict_as_it_was, doc)
+
+    @pytest.mark.parametrize("doc", [
+        5, [], {}, {"system": 5}, {"system": None},
+        # two faults in one band: the first check that fails names it
+        {**SCENARIO, "bands": [{"kind": "step", "pfr_mw": -270.0, "tau_s": 2.0}]},
+        {**SCENARIO, "bands": [{"kind": "step", "pfr_mw": math.nan}]},
+        {**SCENARIO, "bands": [{"kind": "lag", "pfr_mw": -270.0, "tau_s": -1.0}]},
+        {**SCENARIO, "bands": [{"kind": "ramp", "pfr_mw": "30", "t_r_s": math.inf}]},
+        {**SCENARIO, "bands": [{"kind": "lag", "pfr_mw": 270.0, "tau_s": -1.0}, 5]},
+    ])
+    def test_bad_top_level_or_two_faults_give_the_same_error(self, doc):
+        assert _outcome(scenario_from_dict, doc) == _outcome(scenario_from_dict_as_it_was, doc)

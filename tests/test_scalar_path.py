@@ -1,19 +1,19 @@
 """The scalar screening path gives the same doubles as its one-expression forms.
 
-Each public call of the screening path takes its ratio algebra from one
-place: `lag_nadir` reads every field of the system and the band once, and it
-and `max_contingency` decide the branch in closedform's one frame;
-`derive_params` reads the fields instead of the properties;
-`canonical_equivalent` and `sensitivity_report` take tau from
-`equivalent_tau`'s one checked path, and `sensitivity_report` takes the K = 1
-cap from `max_contingency`'s arithmetic.
-`_field` returns a finite float at once. Each reference below writes the
-earlier one-expression form of the same arithmetic, through the properties
-and in the same order, so every rounding step is the same and the results
-must agree bit for bit (signed zeros included) across the (K, A) plane: A = 1
-and its neighbourhood, the B = 0 guard band and over-frequency mirrors
-included. The precedence tests pin which message wins when an input breaks
-two rules at once.
+Each public call of the screening path takes its ratio algebra from one place:
+`lag_nadir` reads every field of the system and the band once, and it and
+`max_contingency` decide the branch in closedform's one frame; `derive_params`
+reads the fields instead of the properties; `canonical_equivalent` and
+`sensitivity_report` take tau from `equivalent_tau`'s one checked path, whose
+`math.exp` is the tau model's only exponential, and `sensitivity_report` takes
+the K = 1 cap from `max_contingency`'s arithmetic. `scenario_from_dict` takes
+plain finite floats as read. Each reference below writes the earlier
+one-expression form of the same arithmetic, through the properties and in the
+same order, so every rounding step is the same and the results must agree bit
+for bit (signed zeros included) across the (K, A) plane: A = 1 and its
+neighbourhood, the B = 0 guard band and over-frequency mirrors included. The
+precedence tests pin which message wins when an input breaks two rules at
+once.
 """
 import math
 
@@ -43,6 +43,8 @@ from sfrkit import (
     sensitivity_report,
     sensitivity_tau_bands,
 )
+from sfrkit import bandfit
+from sfrkit.applications import sensitivity_pcont
 from sfrkit.closedform import _a_ratio, _k_ratio, _nadir_terms, nadir_shape_factor
 from sfrkit.model import scenario_from_dict
 
@@ -94,7 +96,7 @@ def ref_cap(dp, k, delta_f_max, tau):
 def ref_tau(model, pfr1, pfr2):
     if pfr1 == 0:
         return model.tau2
-    return float(model.a * (1.0 - np.exp(-model.b * pfr2 / pfr1)) + model.tau1)
+    return float(model.a * (1.0 - math.exp(-model.b * pfr2 / pfr1)) + model.tau1)
 
 
 def ref_share(model, tau_target):
@@ -388,6 +390,50 @@ class TestSensitivityReport:
         dp = DerivedParams(dprime=dprime, h=180.0)
         with pytest.raises(InvalidInputError, match=message):
             sensitivity_report(dp, -1.0, CANONICAL_SURFACE, pfr1, pfr2)
+
+
+surfaces = st.one_of(
+    st.just(CANONICAL_SURFACE),
+    st.builds(TauSurfaceModel, a=st.floats(0.0, 5.0), b=st.floats(1e-3, 10.0),
+              tau1=st.just(0.4), tau2=st.just(2.0)),
+)
+
+
+class TestOneDecay:
+    """math.exp of -b*PFR2/PFR1 is the tau model's one exponential, on every path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(model=surfaces, pfr1=st.just(0.0) | st.floats(1e-3, 1e4),
+           # PFR2/PFR1 from 0 to past the underflow of exp(-b*ratio) at b*ratio ~ 745
+           ratio=st.just(0.0) | st.floats(-12.0, 4.0).map(lambda e: 10.0 ** e),
+           dprime=st.floats(20.0, 300.0), h=st.floats(20.0, 2000.0),
+           delta_f_max=st.floats(-2.0, -0.1))
+    # numpy's exp of -b*PFR2/PFR1 is one ulp off math.exp's here, and so is the tau it gives
+    @example(model=CANONICAL_SURFACE, pfr1=100.0, ratio=0.32, dprime=80.0, h=180.0,
+             delta_f_max=-1.0)
+    @example(model=CANONICAL_SURFACE, pfr1=1.0, ratio=2000.0, dprime=80.0, h=180.0,
+             delta_f_max=-1.0)
+    @example(model=CANONICAL_SURFACE, pfr1=0.0, ratio=80.0, dprime=80.0, h=180.0,
+             delta_f_max=-1.0)
+    def test_every_path_shares_its_bits(self, model, pfr1, ratio, dprime, h, delta_f_max):
+        pfr2 = pfr1 * ratio if pfr1 else ratio + 1.0
+        tau = equivalent_tau(model, pfr1, pfr2)
+        if pfr1 == 0:
+            assert tau == model.tau2
+        else:
+            assert _bits(tau) == _bits(model.a * (1.0 - math.exp(-model.b * pfr2 / pfr1))
+                                       + model.tau1)
+        assert _bits(canonical_equivalent(pfr1, pfr2, model).tau_eq) == _bits(tau)
+        taus = bandfit._equivalent_taus(model, np.array([pfr1, 1.0]), np.array([pfr2, 0.0]))
+        assert _bits(*taus.tolist()) == _bits(tau, model.tau1)
+        if pfr1 == 0:
+            return
+        dp = DerivedParams(dprime=dprime, h=h)
+        report = sensitivity_report(dp, delta_f_max, model, pfr1, pfr2)
+        assert _bits(report.dtau_dpfr1, report.dtau_dpfr2) == \
+            _bits(*sensitivity_tau_bands(model, pfr1, pfr2))
+        assert _bits(report.dp_dtau, report.dp_dh) == \
+            _bits(*sensitivity_pcont(dp, delta_f_max, tau))
 
 
 def _doc(**system):
