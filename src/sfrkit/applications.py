@@ -19,7 +19,7 @@ import math
 from .bandfit import TauSurfaceModel, _tau_and_decay, equivalent_tau
 from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping, _require_ratios
 from .errors import BranchError, InvalidInputError
-from .model import DerivedParams, _record
+from .model import _FINITE_NONZERO, _FINITE_POSITIVE, DerivedParams, _record
 
 __all__ = [
     "SecurityPolicy",
@@ -50,20 +50,12 @@ _K1_BRACKET_BAND = 0.1
 _K1_BRACKET_SERIES = tuple((-1.0) ** (k + 1) / (k * (k - 1)) for k in range(16, 1, -1))
 
 
-@_record
+@_record(k_policy=_FINITE_POSITIVE, delta_f_max=_FINITE_NONZERO)
 class SecurityPolicy:
     """PFR adequacy ratio and the deviation the system must never exceed."""
 
     k_policy: float       # PFR >= P_cont / k_policy
     delta_f_max: float    # Hz; negative for under-frequency limits
-
-    def __post_init__(self):
-        if not (self.k_policy > 0 and math.isfinite(self.k_policy)):
-            raise InvalidInputError(f"k_policy must be finite and > 0, got {self.k_policy}")
-        if not (math.isfinite(self.delta_f_max) and self.delta_f_max != 0):
-            raise InvalidInputError(
-                f"delta_f_max must be finite and nonzero, got {self.delta_f_max}"
-            )
 
 
 def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
@@ -265,6 +257,8 @@ def required_ffr_share(model: TauSurfaceModel, tau_target: float) -> float:
     if tau_target == model.tau1:
         return 1.0
     if not model.tau1 < tau_target < model.tau1 + model.a:
+        if tau_target != tau_target:
+            raise InvalidInputError(f"tau_target must be a number, got {tau_target}")
         raise BranchError(
             f"tau target {tau_target} outside the attainable range "
             f"({model.tau1}, {model.tau1 + model.a})"

@@ -41,7 +41,8 @@ import math
 import numpy as np
 
 from .errors import FitError, InvalidInputError
-from .model import FrequencyTrace, LagBand, _grid_steps, _record
+from .model import (_FINITE, _FINITE_NONNEGATIVE, _FINITE_POSITIVE, _MAX, FrequencyTrace,
+                    LagBand, _field_check, _grid_steps, _or_none, _record)
 
 __all__ = [
     "TwoBandPfr",
@@ -123,25 +124,21 @@ class TwoBandPfr:
             raise InvalidInputError("band magnitudes must be >= 0 for fitting")
 
 
-@_record
+@_record(pfr_eq=_FINITE_NONNEGATIVE, tau_eq=_FINITE_POSITIVE, fit_residual=_or_none(_FINITE))
 class EquivalentBand:
     pfr_eq: float                     # MW
     tau_eq: float                     # s
     fit_residual: float | None = None  # sum of squared residuals, MW^2
 
-    def __post_init__(self):
-        if not 0 <= self.pfr_eq < math.inf:
-            raise InvalidInputError(f"pfr_eq must be finite and >= 0, got {self.pfr_eq}")
-        if not 0 < self.tau_eq < math.inf:
-            raise InvalidInputError(f"tau_eq must be finite and > 0, got {self.tau_eq}")
-        if self.fit_residual is not None and not math.isfinite(self.fit_residual):
-            raise InvalidInputError(f"fit_residual must be finite, got {self.fit_residual}")
-
     def band(self) -> LagBand:
         return LagBand(pfr=self.pfr_eq, tau=self.tau_eq)
 
 
-@_record
+# the fit statistics are checked after the tau pair, as they always were
+_check_fit_stats = _field_check(rms_residual=_or_none(_FINITE), pfr_plane_dev=_or_none(_FINITE))
+
+
+@_record(a=_FINITE_NONNEGATIVE, b=_FINITE_POSITIVE)
 class TauSurfaceModel:
     """Coefficients of tau_eq = a*(1 - exp(-b*PFR2/PFR1)) + tau1."""
 
@@ -153,19 +150,12 @@ class TauSurfaceModel:
     pfr_plane_dev: float | None = None  # max relative drift of pfr_eq from PFR1+PFR2
 
     def __post_init__(self):
-        if not 0 <= self.a < math.inf:
-            raise InvalidInputError(f"a must be finite and >= 0, got {self.a}")
-        if not 0 < self.b < math.inf:
-            raise InvalidInputError(f"b must be finite and > 0, got {self.b}")
         _check_tau_pair(self.tau1, self.tau2)
-        for name in ("rms_residual", "pfr_plane_dev"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value}")
+        _check_fit_stats(self.rms_residual, self.pfr_plane_dev)
 
 
 def _check_tau_pair(tau1: float, tau2: float) -> None:
-    if not 0 < tau1 <= tau2 < math.inf:
+    if not 0 < tau1 <= tau2 <= _MAX:
         raise InvalidInputError(f"need finite 0 < tau1 <= tau2, got tau1={tau1}, tau2={tau2}")
 
 

@@ -5,25 +5,29 @@ Sign convention: an under-frequency event has a positive contingency size
 events are represented by flipping the sign of both; there is no separate
 code path.
 
-The records reject NaN and infinite fields, naming the field; ke = +inf,
-infinite inertia, is the one exception. `_grid_steps` is the one
-sampling-grid rule: closed-form traces, oracle runs and the band fits all
-turn (t_end, dt) into a step count through it, and it rejects a grid over
-10 million steps before any array is built.
+`_grid_steps` is the one sampling-grid rule: closed-form traces, oracle runs
+and the band fits all turn (t_end, dt) into a step count through it, and it
+rejects a grid over 10 million steps before any array is built.
 
 Every record type of the package is declared with `_record`: a frozen,
-slotted dataclass whose generated `__init__` stores each field through its
-slot descriptor and then runs `__post_init__`. Equality, hashing, repr,
-`dataclasses.replace` and the validation messages are those of a plain frozen
-dataclass; construction skips the per-field name lookup of
-`object.__setattr__`, which matters where records are built per operating
-point. Instances have no `__dict__` and take no weak references.
+slotted dataclass whose generated `__init__` checks the fields the record
+declares, in the declared order, stores each through its slot descriptor and
+then runs `__post_init__`. The five field rules, each optionally "or None",
+are finite and > 0; > 0 (ke = +inf is the infinite-inertia limit); finite
+and >= 0; finite; finite and nonzero. A field that breaks its rule raises
+InvalidInputError("{field} must be {text}, got {value}"), so a NaN, an
+infinity or an int beyond the float range is rejected, naming the field.
+Equality, hashing, repr and `dataclasses.replace` are those of a plain
+frozen dataclass; construction skips the name lookup of `object.__setattr__`,
+which matters where records are built per operating point. Instances have no
+`__dict__` and take no weak references.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -44,17 +48,59 @@ __all__ = [
 ]
 
 
-def _record(cls):
-    """A frozen, slotted dataclass whose __init__ writes the slots directly.
+# The field rules of _record: a condition on the argument {0} and its message
+# text. Every bound but ke's +inf is _MAX, the largest finite double, so one
+# comparison chain rejects NaN, +-inf and an int beyond the float range.
+_MAX = sys.float_info.max
+_FINITE_POSITIVE = ("0 < {0} <= _MAX", "finite and > 0")
+_POSITIVE = ("0 < {0} <= _MAX or {0} == _INF", "> 0")  # ke = +inf: no deviation develops
+_FINITE_NONNEGATIVE = ("0 <= {0} <= _MAX", "finite and >= 0")
+_FINITE = ("-_MAX <= {0} <= _MAX", "finite")
+_FINITE_NONZERO = ("-_MAX <= {0} <= _MAX and {0} != 0", "finite and nonzero")
 
-    The generated __init__ has the dataclass's parameters and defaults, stores
-    each argument with its slot descriptor's __set__ (what a frozen
-    dataclass's object.__setattr__ reaches after a name lookup) and then calls
-    __post_init__, if the class defines one.
+
+def _or_none(rule):
+    """rule, also met by None."""
+    return "{0} is None or " + rule[0], rule[1]
+
+
+def _reject(field, text, value):
+    """Raise a rule's message; an int beyond the float range is described, not printed."""
+    if isinstance(value, int) and not -_MAX <= value <= _MAX:
+        value = "an integer too large for a float"
+    raise InvalidInputError(f"{field} must be {text}, got {value}")
+
+
+_CHECK_SCOPE = {"_MAX": _MAX, "_INF": math.inf, "_reject": _reject}
+
+
+def _check_source(rules) -> str:
+    """Function-body lines that test each named argument against its rule, in order."""
+    return "".join(f"    if not ({condition.format(name)}): _reject({name!r}, {text!r}, {name})\n"
+                   for name, (condition, text) in rules.items())
+
+
+def _field_check(**rules):
+    """A function of the named values that checks them as a record's __init__ would."""
+    scope = dict(_CHECK_SCOPE)
+    exec(f"def check({', '.join(rules)}):\n" + _check_source(rules), scope)
+    return scope["check"]
+
+
+def _record(cls=None, /, **rules):
+    """A frozen, slotted dataclass whose __init__ checks its arguments and writes the slots.
+
+    @_record(field=rule, ...) tests each named argument inline against one of
+    the five rules above, in the order given. The __init__ then stores each
+    argument with its slot descriptor's __set__ (what a frozen dataclass's
+    object.__setattr__ reaches after a name lookup) and calls __post_init__,
+    if the class defines one.
     """
+    if cls is None:
+        return lambda cls: _record(cls, **rules)
     cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
     fields = dataclasses.fields(cls)
-    scope, params = {}, []
+    scope, params = dict(_CHECK_SCOPE), []
     for f in fields:
         if f.default_factory is not dataclasses.MISSING:
             raise TypeError(f"{cls.__name__}.{f.name}: _record takes no default_factory")
@@ -64,10 +110,10 @@ def _record(cls):
         else:
             scope[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-    body = [f"    _set_{f.name}(self, {f.name})\n" for f in fields]
+    body = _check_source(rules) + "".join(f"    _set_{f.name}(self, {f.name})\n" for f in fields)
     if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n" + "".join(body), scope)
+        body += "    self.__post_init__()\n"
+    exec(f"def __init__(self, {', '.join(params)}):\n" + body, scope)
     init = scope["__init__"]
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     init.__annotations__ = cls.__init__.__annotations__
@@ -75,7 +121,8 @@ def _record(cls):
     return cls
 
 
-@_record
+@_record(f_n=_FINITE_POSITIVE, ke=_POSITIVE, p_load=_FINITE_POSITIVE, d=_FINITE_NONNEGATIVE,
+         p_cont=_FINITE)
 class SystemConditions:
     """Grid state at the instant of the contingency."""
 
@@ -84,19 +131,6 @@ class SystemConditions:
     p_load: float  # system load at contingency onset, MW
     d: float       # load relief factor, fraction of load MW per Hz
     p_cont: float  # contingency size, MW (positive = generation loss)
-
-    def __post_init__(self):
-        if not 0 < self.f_n < math.inf:
-            raise InvalidInputError(f"f_n must be finite and > 0, got {self.f_n}")
-        # ke = +inf is kept as the infinite-inertia limit, where no deviation develops
-        if not self.ke > 0:
-            raise InvalidInputError(f"ke must be > 0, got {self.ke}")
-        if not 0 < self.p_load < math.inf:
-            raise InvalidInputError(f"p_load must be finite and > 0, got {self.p_load}")
-        if not 0 <= self.d < math.inf:
-            raise InvalidInputError(f"d must be finite and >= 0, got {self.d}")
-        if not -math.inf < self.p_cont < math.inf:
-            raise InvalidInputError(f"p_cont must be finite, got {self.p_cont}")
 
     @property
     def dprime(self) -> float:
@@ -109,7 +143,7 @@ class SystemConditions:
         return self.ke / self.f_n
 
 
-@_record
+@_record(dprime=_FINITE_NONNEGATIVE, h=_FINITE_POSITIVE)
 class DerivedParams:
     """Damping and inertia in working units.
 
@@ -120,30 +154,18 @@ class DerivedParams:
     dprime: float  # MW/Hz
     h: float       # MW.s/Hz
 
-    def __post_init__(self):
-        if not 0 <= self.dprime < math.inf:
-            raise InvalidInputError(f"dprime must be finite and >= 0, got {self.dprime}")
-        if not 0 < self.h < math.inf:
-            raise InvalidInputError(f"h must be finite and > 0, got {self.h}")
-
 
 def derive_params(sc: SystemConditions) -> DerivedParams:
     """Compute D' = D * P_load and H = KE / f_n, the properties' products, from the fields."""
     return DerivedParams(sc.d * sc.p_load, sc.ke / sc.f_n)
 
 
-@_record
+@_record(tau=_FINITE_POSITIVE, pfr=_FINITE)
 class LagBand:
     """One PFR provider band delivering pfr * (1 - exp(-t/tau))."""
 
     pfr: float  # maximum delivered response, MW
     tau: float  # response time constant, s
-
-    def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise InvalidInputError(f"tau must be finite and > 0, got {self.tau}")
-        if not -math.inf < self.pfr < math.inf:
-            raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
 
     def _delivered(self, arr, out):
         """pfr * (1 - exp(-arr/tau)), written into out; arr/-tau has -arr/tau's bits."""
@@ -154,18 +176,12 @@ class LagBand:
         return out
 
 
-@_record
+@_record(t_r=_FINITE_POSITIVE, pfr=_FINITE)
 class RampBand:
     """One PFR provider band ramping at rate pfr / t_r up to pfr."""
 
     pfr: float  # maximum delivered response, MW
     t_r: float  # ramp time, s
-
-    def __post_init__(self):
-        if not 0 < self.t_r < math.inf:
-            raise InvalidInputError(f"t_r must be finite and > 0, got {self.t_r}")
-        if not -math.inf < self.pfr < math.inf:
-            raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
 
     @property
     def rate(self) -> float:
@@ -208,7 +224,7 @@ def total_pfr_value(bands, t):
     return _ret(total, scalar)
 
 
-@_record
+@_record(dt=_FINITE_POSITIVE)
 class FrequencyTrace:
     """Frequency-deviation samples, Hz, at t = 0, dt, 2*dt, ..."""
 
@@ -216,8 +232,6 @@ class FrequencyTrace:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise InvalidInputError(f"dt must be > 0, got {self.dt}")
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInputError("samples must be a non-empty 1-D sequence")

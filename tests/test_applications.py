@@ -384,6 +384,10 @@ class TestRequiredFfrShare:
         with pytest.raises(BranchError):
             required_ffr_share(CANONICAL_SURFACE, 0.2)
 
+    def test_nan_target_is_bad_input_not_a_branch_failure(self):
+        with pytest.raises(InvalidInputError, match="^tau_target must be a number, got nan$"):
+            required_ffr_share(CANONICAL_SURFACE, math.nan)
+
     def test_share_decreases_with_slower_targets(self):
         shares = [required_ffr_share(CANONICAL_SURFACE, t) for t in (0.5, 0.8, 1.1, 1.5)]
         assert all(a > b for a, b in zip(shares, shares[1:]))

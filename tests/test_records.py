@@ -5,15 +5,22 @@ whose generated `__init__` writes the slots directly. Each one is compared
 with a plain frozen dataclass of the same fields (its "twin") for equality,
 hashing, repr and signature, and checked for frozen assignment, slots,
 defaults, keyword construction and validation under `dataclasses.replace`.
+The field checks are compared with the `__post_init__` bodies the records
+had before they declared field rules, kept below as the reference.
 """
 import copy
 import dataclasses
 import inspect
+import math
 import pickle
+import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfrkit import applications, bandfit, closedform, model, oracle
 from sfrkit.errors import InvalidInputError
@@ -200,3 +207,163 @@ def test_record_refuses_a_default_factory():
 
     with pytest.raises(TypeError, match="default_factory"):
         model._record(Listed)
+
+
+# --- field checks as they were ----------------------------------------------
+#
+# Each record's field checks as its __post_init__ stated them before the
+# records declared field rules, copied verbatim; self holds the arguments.
+
+def _system_as_it_was(self):
+    if not 0 < self.f_n < math.inf:
+        raise InvalidInputError(f"f_n must be finite and > 0, got {self.f_n}")
+    # ke = +inf is kept as the infinite-inertia limit, where no deviation develops
+    if not self.ke > 0:
+        raise InvalidInputError(f"ke must be > 0, got {self.ke}")
+    if not 0 < self.p_load < math.inf:
+        raise InvalidInputError(f"p_load must be finite and > 0, got {self.p_load}")
+    if not 0 <= self.d < math.inf:
+        raise InvalidInputError(f"d must be finite and >= 0, got {self.d}")
+    if not -math.inf < self.p_cont < math.inf:
+        raise InvalidInputError(f"p_cont must be finite, got {self.p_cont}")
+
+
+def _derived_as_it_was(self):
+    if not 0 <= self.dprime < math.inf:
+        raise InvalidInputError(f"dprime must be finite and >= 0, got {self.dprime}")
+    if not 0 < self.h < math.inf:
+        raise InvalidInputError(f"h must be finite and > 0, got {self.h}")
+
+
+def _lag_as_it_was(self):
+    if not 0 < self.tau < math.inf:
+        raise InvalidInputError(f"tau must be finite and > 0, got {self.tau}")
+    if not -math.inf < self.pfr < math.inf:
+        raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
+
+
+def _ramp_as_it_was(self):
+    if not 0 < self.t_r < math.inf:
+        raise InvalidInputError(f"t_r must be finite and > 0, got {self.t_r}")
+    if not -math.inf < self.pfr < math.inf:
+        raise InvalidInputError(f"pfr must be finite, got {self.pfr}")
+
+
+def _trace_as_it_was(self):
+    if not self.dt > 0:
+        raise InvalidInputError(f"dt must be > 0, got {self.dt}")
+    arr = np.asarray(self.samples, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInputError("samples must be a non-empty 1-D sequence")
+    object.__setattr__(self, "samples", arr)
+
+
+def _policy_as_it_was(self):
+    if not (self.k_policy > 0 and math.isfinite(self.k_policy)):
+        raise InvalidInputError(f"k_policy must be finite and > 0, got {self.k_policy}")
+    if not (math.isfinite(self.delta_f_max) and self.delta_f_max != 0):
+        raise InvalidInputError(
+            f"delta_f_max must be finite and nonzero, got {self.delta_f_max}"
+        )
+
+
+def _equivalent_as_it_was(self):
+    if not 0 <= self.pfr_eq < math.inf:
+        raise InvalidInputError(f"pfr_eq must be finite and >= 0, got {self.pfr_eq}")
+    if not 0 < self.tau_eq < math.inf:
+        raise InvalidInputError(f"tau_eq must be finite and > 0, got {self.tau_eq}")
+    if self.fit_residual is not None and not math.isfinite(self.fit_residual):
+        raise InvalidInputError(f"fit_residual must be finite, got {self.fit_residual}")
+
+
+def _check_tau_pair_as_it_was(tau1: float, tau2: float) -> None:
+    if not 0 < tau1 <= tau2 < math.inf:
+        raise InvalidInputError(f"need finite 0 < tau1 <= tau2, got tau1={tau1}, tau2={tau2}")
+
+
+def _surface_as_it_was(self):
+    if not 0 <= self.a < math.inf:
+        raise InvalidInputError(f"a must be finite and >= 0, got {self.a}")
+    if not 0 < self.b < math.inf:
+        raise InvalidInputError(f"b must be finite and > 0, got {self.b}")
+    _check_tau_pair_as_it_was(self.tau1, self.tau2)
+    for name in ("rms_residual", "pfr_plane_dev"):
+        value = getattr(self, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
+# record type -> (its checks as they were, the fields they check, fields that may be None,
+# fields they leave unchecked with a valid value)
+AS_IT_WAS = {
+    model.SystemConditions: (_system_as_it_was, ("f_n", "ke", "p_load", "d", "p_cont"), (), {}),
+    model.DerivedParams: (_derived_as_it_was, ("dprime", "h"), (), {}),
+    model.LagBand: (_lag_as_it_was, ("pfr", "tau"), (), {}),
+    model.RampBand: (_ramp_as_it_was, ("pfr", "t_r"), (), {}),
+    model.FrequencyTrace: (_trace_as_it_was, ("dt",), (), {"samples": [0.0, -1.0]}),
+    applications.SecurityPolicy: (_policy_as_it_was, ("k_policy", "delta_f_max"), (), {}),
+    bandfit.EquivalentBand: (_equivalent_as_it_was, ("pfr_eq", "tau_eq", "fit_residual"),
+                             ("fit_residual",), {}),
+    bandfit.TauSurfaceModel: (_surface_as_it_was,
+                              ("a", "b", "tau1", "tau2", "rms_residual", "pfr_plane_dev"),
+                              ("rms_residual", "pfr_plane_dev"), {}),
+}
+
+CHECKED = pytest.mark.parametrize(
+    "cls,name", [(cls, name) for cls, (_, names, _, _) in AS_IT_WAS.items() for name in names],
+    ids=lambda x: getattr(x, "__name__", x))
+_BIG = sys.float_info.max
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, 1.0, -1.0,
+            _BIG, -_BIG, math.inf, -math.inf, math.nan)
+_NUMBERS = st.one_of(st.sampled_from(_SPECIAL), st.floats(), st.integers(-3, 3), st.booleans())
+
+
+def _outcome(build):
+    try:
+        build()
+    except (InvalidInputError, TypeError) as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+class TestFieldChecksAsTheyWere:
+    """Each record fails on the field, with the exception and message, that it did."""
+
+    @pytest.mark.parametrize("cls", list(AS_IT_WAS), ids=lambda c: c.__name__)
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_first_bad_field_and_message(self, cls, data):
+        check, names, optional, fixed = AS_IT_WAS[cls]
+        args = {name: data.draw(st.none() | _NUMBERS if name in optional else _NUMBERS,
+                                label=name) for name in names}
+        want = _outcome(lambda: check(SimpleNamespace(**args, **fixed)))
+        if cls is model.FrequencyTrace and want != "ok":
+            # dt's rule now says finite; an infinite dt is rejected, see below
+            want = (want[0], want[1].replace("dt must be > 0", "dt must be finite and > 0"))
+        if args.get("dt") == math.inf:
+            want = (InvalidInputError, "dt must be finite and > 0, got inf")
+        assert _outcome(lambda: cls(**args, **fixed)) == want
+
+    def test_an_infinite_time_step_is_rejected(self):
+        # it was accepted: its times read [nan, inf], with a numpy warning
+        with pytest.raises(InvalidInputError, match=r"^dt must be finite and > 0, got inf$"):
+            model.FrequencyTrace(math.inf, [0.0, -1.0])
+
+    @CHECKED
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_an_int_beyond_the_float_range_is_rejected_by_name(self, cls, name, value):
+        # LagBand took pfr = 10**400; SecurityPolicy and EquivalentBand raised OverflowError
+        with pytest.raises(InvalidInputError) as err:
+            cls(**{**RECORDS[cls][0], name: value})
+        message = str(err.value)
+        if name in ("tau1", "tau2"):  # the pair check names both
+            assert message.startswith("need finite 0 < tau1 <= tau2")
+        else:
+            assert message.startswith(f"{name} must be ")
+            assert message.endswith(", got an integer too large for a float")
+
+    @CHECKED
+    @pytest.mark.parametrize("value", ["1.0", 1j, [1.0]])
+    def test_a_non_numeric_field_is_a_type_error(self, cls, name, value):
+        with pytest.raises(TypeError):
+            cls(**{**RECORDS[cls][0], name: value})
