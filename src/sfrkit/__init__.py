@@ -45,10 +45,9 @@ from .closedform import (
     INTERIOR_MINIMUM,
     NadirResult,
     asymptotic_nadir,
+    delta_f,
     lag_nadir,
     max_rocof,
-    multi_lag_delta_f,
-    multi_ramp_delta_f,
     trace,
 )
 from .errors import BranchError, FitError, InvalidInputError

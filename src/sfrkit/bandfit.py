@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import FitError, InvalidInputError
 from .model import (_FINITE, _FINITE_NONNEGATIVE, _FINITE_POSITIVE, _MAX, FrequencyTrace,
-                    LagBand, _field_check, _grid_steps, _or_none, _record)
+                    LagBand, _field_check, _grid_steps, _or_none, _record, _shown)
 
 __all__ = [
     "TwoBandPfr",
@@ -156,7 +156,8 @@ class TauSurfaceModel:
 
 def _check_tau_pair(tau1: float, tau2: float) -> None:
     if not 0 < tau1 <= tau2 <= _MAX:
-        raise InvalidInputError(f"need finite 0 < tau1 <= tau2, got tau1={tau1}, tau2={tau2}")
+        raise InvalidInputError(f"need finite 0 < tau1 <= tau2, "
+                                f"got tau1={_shown(tau1)}, tau2={_shown(tau2)}")
 
 
 def _magnitude_grid(pfr_grid) -> np.ndarray:

@@ -179,9 +179,7 @@ def _sim_grid(scenario, t_end=_DEF_T_END):
 
 def _closed_and_oracle(system, bands, t_end, dt):
     """Closed-form and RK4 traces of bands of one kind on one sampling grid."""
-    # trace rejects an empty or mixed band list; the first band names the kind
-    kind = "ramp" if bands and isinstance(bands[0], RampBand) else "lag"
-    closed = closedform.trace(system, bands, t_end, dt, kind)
+    closed = closedform.trace(system, bands, t_end, dt)
     spec = oracle.IntegrationSpec(t_end=t_end, dt=dt)
     return closed, oracle.integrate(system, lambda t: total_pfr_value(bands, t), spec)
 
@@ -239,13 +237,12 @@ def _cmd_compare(args) -> int:
 def _cmd_nadir(args) -> int:
     scenario = _scenario(args)
     if args.method == "closed":
-        lag_bands = [b for b in scenario.bands if isinstance(b, LagBand)]
-        if len(scenario.bands) != 1 or len(lag_bands) != 1:
+        if len(scenario.bands) != 1 or not isinstance(scenario.bands[0], LagBand):
             raise InvalidInputError(
                 "closed-form nadir needs exactly one lag band; fit an equivalent band "
                 "first or rerun with --method oracle"
             )
-        result = closedform.lag_nadir(scenario.system, lag_bands[0])
+        result = closedform.lag_nadir(scenario.system, scenario.bands[0])
     else:
         spec = oracle.IntegrationSpec(*_sim_grid(scenario, 60.0))
         trace = oracle.integrate(scenario.system,
@@ -439,11 +436,10 @@ def _fig5():
 def _two_band_vs_equivalent(cases):
     rows = []
     for p1, p2 in cases:
-        bands = [LagBand(p1, 0.4)] if p2 == 0 else (
-            [LagBand(p2, 2.0)] if p1 == 0 else [LagBand(p1, 0.4), LagBand(p2, 2.0)])
-        exact = closedform.trace(_BASE_SYSTEM, bands, 30.0, 0.01, "lag")
+        bands = [LagBand(p, tau) for p, tau in ((p1, 0.4), (p2, 2.0)) if p != 0]
+        exact = closedform.trace(_BASE_SYSTEM, bands, 30.0, 0.01)
         eq = bandfit.canonical_equivalent(p1, p2)
-        approx = closedform.trace(_BASE_SYSTEM, [eq.band()], 30.0, 0.01, "lag")
+        approx = closedform.trace(_BASE_SYSTEM, [eq.band()], 30.0, 0.01)
         for t, e, ap in zip(exact.times, exact.samples, approx.samples):
             rows.append((p1, p2, t, e, ap))
     return ("pfr1_mw", "pfr2_mw", "t_s", "delta_f_exact_hz", "delta_f_approx_hz"), rows

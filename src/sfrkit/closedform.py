@@ -10,7 +10,8 @@ kernel, `_delta_f`, sums them for any mix of bands, with E(t) = exp(-D't/(2H)):
 It is exact for all time for lag bands p(t) = PFR*(1 - exp(-t/tau)), but for
 ramp bands p(t) = R*t only while the ramp runs (t <= t_r): it never saturates
 the ramp, on purpose, so the divergence from the saturating oracle shows. The
-public deviation functions check their bands' kind and call the kernel.
+one deviation entry point, `delta_f`, and its grid form `trace` take bands of
+one kind, the first band's in model._BAND_KINDS, and call the kernel.
 
 The nadir algebra uses K = P_cont/PFR, A = D'*tau/(2H), B = 1 + K*(A - 1) and
 C = A/(A - 1). One frame, `_nadir_terms`, forms B and decides the branch for
@@ -34,15 +35,14 @@ import math
 import numpy as np
 
 from .errors import BranchError, InvalidInputError
-from .model import (FrequencyTrace, LagBand, RampBand, SystemConditions, _as_times, _grid_steps,
-                    _record, _ret)
+from .model import (_BAND_KINDS, _KIND_NAMES, FrequencyTrace, LagBand, RampBand, SystemConditions,
+                    _as_times, _band_kind, _grid_steps, _record, _ret)
 
 __all__ = [
     "INTERIOR_MINIMUM",
     "ASYMPTOTIC",
     "NadirResult",
-    "multi_ramp_delta_f",
-    "multi_lag_delta_f",
+    "delta_f",
     "nadir_shape_factor",
     "asymptotic_nadir",
     "max_rocof",
@@ -56,7 +56,6 @@ B_EPS = 1e-9
 INTERIOR_MINIMUM = "interior_minimum"
 ASYMPTOTIC = "asymptotic"
 
-_BAND_TYPES = {"lag": LagBand, "ramp": RampBand}
 _NO_DAMPING = "D' = d * p_load must be > 0 for this expression"
 
 
@@ -111,13 +110,6 @@ def _nadir_terms(k: float, a: float):
     return b, l, -(1.0 - k) * math.expm1(-a * l) - a * l * math.exp(-l) * rel
 
 
-def _at_times(sc: SystemConditions, bands, t):
-    """_delta_f at times t, checked to be >= 0 after D'; a scalar t gives a float."""
-    dprime = _require_damping(sc)
-    arr, scalar = _as_times(t)
-    return _ret(_delta_f(sc, bands, dprime, arr), scalar)
-
-
 def _delta_f(sc: SystemConditions, bands, dprime: float, arr):
     """Deviation under any mix of lag and (unsaturated) ramp bands at checked times, Hz."""
     h = sc.h
@@ -164,27 +156,30 @@ def _delta_f(sc: SystemConditions, bands, dprime: float, arr):
     return out
 
 
-def _of_kind(bands, kind: str):
-    """bands, checked to be non-empty and all of the named kind."""
+def _of_kind(bands, kind=None):
+    """bands, checked to be non-empty and all of one kind: kind if given, else the first band's."""
+    if kind is not None and _band_kind(kind)[0] is None:
+        raise InvalidInputError(f"kind must be {_KIND_NAMES}, got {kind!r}")
     if not bands:
-        raise InvalidInputError(f"at least one {kind} band is required")
-    wrong = [type(b).__name__ for b in bands if not isinstance(b, _BAND_TYPES[kind])]
+        raise InvalidInputError(f"at least one {kind + ' ' if kind else ''}band is required")
+    # the kind whose type the first band has; a first band of no kind fails the lag form's check
+    kind = kind or next((k for k, (t, _) in _BAND_KINDS.items() if type(bands[0]) is t), "lag")
+    wrong = [type(b).__name__ for b in bands if not isinstance(b, _BAND_KINDS[kind][0])]
     if wrong:
         raise InvalidInputError(f"the {kind} closed form needs {kind} bands only, got {wrong[0]}")
     return bands
 
 
-def multi_ramp_delta_f(sc: SystemConditions, bands, t):
-    """Deviation under any number of ramp bands (no saturation), Hz.
+def delta_f(sc: SystemConditions, bands, t):
+    """Deviation at times t under bands of one kind, the first band's, Hz; a scalar t gives a float.
 
-    Valid only up to the shortest ramp time among the bands.
+    Exact for all time for lag bands; ramp bands are not saturated, so only up
+    to the shortest ramp time among them.
     """
-    return _at_times(sc, _of_kind(bands, "ramp"), t)
-
-
-def multi_lag_delta_f(sc: SystemConditions, bands, t):
-    """Deviation under any number of lag bands, Hz (exact for all time)."""
-    return _at_times(sc, _of_kind(bands, "lag"), t)
+    bands = _of_kind(bands)
+    dprime = _require_damping(sc)
+    arr, scalar = _as_times(t)
+    return _ret(_delta_f(sc, bands, dprime, arr), scalar)
 
 
 def _k_ratio(p_cont: float, pfr: float) -> float:
@@ -246,12 +241,11 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     return NadirResult(INTERIOR_MINIMUM, tau * l, pfr / dprime * shape, rocof)
 
 
-def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind: str) -> FrequencyTrace:
-    """Sample the deviation of bands of one kind on t = 0, dt, ..., round(t_end/dt)*dt."""
+def trace(sc: SystemConditions, bands, t_end: float, dt: float, kind=None) -> FrequencyTrace:
+    """delta_f on t = 0, dt, ..., round(t_end/dt)*dt; a kind given must be the bands' kind."""
     n = _grid_steps(t_end, dt)
-    if kind not in ("lag", "ramp"):
-        raise InvalidInputError(f"kind must be 'lag' or 'ramp', got {kind!r}")
+    bands = _of_kind(bands, kind)
     times = np.arange(n + 1, dtype=float)
     times *= dt  # a grid built here needs no time check
-    samples = _delta_f(sc, _of_kind(bands, kind), _require_damping(sc), times)
+    samples = _delta_f(sc, bands, _require_damping(sc), times)
     return FrequencyTrace(dt=dt, samples=samples)

@@ -10,7 +10,7 @@ and the band fits all turn (t_end, dt) into a step count through it, and it
 rejects a grid over 10 million steps before any array is built.
 
 Every record type of the package is declared with `_record`: a frozen,
-slotted dataclass whose generated `__init__` checks the fields the record
+slotted dataclass whose own generated `__init__` checks the fields the record
 declares, in the declared order, stores each through its slot descriptor and
 then runs `__post_init__`. The five field rules, each optionally "or None",
 are finite and > 0; > 0 (ke = +inf is the infinite-inertia limit); finite
@@ -25,6 +25,7 @@ which matters where records are built per operating point. Instances have no
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -64,19 +65,20 @@ def _or_none(rule):
     return "{0} is None or " + rule[0], rule[1]
 
 
-def _reject(field, text, value):
-    """Raise a rule's message; an int beyond the float range is described, not printed."""
+def _shown(value):
+    """value as a message shows it: an int beyond the float range is described, not printed."""
     if isinstance(value, int) and not -_MAX <= value <= _MAX:
-        value = "an integer too large for a float"
-    raise InvalidInputError(f"{field} must be {text}, got {value}")
+        return "an integer too large for a float"
+    return value
 
 
-_CHECK_SCOPE = {"_MAX": _MAX, "_INF": math.inf, "_reject": _reject}
+_CHECK_SCOPE = {"_MAX": _MAX, "_INF": math.inf, "_Invalid": InvalidInputError, "_shown": _shown}
 
 
 def _check_source(rules) -> str:
     """Function-body lines that test each named argument against its rule, in order."""
-    return "".join(f"    if not ({condition.format(name)}): _reject({name!r}, {text!r}, {name})\n"
+    return "".join(f"    if not ({condition.format(name)}): "
+                   f"raise _Invalid(f'{name} must be {text}, got {{_shown({name})}}')\n"
                    for name, (condition, text) in rules.items())
 
 
@@ -94,11 +96,13 @@ def _record(cls=None, /, **rules):
     the five rules above, in the order given. The __init__ then stores each
     argument with its slot descriptor's __set__ (what a frozen dataclass's
     object.__setattr__ reaches after a name lookup) and calls __post_init__,
-    if the class defines one.
+    if the class defines one. dataclass itself writes no __init__ (init=False).
     """
     if cls is None:
         return lambda cls: _record(cls, **rules)
-    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    # without a docstring, dataclass would parse object.__init__'s text signature for one
+    doc, cls.__doc__ = cls.__doc__, cls.__doc__ or "-"
+    cls = dataclasses.dataclass(frozen=True, slots=True, init=False)(cls)
     fields = dataclasses.fields(cls)
     scope, params = dict(_CHECK_SCOPE), []
     for f in fields:
@@ -116,8 +120,10 @@ def _record(cls=None, /, **rules):
     exec(f"def __init__(self, {', '.join(params)}):\n" + body, scope)
     init = scope["__init__"]
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    init.__annotations__ = cls.__init__.__annotations__
+    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
     cls.__init__ = init
+    if doc is None:  # "Name(signature)", as dataclass writes it from its own __init__
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls
 
 
@@ -194,6 +200,16 @@ class RampBand:
         return np.minimum(out, self.pfr, out=out)
 
 
+# The band kinds of scenario files and of the closed forms: name -> (band type, time key)
+_BAND_KINDS = {"lag": (LagBand, "tau_s"), "ramp": (RampBand, "t_r_s")}
+_KIND_NAMES = " or ".join(map(repr, _BAND_KINDS))  # 'lag' or 'ramp'
+
+
+def _band_kind(kind):
+    """The (band type, time key) of a kind name; (None, None) for any other value."""
+    return _BAND_KINDS.get(kind, (None, None)) if isinstance(kind, str) else (None, None)
+
+
 def _as_times(t):
     """Validate t >= 0 in one pass (fmin skips NaN; -0.0 passes); return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
@@ -252,11 +268,12 @@ _MAX_STEPS = 10_000_000
 def _grid_steps(t_end: float, dt: float, where: str = "t_end") -> int:
     """Steps n = round(t_end/dt) of the grid 0, dt, ..., n*dt; allocates nothing.
 
-    The one sampling-grid rule: finite t_end >= dt > 0 and n <= _MAX_STEPS
-    (round halves to even and _MAX_STEPS is even, hence the + 0.5).
+    The one sampling-grid rule: 0 < dt <= t_end <= _MAX, ints beyond it included,
+    and n <= _MAX_STEPS (round halves to even and _MAX_STEPS is even, hence the + 0.5).
     """
-    if not (0 < dt < math.inf and dt <= t_end < math.inf):
-        raise InvalidInputError(f"need finite {where} >= dt > 0, got {where}={t_end}, dt={dt}")
+    if not (0 < dt <= _MAX and dt <= t_end <= _MAX):
+        raise InvalidInputError(f"need finite {where} >= dt > 0, "
+                                f"got {where}={_shown(t_end)}, dt={_shown(dt)}")
     if not t_end / dt <= _MAX_STEPS + 0.5:
         raise InvalidInputError(f"{where}={t_end} s at dt={dt} s is {t_end / dt:.9g} steps, "
                                 f"more than {_MAX_STEPS}")
@@ -294,11 +311,9 @@ def _number(value, name: str) -> float:
     """A JSON number as a float, finite or not; a bool or any other value is bad input."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{name}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond the largest float
-        raise InvalidInputError(
-            f"{name}: expected a finite number, got an integer too large for a float") from None
+    if _shown(value) is not value:  # described: an int beyond the largest float
+        raise InvalidInputError(f"{name}: expected a finite number, got {_shown(value)}")
+    return float(value)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -325,11 +340,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise InvalidInputError("bands: expected a list")
     bands = []
     for i, b in enumerate(band_docs):
-        kind = pfr = time = None
+        kind = pfr = time = band_type = None
         if isinstance(b, dict):
             kind = b.get("kind")
-            pfr, time = b.get("pfr_mw"), b.get("tau_s" if kind == "lag" else "t_r_s")
-        band_type = LagBand if kind == "lag" else RampBand if kind == "ramp" else None
+            band_type, time_key = _band_kind(kind)
+            pfr, time = b.get("pfr_mw"), b.get(time_key)
         # nonzero bands must push in the same direction as the contingency
         if not (band_type and type(pfr) is type(time) is float
                 and (pfr + time) * 0.0 == 0.0 and pfr * p_cont >= 0):
@@ -340,8 +355,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if pfr * p_cont < 0:
                 raise InvalidInputError(f"{where}.pfr_mw: sign must match p_cont_mw ({p_cont})")
             if band_type is None:
-                raise InvalidInputError(f"{where}.kind: expected 'lag' or 'ramp', got {kind!r}")
-            time = _field(b, where, "tau_s" if kind == "lag" else "t_r_s")
+                raise InvalidInputError(f"{where}.kind: expected {_KIND_NAMES}, got {kind!r}")
+            time = _field(b, where, time_key)
         bands.append(band_type(pfr, time))
 
     t_end = dt = None

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import FrequencyTrace, SystemConditions, _grid_steps, _record
+from .model import FrequencyTrace, SystemConditions, _grid_steps, _record, _shown
 
 __all__ = ["RK4", "FORWARD_EULER", "IntegrationSpec", "integrate", "trace_nadir"]
 
@@ -50,7 +50,7 @@ class IntegrationSpec:
 
     def __post_init__(self):
         if not 0 < self.dt <= 0.01:
-            raise InvalidInputError(f"dt must be in (0, 0.01], got {self.dt}")
+            raise InvalidInputError(f"dt must be in (0, 0.01], got {_shown(self.dt)}")
         _grid_steps(self.t_end, self.dt)
         if self.method not in (RK4, FORWARD_EULER):
             raise InvalidInputError(f"method must be '{RK4}' or '{FORWARD_EULER}'")

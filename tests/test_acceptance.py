@@ -21,13 +21,13 @@ from sfrkit import (
     WEM_K_POLICY,
     asymptotic_max_contingency,
     build_tau_surface,
+    delta_f,
     integrate,
     lag_nadir,
     mape_map,
     mape_tau_sweep,
     max_contingency,
     min_effective_tau,
-    multi_lag_delta_f,
     required_ffr_share,
     total_pfr_value,
     sensitivity_report,
@@ -102,7 +102,7 @@ def test_03_nadir_identity_on_random_inputs():
         k, a = sc.p_cont / band.pfr, sc.dprime * band.tau / (2.0 * sc.h)
         t_direct = math.log1p(k * (a - 1.0)) / (sc.dprime / (2.0 * sc.h) - 1.0 / band.tau)
         worst_time = max(worst_time, abs(result.t_nadir - t_direct) / abs(t_direct))
-        curve = multi_lag_delta_f(sc, [band], result.t_nadir)
+        curve = delta_f(sc, [band], result.t_nadir)
         worst_dev = max(worst_dev, abs(result.delta_f_nadir - curve))
     assert worst_dev <= 1e-9
     assert worst_time <= 1e-12
@@ -203,9 +203,9 @@ def test_09_tau_lower_bound_property():
 def test_10_limit_branch_continuity():
     # removable singularity of the lag solution at D'*tau = 2H
     t = np.arange(0, 3001) * 0.01
-    limit = multi_lag_delta_f(BASE, [LagBand(pfr=270.0, tau=4.5)], t)
+    limit = delta_f(BASE, [LagBand(pfr=270.0, tau=4.5)], t)
     worst_curve = max(
-        float(np.abs(multi_lag_delta_f(BASE, [LagBand(pfr=270.0, tau=4.5 * p)], t) - limit).max())
+        float(np.abs(delta_f(BASE, [LagBand(pfr=270.0, tau=4.5 * p)], t) - limit).max())
         for p in (1 + 1e-7, 1 - 1e-7)
     )
     assert worst_curve <= 1e-6

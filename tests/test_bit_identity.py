@@ -7,18 +7,19 @@ the same and the results must agree bit for bit (signed zeros included).
 """
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfrkit import (
     FORWARD_EULER,
     RK4,
     IntegrationSpec,
+    InvalidInputError,
     LagBand,
     RampBand,
     SystemConditions,
+    delta_f,
     integrate,
-    multi_lag_delta_f,
     total_pfr_value,
 )
 from sfrkit import closedform
@@ -164,12 +165,56 @@ class TestClosedFormTrace:
     @example(case=(MIRROR, [LagBand(-270.0, 2.0)]), t=0.0)
     def test_scalar_time(self, case, t):
         sc, bands = case
-        got = multi_lag_delta_f(sc, bands[:1], t)
+        got = delta_f(sc, bands[:1], t)
         assert type(got) is float
         assert_same_bits(got, ref_delta_f(sc, bands[:1], t))
         total = total_pfr_value(bands, t)
         assert type(total) is float
         assert_same_bits(total, ref_total_pfr(bands, t))
+
+
+ONE_KIND = [("lag", ("lag", "singular")), ("ramp", ("ramp",))]
+
+
+class TestOneEntryPoint:
+    """delta_f and trace read the kind from the first band; a kind passed to trace changes no bit."""
+
+    @pytest.mark.parametrize("kind, kinds", ONE_KIND)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), grid=grids)
+    def test_delta_f_of_one_kind(self, kind, kinds, data, grid):
+        sc, bands = data.draw(cases(kinds))
+        t = np.arange(round(grid[0] / grid[1]) + 1) * grid[1]
+        assert_same_bits(delta_f(sc, bands, t), ref_delta_f(sc, bands, t))
+
+    @pytest.mark.parametrize("kind, kinds", ONE_KIND)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), grid=grids)
+    def test_trace_without_kind(self, kind, kinds, data, grid):
+        sc, bands = data.draw(cases(kinds))
+        assert_same_bits(closedform.trace(sc, bands, *grid).samples,
+                         closedform.trace(sc, bands, *grid, kind).samples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=cases(("lag", "ramp")))
+    def test_mixed_list_names_its_first_band_of_another_kind(self, case):
+        sc, bands = case
+        first = type(bands[0])
+        other = [type(b).__name__ for b in bands if type(b) is not first]
+        assume(other)
+        kind = "lag" if first is LagBand else "ramp"
+        message = f"the {kind} closed form needs {kind} bands only, got {other[0]}$"
+        with pytest.raises(InvalidInputError, match=message):
+            delta_f(sc, bands, 1.0)
+        with pytest.raises(InvalidInputError, match=message):
+            closedform.trace(sc, bands, 1.0, 0.01)
+
+    def test_empty_list(self):
+        for call in (lambda: delta_f(BASE, [], 1.0), lambda: closedform.trace(BASE, [], 1.0, 0.01)):
+            with pytest.raises(InvalidInputError, match="^at least one band is required$"):
+                call()
+        with pytest.raises(InvalidInputError, match="^at least one ramp band is required$"):
+            closedform.trace(BASE, [], 1.0, 0.01, "ramp")
 
 
 class TestOracle:

@@ -169,8 +169,8 @@ class TestInfiniteInertia:
         sc = SystemConditions(**{**RECORDS[SystemConditions], "ke": math.inf})
         t = np.linspace(0.0, 30.0, 7)
         bands = [LagBand(130.0, 0.4), LagBand(80.0, 2.0)]
-        assert np.all(closedform.multi_lag_delta_f(sc, bands[1:], t) == 0.0)
-        assert np.all(closedform.multi_lag_delta_f(sc, bands, t) == 0.0)
+        assert np.all(closedform.delta_f(sc, bands[1:], t) == 0.0)
+        assert np.all(closedform.delta_f(sc, bands, t) == 0.0)
         assert np.all(closedform.trace(sc, bands, 30.0, 0.01, "lag").samples == 0.0)
 
     def test_compare_of_lag_bands(self, tmp_path, capsys):
@@ -189,8 +189,8 @@ class TestInfiniteInertia:
         bands = [RampBand(130.0, 2.0), RampBand(80.0, 6.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert np.all(closedform.multi_ramp_delta_f(sc, bands[1:], t) == 0.0)
-            assert np.all(closedform.multi_ramp_delta_f(sc, bands, t) == 0.0)
+            assert np.all(closedform.delta_f(sc, bands[1:], t) == 0.0)
+            assert np.all(closedform.delta_f(sc, bands, t) == 0.0)
             assert np.all(closedform.trace(sc, bands, 6.0, 0.01, "ramp").samples == 0.0)
 
     def test_compare_of_ramp_bands(self, tmp_path, capsys):
@@ -256,6 +256,20 @@ class TestSurfaceTimeConstants:
         monkeypatch.setattr(bandfit, "_fit_lag_bands", no_work)
         with pytest.raises(InvalidInputError, match=r"^need finite 0 < tau1 <= tau2, got tau1="):
             _no_warnings(lambda: build_tau_surface(tau1, tau2))
+
+    @pytest.mark.parametrize("tau1, tau2, shown", [
+        (0.4, 10**400, "tau1=0.4, tau2=an integer too large for a float"),
+        (0.4, 10**5000, "tau1=0.4, tau2=an integer too large for a float"),
+        (10**5000, 10**5000, "tau1=an integer too large for a float, "
+                             "tau2=an integer too large for a float"),
+    ], ids=["1e400", "1e5000", "both"])
+    def test_an_int_beyond_the_float_range_is_described(self, tau1, tau2, shown):
+        # 10**400 was printed with its 401 digits; 10**5000 raised ValueError while printed
+        message = f"^need finite 0 < tau1 <= tau2, got {re.escape(shown)}$"
+        with pytest.raises(InvalidInputError, match=message):
+            bandfit.TauSurfaceModel(1.0, 1.0, tau1, tau2)
+        with pytest.raises(InvalidInputError, match=message):
+            build_tau_surface(tau1, tau2)
 
     @pytest.mark.parametrize("args", [
         ["fit-surface", "--tau1", "0", "--tau2", "1"],

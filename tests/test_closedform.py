@@ -15,11 +15,10 @@ from sfrkit import (
     RampBand,
     SystemConditions,
     asymptotic_nadir,
+    delta_f,
     integrate,
     lag_nadir,
     max_rocof,
-    multi_lag_delta_f,
-    multi_ramp_delta_f,
     total_pfr_value,
     trace,
 )
@@ -53,19 +52,19 @@ def _plane_point(k, where, over):
 class TestRamp:
     def test_one_second_into_six_second_ramp(self, base_system):
         # R=45: 45/80 - (2*45*180/80^2 + 300/80)(1 - e^(-80/(2*180))), hand arithmetic
-        value = multi_ramp_delta_f(base_system, [RampBand(pfr=270, t_r=6)], 1.0)
+        value = delta_f(base_system, [RampBand(pfr=270, t_r=6)], 1.0)
         assert value == pytest.approx(-0.6891181879287993, rel=1e-12)
 
     def test_zero_at_onset(self, base_system):
-        assert multi_ramp_delta_f(base_system, [RampBand(pfr=270, t_r=6)], 0.0) == 0.0
+        assert delta_f(base_system, [RampBand(pfr=270, t_r=6)], 0.0) == 0.0
 
     def test_linear_in_rate(self, base_system):
         half = RampBand(pfr=135, t_r=6)
         full = RampBand(pfr=270, t_r=6)
         t = np.linspace(0, 8, 17)
         assert np.allclose(
-            multi_ramp_delta_f(base_system, [half, half], t),
-            multi_ramp_delta_f(base_system, [full], t),
+            delta_f(base_system, [half, half], t),
+            delta_f(base_system, [full], t),
             rtol=1e-14,
         )
 
@@ -73,18 +72,18 @@ class TestRamp:
         # rates 200/4 + 70/1 = 120 MW/s; same coefficient sum as one 120 MW/s band
         bands = [RampBand(pfr=200, t_r=4), RampBand(pfr=70, t_r=1)]
         combined = RampBand(pfr=120, t_r=1)
-        assert multi_ramp_delta_f(base_system, bands, 0.5) == pytest.approx(
-            multi_ramp_delta_f(base_system, [combined], 0.5), rel=1e-14
+        assert delta_f(base_system, bands, 0.5) == pytest.approx(
+            delta_f(base_system, [combined], 0.5), rel=1e-14
         )
 
     def test_no_saturation_in_closed_form(self, base_system):
         # past t_r the expression keeps ramping and eventually goes positive
         band = RampBand(pfr=270, t_r=1)
-        assert multi_ramp_delta_f(base_system, [band], 30.0) > 1.0
+        assert delta_f(base_system, [band], 30.0) > 1.0
 
     def test_empty_bands_rejected(self, base_system):
         with pytest.raises(InvalidInputError):
-            multi_ramp_delta_f(base_system, [], 1.0)
+            delta_f(base_system, [], 1.0)
 
     def test_matches_oracle_during_ramp(self, base_system):
         band = RampBand(pfr=270, t_r=6)
@@ -99,15 +98,15 @@ class TestRamp:
 
 class TestLag:
     def test_value_near_nadir(self, base_system):
-        assert multi_lag_delta_f(base_system, [LAG_BAND], 3.4576) == pytest.approx(
+        assert delta_f(base_system, [LAG_BAND], 3.4576) == pytest.approx(
             -0.9740344402754666, rel=1e-12
         )
 
     def test_zero_at_onset(self, base_system):
-        assert multi_lag_delta_f(base_system, [LAG_BAND], 0.0) == 0.0
+        assert delta_f(base_system, [LAG_BAND], 0.0) == 0.0
 
     def test_settling_limit(self, base_system):
-        assert multi_lag_delta_f(base_system, [LAG_BAND], 200.0) == pytest.approx(
+        assert delta_f(base_system, [LAG_BAND], 200.0) == pytest.approx(
             -0.375, abs=1e-12
         )
         assert asymptotic_nadir(base_system, 270.0) == pytest.approx(-0.375, rel=1e-15)
@@ -119,8 +118,8 @@ class TestLag:
         bands = [LagBand(130, 0.4), LagBand(80, 2.0)]
         t = np.linspace(0, 20, 41)
         assert np.array_equal(
-            multi_lag_delta_f(base_system, bands, t),
-            multi_lag_delta_f(base_system, bands[::-1], t),
+            delta_f(base_system, bands, t),
+            delta_f(base_system, bands[::-1], t),
         )
 
     def test_two_band_trace_matches_oracle(self, base_system):
@@ -135,7 +134,7 @@ class TestLag:
 
     def test_empty_bands_rejected(self, base_system):
         with pytest.raises(InvalidInputError):
-            multi_lag_delta_f(base_system, [], 1.0)
+            delta_f(base_system, [], 1.0)
 
 
 class TestSolvability:
@@ -236,21 +235,21 @@ class TestNadir:
         sc, band = _plane_point(k, where, over)
         result = lag_nadir(sc, band)
         assume(result.kind == INTERIOR_MINIMUM)
-        curve = multi_lag_delta_f(sc, [band], result.t_nadir)
+        curve = delta_f(sc, [band], result.t_nadir)
         assert math.isclose(result.delta_f_nadir, curve, rel_tol=1e-9, abs_tol=0.0)
 
     def test_deviation_equals_curve_just_outside_unity_guard(self, base_system):
         band = LagBand(pfr=600.0, tau=4.5 * (1.0 + 1e-8))  # K = 0.5, A - 1 = 1e-8
         result = lag_nadir(base_system, band)
-        curve = multi_lag_delta_f(base_system, [band], result.t_nadir)
+        curve = delta_f(base_system, [band], result.t_nadir)
         assert math.isclose(result.delta_f_nadir, curve, rel_tol=1e-9, abs_tol=0.0)
 
     def test_stationary_at_nadir_time(self, base_system):
         t_n = lag_nadir(base_system, LAG_BAND).t_nadir
         h = 1e-4
         slope = (
-            multi_lag_delta_f(base_system, [LAG_BAND], t_n + h)
-            - multi_lag_delta_f(base_system, [LAG_BAND], t_n - h)
+            delta_f(base_system, [LAG_BAND], t_n + h)
+            - delta_f(base_system, [LAG_BAND], t_n - h)
         ) / (2 * h)
         assert abs(slope) <= 1e-6
 
@@ -305,9 +304,9 @@ class TestSingularityGuard:
     def test_continuous_across_singular_tau(self, base_system):
         # the D'*tau = 2H singularity is removable: tiny tau perturbations stay close
         t = np.arange(0, 3001) * 0.01
-        limit = multi_lag_delta_f(base_system, [LagBand(pfr=270, tau=4.5)], t)
+        limit = delta_f(base_system, [LagBand(pfr=270, tau=4.5)], t)
         for pert in (1 + 1e-7, 1 - 1e-7):
-            near = multi_lag_delta_f(base_system, [LagBand(pfr=270, tau=4.5 * pert)], t)
+            near = delta_f(base_system, [LagBand(pfr=270, tau=4.5 * pert)], t)
             assert np.abs(near - limit).max() <= 1e-6
 
 

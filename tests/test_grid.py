@@ -63,6 +63,21 @@ class TestGridSteps:
         with pytest.raises(InvalidInputError, match=f"t_end=.*more than {_MAX_STEPS}"):
             _grid_steps(t_end, dt)
 
+    @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["1e400", "1e5000"])
+    def test_an_int_beyond_the_float_range_is_bad_input(self, base_system, huge):
+        # t_end / dt raised a bare OverflowError; 10**5000 has too many digits to print
+        big = "an integer too large for a float"
+        t_end_message = f"^need finite t_end >= dt > 0, got t_end={big}, dt=0.001$"
+        with pytest.raises(InvalidInputError, match=t_end_message):
+            IntegrationSpec(t_end=huge)
+        with pytest.raises(InvalidInputError, match=t_end_message):
+            trace(base_system, [LagBand(270.0, 2.0)], huge, 0.001, "lag")
+        with pytest.raises(InvalidInputError, match=f"^need finite t_end >= dt > 0, "
+                                                    f"got t_end=1.0, dt={big}$"):
+            trace(base_system, [LagBand(270.0, 2.0)], 1.0, huge)
+        with pytest.raises(InvalidInputError, match=f"^dt must be in \\(0, 0.01\\], got {big}$"):
+            IntegrationSpec(t_end=1.0, dt=huge)
+
     def test_where_names_the_field(self):
         with pytest.raises(InvalidInputError, match="window=1e\\+300"):
             _grid_steps(1e300, 0.01, "window")

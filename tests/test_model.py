@@ -15,9 +15,9 @@ from sfrkit import (
     RampBand,
     Scenario,
     SystemConditions,
+    delta_f,
     derive_params,
     load_scenario,
-    multi_lag_delta_f,
     total_pfr_value,
 )
 from sfrkit.model import _as_times, apply_overrides, scenario_from_dict
@@ -45,7 +45,7 @@ class TestDeriveParams:
         dp = derive_params(sc)
         assert dp.dprime == 0.0
         with pytest.raises(InvalidInputError):
-            multi_lag_delta_f(sc, [LagBand(pfr=5, tau=1.0)], 1.0)
+            delta_f(sc, [LagBand(pfr=5, tau=1.0)], 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",

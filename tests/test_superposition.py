@@ -14,8 +14,7 @@ from sfrkit import (
     LagBand,
     RampBand,
     SystemConditions,
-    multi_lag_delta_f,
-    multi_ramp_delta_f,
+    delta_f,
     total_pfr_value,
     trace,
 )
@@ -125,10 +124,8 @@ class TestAgainstReference:
     @example(case=(BASE, [LagBand(270.0, 4.5)], [RampBand(270.0, 1.0)], FIG_TIMES))  # A = 1
     def test_bit_identical(self, case):
         sc, lags, ramps, t = case
-        assert identical(multi_lag_delta_f(sc, lags, t),
-                              reference_multi_lag_delta_f(sc, lags, t))
-        assert identical(multi_ramp_delta_f(sc, ramps, t),
-                              reference_multi_ramp_delta_f(sc, ramps, t))
+        assert identical(delta_f(sc, lags, t), reference_multi_lag_delta_f(sc, lags, t))
+        assert identical(delta_f(sc, ramps, t), reference_multi_ramp_delta_f(sc, ramps, t))
         mixed = lags + ramps
         assert identical(total_pfr_value(mixed, t), reference_total_pfr_value(mixed, t))
         neg = mirrored(sc, mixed)[1]
@@ -141,7 +138,7 @@ class TestAgainstReference:
                    FIG_TIMES))
     def test_over_frequency_is_an_exact_mirror(self, case):
         sc, lags, ramps, t = case
-        for bands, delta_f in ((lags, multi_lag_delta_f), (ramps, multi_ramp_delta_f)):
+        for bands in (lags, ramps):
             neg_sc, neg_bands = mirrored(sc, bands)
             assert np.array_equal(delta_f(neg_sc, neg_bands, t), -delta_f(sc, bands, t))
 
@@ -165,6 +162,4 @@ class TestKindIsChecked:
 
     def test_multi_functions_reject_the_other_kind(self):
         with pytest.raises(InvalidInputError, match="RampBand"):
-            multi_lag_delta_f(BASE, [LagBand(100.0, 2.0), RampBand(100.0, 2.0)], 1.0)
-        with pytest.raises(InvalidInputError, match="LagBand"):
-            multi_ramp_delta_f(BASE, [LagBand(100.0, 2.0)], 1.0)
+            delta_f(BASE, [LagBand(100.0, 2.0), RampBand(100.0, 2.0)], 1.0)

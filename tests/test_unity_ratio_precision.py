@@ -14,7 +14,7 @@ Bounds:
 - nadir_shape_factor and lag_nadir's depth: 1e-13 relative, 1e-12 at the
   small K;
 - lag_nadir's time: 1e-13 relative;
-- multi_lag_delta_f on a 0.5 s grid over 30 s and at the nadir time: 1e-15 of
+- delta_f on a 0.5 s grid over 30 s and at the nadir time: 1e-15 of
   the largest |deviation| on the grid.
 """
 from decimal import Decimal, localcontext
@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sfrkit import INTERIOR_MINIMUM, LagBand, SystemConditions, lag_nadir, multi_lag_delta_f
+from sfrkit import INTERIOR_MINIMUM, LagBand, SystemConditions, delta_f, lag_nadir
 from sfrkit.closedform import B_EPS, nadir_shape_factor
 
 DIGITS = 60
@@ -126,7 +126,7 @@ def test_lag_nadir_and_curve(k, over):
             worst_time = max(worst_time, _rel(result.t_nadir, ref_time(kd, ad, tau)))
 
             times = np.append(TIMES, result.t_nadir)
-            got = multi_lag_delta_f(sc, [band], times)
+            got = delta_f(sc, [band], times)
             want = [ref_curve(dprime, h, p_cont, pfr, tau, _d(t)) for t in times]
             peak = max(abs(w) for w in want)
             worst_curve = max(worst_curve, max(abs(Decimal(g) - w) for g, w in zip(got, want))
