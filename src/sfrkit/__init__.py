@@ -16,13 +16,10 @@ from .applications import (
     WEM_K_POLICY,
     asymptotic_max_contingency,
     max_contingency,
-    max_contingency_k_sensitivity,
     min_effective_tau,
     required_ffr_share,
-    sensitivity_pcont,
     sensitivity_report,
     sensitivity_report_fd,
-    sensitivity_tau_bands,
     universal_max_contingency_factor,
 )
 from .bandfit import (
@@ -44,7 +41,6 @@ from .closedform import (
     ASYMPTOTIC,
     INTERIOR_MINIMUM,
     NadirResult,
-    asymptotic_nadir,
     delta_f,
     lag_nadir,
     max_rocof,

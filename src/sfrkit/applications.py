@@ -29,11 +29,8 @@ __all__ = [
     "universal_max_contingency_factor",
     "asymptotic_max_contingency",
     "min_effective_tau",
-    "sensitivity_pcont",
-    "sensitivity_tau_bands",
     "sensitivity_report",
     "sensitivity_report_fd",
-    "max_contingency_k_sensitivity",
     "required_ffr_share",
 ]
 
@@ -133,38 +130,15 @@ def _k1_bracket(a: float) -> float:
     return bracket
 
 
-def sensitivity_pcont(dp: DerivedParams, delta_f_max: float, tau: float):
-    """(dP/dtau, dP/dH) of the K = 1 cap P, max_contingency at SecurityPolicy(1.0, delta_f_max).
+def _tau_slopes(model: TauSurfaceModel, pfr1: float, pfr2: float, decay: float):
+    """(dtau/dPFR1, dtau/dPFR2) of the tau model at decay = math.exp(-b*PFR2/PFR1), s/MW.
 
-    P = -D' df_max A^(1/(A-1)) and A is proportional to tau/H, so with the
-    bracket beta = (A-1-A lnA)/(A-1)^2:
-    dP/dtau = P * beta / tau
-    dP/dH   = -P * beta / H
+    PFR1 = 0, or slopes that are not finite, are rejected naming pfr1. A PFR1^2
+    that overflows is inf, so dtau/dPFR1 reads -0.0 where dtau/dPFR2 is finite.
     """
-    dprime = _require_damping(dp)
-    a = _a_ratio(dprime, dp.h, tau)
-    common = _cap(1.0, a, delta_f_max, dprime) * _k1_bracket(a)
-    return common / tau, -common / dp.h
-
-
-def sensitivity_tau_bands(model: TauSurfaceModel, pfr1: float, pfr2: float):
-    """(dtau/dPFR1, dtau/dPFR2) of the fitted tau model, s/MW; NaN pfr2 is rejected.
-
-    Either pair that is not finite is rejected, naming pfr1. A PFR1^2 that
-    overflows is inf, so dtau/dPFR1 reads -0.0 where dtau/dPFR2 is finite.
-    """
-    return _tau_slopes(model, pfr1, pfr2, None)
-
-
-def _tau_slopes(model: TauSurfaceModel, pfr1: float, pfr2: float, decay):
-    """sensitivity_tau_bands at decay = math.exp(-b*PFR2/PFR1), taken here when None."""
     if not pfr1 > 0:
         raise InvalidInputError("pfr1 must be > 0: the magnitude ratio is singular at 0")
-    if not pfr2 >= 0:
-        raise InvalidInputError(f"pfr2 must be >= 0, got {pfr2}")
     ab = model.a * model.b
-    if decay is None:
-        decay = math.exp(-model.b * pfr2 / pfr1)
     try:
         sq = pfr1**2
     except OverflowError:  # Python's float power raises instead of returning inf
@@ -191,13 +165,17 @@ class SensitivityReport:
 
 def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceModel,
                        pfr1: float, pfr2: float) -> SensitivityReport:
-    """sensitivity_pcont at equivalent_tau's tau, then sensitivity_tau_bands.
+    """The K = 1 cap's slopes at equivalent_tau's tau, the tau model's, and their products.
 
-    Their checks run in that order. One math.exp of -b*PFR2/PFR1 serves tau
-    and the tau model's slopes, so both have the bits of the separate calls.
+    With P the K = 1 cap and beta = (A-1-A lnA)/(A-1)^2, dP/dtau = P beta/tau
+    and dP/dH = -P beta/H. The checks are equivalent_tau's, D' > 0, tau, the
+    cap's branch and _tau_slopes', in that order; one math.exp serves tau and its slopes.
     """
     tau, decay = _tau_and_decay(model, pfr1, pfr2)
-    dp_dtau, dp_dh = sensitivity_pcont(dp, delta_f_max, tau)
+    dprime = _require_damping(dp)
+    a = _a_ratio(dprime, dp.h, tau)
+    common = _cap(1.0, a, delta_f_max, dprime) * _k1_bracket(a)
+    dp_dtau, dp_dh = common / tau, -common / dp.h
     dtau_d1, dtau_d2 = _tau_slopes(model, pfr1, pfr2, decay)
     return SensitivityReport(dp_dtau, dp_dh, dtau_d1, dtau_d2, dp_dtau * dtau_d1,
                              dp_dtau * dtau_d2)
@@ -235,16 +213,6 @@ def sensitivity_report_fd(dp: DerivedParams, delta_f_max: float, model: TauSurfa
         dp_dpfr1=_central(lambda p: p_of_tau(tau_of_pfr1(p)), pfr1),
         dp_dpfr2=d_pfr2(lambda p: p_of_tau(tau_of_pfr2(p))),
     )
-
-
-def max_contingency_k_sensitivity(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> float:
-    """dP/dK of the general cap by central differences, MW.
-
-    The shape factor's K derivative has a closed form, expm1(-A L) at the
-    nadir; this takes central differences of max_contingency instead.
-    """
-    return _central(lambda k: max_contingency(dp, SecurityPolicy(k, policy.delta_f_max), tau),
-                    policy.k_policy)
 
 
 def required_ffr_share(model: TauSurfaceModel, tau_target: float) -> float:

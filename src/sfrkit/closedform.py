@@ -44,7 +44,6 @@ __all__ = [
     "NadirResult",
     "delta_f",
     "nadir_shape_factor",
-    "asymptotic_nadir",
     "max_rocof",
     "lag_nadir",
     "trace",
@@ -206,11 +205,6 @@ def nadir_shape_factor(k: float, a: float) -> float:
     return shape
 
 
-def asymptotic_nadir(sc: SystemConditions, total_pfr: float) -> float:
-    """Settling deviation (PFR - P_cont) / D', Hz."""
-    return (total_pfr - sc.p_cont) / _require_damping(sc)
-
-
 def max_rocof(sc: SystemConditions) -> float:
     """Largest instantaneous rate of change of frequency, at t = 0, Hz/s."""
     return -sc.p_cont / (2.0 * sc.h)
@@ -223,10 +217,9 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     nadir lies at tau L, L = ln[1 + (P_cont/PFR)(D'tau/2H - 1)] / (D'tau/2H - 1),
     which is K*tau at A = 1; its depth is PFR/D' times the shape factor. Both
     come from _nadir_terms, which also decides the branch. Otherwise the kind
-    is ASYMPTOTIC, t_nadir is None and the depth is the settling value. The
-    settling value and RoCoF use asymptotic_nadir's and max_rocof's
-    expressions. Each field is read once; the checks are _require_damping's
-    and _k_ratio's, in that order.
+    is ASYMPTOTIC, t_nadir is None and the depth is the settling value
+    (PFR - P_cont)/D'. RoCoF is max_rocof's expression. Each field is read
+    once; the checks are _require_damping's and _k_ratio's, in that order.
     """
     dprime = sc.d * sc.p_load
     if not dprime > 0:

@@ -16,25 +16,37 @@ from sfrkit import (
     SecurityPolicy,
     equivalent_tau,
     SystemConditions,
+    TauSurfaceModel,
     WEM_K_POLICY,
     asymptotic_max_contingency,
     lag_nadir,
     max_contingency,
-    max_contingency_k_sensitivity,
     min_effective_tau,
     required_ffr_share,
-    sensitivity_pcont,
     sensitivity_report,
     sensitivity_report_fd,
-    sensitivity_tau_bands,
     universal_max_contingency_factor,
 )
-from sfrkit.applications import _K1_BRACKET_BAND, _k1_bracket
+from sfrkit.applications import _FD_REL_STEP, _K1_BRACKET_BAND, _k1_bracket
 from sfrkit.closedform import B_EPS, _nadir_terms
 
 POLICY = SecurityPolicy(k_policy=WEM_K_POLICY, delta_f_max=-1.25)
 # the matched response, K = P_cont/PFR = 1
 MATCHED = SecurityPolicy(k_policy=1.0, delta_f_max=-1.25)
+
+
+def pcont_slopes(dp, delta_f_max, tau):
+    """(dP/dtau, dP/dH) of the K = 1 cap at tau: at PFR2 = 0 the tau model gives tau1 exactly."""
+    model = TauSurfaceModel(CANONICAL_SURFACE.a, CANONICAL_SURFACE.b, tau1=tau, tau2=tau)
+    report = sensitivity_report(dp, delta_f_max, model, 1.0, 0.0)
+    return report.dp_dtau, report.dp_dh
+
+
+def tau_slopes(pfr1, pfr2):
+    """(dtau/dPFR1, dtau/dPFR2) of the canonical tau model."""
+    report = sensitivity_report(DerivedParams(dprime=100.0, h=140.0), -1.25, CANONICAL_SURFACE,
+                                pfr1, pfr2)
+    return report.dtau_dpfr1, report.dtau_dpfr2
 
 
 class TestNadirConstants:
@@ -243,7 +255,7 @@ class TestK1Factors:
         worst = 0.0
         for u in self.OFFSETS:
             tau = (1.0 + u) * 2.0 * h / dprime
-            a = dprime * tau / (2.0 * h)  # the A that sensitivity_pcont forms
+            a = dprime * tau / (2.0 * h)  # the A that sensitivity_report forms
             if a == 1.0:
                 continue
             power, bracket = decimal_k1_factors(a)
@@ -251,25 +263,25 @@ class TestK1Factors:
                 ctx.prec = 60
                 common = -Decimal(dprime) * Decimal(-1.25) * power * bracket
                 want_tau, want_h = float(common / Decimal(tau)), float(-common / Decimal(h))
-            dp_dtau, dp_dh = sensitivity_pcont(security_dp, -1.25, tau)
+            dp_dtau, dp_dh = pcont_slopes(security_dp, -1.25, tau)
             worst = max(worst, abs(dp_dtau / want_tau - 1.0), abs(dp_dh / want_h - 1.0))
         assert worst <= 5e-15
 
 
 class TestSensitivities:
     def test_anchor_derivatives(self, security_dp):
-        dp_dtau, dp_dh = sensitivity_pcont(security_dp, -1.25, 1.0)
+        dp_dtau, dp_dh = pcont_slopes(security_dp, -1.25, 1.0)
         # frozen against central finite differences of the matched-response cap
         assert dp_dtau == pytest.approx(-412.86448116529414, rel=1e-12)
         assert dp_dh == pytest.approx(2.9490320083235297, rel=1e-12)
 
     def test_signs(self, security_dp):
-        dp_dtau, dp_dh = sensitivity_pcont(security_dp, -1.25, 1.0)
+        dp_dtau, dp_dh = pcont_slopes(security_dp, -1.25, 1.0)
         assert dp_dtau < 0 < dp_dh
 
     def test_opposite_elasticities(self, security_dp):
         # A depends on tau/H only, so tau- and H-elasticities cancel
-        dp_dtau, dp_dh = sensitivity_pcont(security_dp, -1.25, 1.3)
+        dp_dtau, dp_dh = pcont_slopes(security_dp, -1.25, 1.3)
         assert dp_dtau * 1.3 == pytest.approx(-dp_dh * security_dp.h, rel=1e-12)
 
     def test_finite_difference_agreement(self, security_dp):
@@ -278,7 +290,7 @@ class TestSensitivities:
             tau = rng.uniform(0.3, 3.0)
             h = rng.uniform(60.0, 400.0)
             dp = DerivedParams(dprime=security_dp.dprime, h=h)
-            dp_dtau, dp_dh = sensitivity_pcont(dp, -1.25, tau)
+            dp_dtau, dp_dh = pcont_slopes(dp, -1.25, tau)
             step = 1e-5 * tau
             fd_tau = (
                 max_contingency(dp, MATCHED, tau + step)
@@ -295,7 +307,7 @@ class TestSensitivities:
     def test_across_unity_ratio(self, security_dp):
         # derivatives stay finite and FD-consistent straddling A = 1
         tau = 2.8
-        dp_dtau, _ = sensitivity_pcont(security_dp, -1.25, tau)
+        dp_dtau, _ = pcont_slopes(security_dp, -1.25, tau)
         step = 1e-4
         fd = (
             max_contingency(security_dp, MATCHED, tau + step)
@@ -306,12 +318,12 @@ class TestSensitivities:
     def test_unbounded_within_the_guard_band(self, security_dp):
         # A <= B_EPS is B <= B_EPS at K = 1, where the matched cap is unbounded
         with pytest.raises(BranchError, match="^unbounded"):
-            sensitivity_pcont(security_dp, -1.25, 1e-12)
+            pcont_slopes(security_dp, -1.25, 1e-12)
 
 
 class TestTauBandSensitivities:
     def test_anchor_values(self):
-        d1, d2 = sensitivity_tau_bands(CANONICAL_SURFACE, 130.0, 80.0)
+        d1, d2 = tau_slopes(130.0, 80.0)
         # hand evaluation of the model derivatives with the canonical coefficients;
         # d1 = -(80/130) * d2 exactly
         assert d1 == pytest.approx(-0.0026615762709064805, rel=1e-12)
@@ -323,7 +335,7 @@ class TestTauBandSensitivities:
         for _ in range(5):
             p1 = rng.uniform(20.0, 250.0)
             p2 = rng.uniform(1.0, 250.0)
-            d1, d2 = sensitivity_tau_bands(CANONICAL_SURFACE, p1, p2)
+            d1, d2 = tau_slopes(p1, p2)
             s1, s2 = 1e-6 * p1, 1e-6 * p2
             fd1 = (
                 equivalent_tau(CANONICAL_SURFACE, p1 + s1, p2)
@@ -337,13 +349,13 @@ class TestTauBandSensitivities:
             assert d2 == pytest.approx(fd2, rel=1e-6)
 
     def test_standard_band_at_zero(self):
-        d1, d2 = sensitivity_tau_bands(CANONICAL_SURFACE, 140.0, 0.0)
+        d1, d2 = tau_slopes(140.0, 0.0)
         assert d1 == 0.0
         assert d2 == pytest.approx(CANONICAL_SURFACE.a * CANONICAL_SURFACE.b / 140.0, rel=1e-15)
 
     def test_zero_fast_band_rejected(self):
         with pytest.raises(InvalidInputError):
-            sensitivity_tau_bands(CANONICAL_SURFACE, 0.0, 80.0)
+            tau_slopes(0.0, 80.0)
 
 
 class TestChainRule:
@@ -365,8 +377,11 @@ class TestChainRule:
                 ), name
 
     def test_k_sensitivity_is_negative(self, security_dp):
-        # more required headroom (higher K) always lowers the cap
-        assert max_contingency_k_sensitivity(security_dp, POLICY, 1.0) < 0
+        # more required headroom (higher K) always lowers the cap: a central difference in K
+        k, step = POLICY.k_policy, _FD_REL_STEP * POLICY.k_policy
+        caps = [max_contingency(security_dp, SecurityPolicy(kk, POLICY.delta_f_max), 1.0)
+                for kk in (k + step, k - step)]
+        assert (caps[0] - caps[1]) / (2.0 * step) < 0
 
 
 class TestRequiredFfrShare:

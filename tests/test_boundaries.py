@@ -118,22 +118,9 @@ class TestFig4OneFit:
 
 
 class TestFiniteDifferenceStep:
-    @pytest.mark.parametrize("fn", [applications.sensitivity_report_fd,
-                                    applications.max_contingency_k_sensitivity])
+    @pytest.mark.parametrize("fn", [applications.sensitivity_report_fd])
     def test_no_step_knob(self, fn):
         assert "rel_step" not in inspect.signature(fn).parameters
-
-    def test_module_step_is_used(self, security_dp):
-        policy = applications.SecurityPolicy(k_policy=applications.WEM_K_POLICY,
-                                             delta_f_max=-1.25)
-        k, h = policy.k_policy, applications._FD_REL_STEP * policy.k_policy
-
-        def cap(kk):
-            return applications.max_contingency(
-                security_dp, applications.SecurityPolicy(kk, -1.25), 1.0)
-
-        want = (cap(k + h) - cap(k - h)) / (2.0 * h)
-        assert applications.max_contingency_k_sensitivity(security_dp, policy, 1.0) == want
 
 
 class TestGridCellCap:
@@ -363,10 +350,8 @@ class TestTinyPfr1Sensitivities:
     def test_library_names_pfr1(self, pfr1, pfr2):
         dp = DerivedParams(dprime=80.0, h=180.0)
         surface = CANONICAL_SURFACE
-        for call in (lambda: applications.sensitivity_report(dp, -1.0, surface, pfr1, pfr2),
-                     lambda: applications.sensitivity_tau_bands(surface, pfr1, pfr2)):
-            with pytest.raises(InvalidInputError, match=r"^pfr1=.*: the tau model's derivatives"):
-                _no_warnings(call)
+        with pytest.raises(InvalidInputError, match=r"^pfr1=.*: the tau model's derivatives"):
+            _no_warnings(lambda: applications.sensitivity_report(dp, -1.0, surface, pfr1, pfr2))
 
     def test_library_keeps_finite_neighbours(self):
         dp = DerivedParams(dprime=80.0, h=180.0)
@@ -384,10 +369,6 @@ class TestTinyPfr1Sensitivities:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_nan_pfr2_is_rejected_by_name(self):
-        with pytest.raises(InvalidInputError, match=r"^pfr2 must be >= 0, got nan$"):
-            applications.sensitivity_tau_bands(CANONICAL_SURFACE, 130.0, math.nan)
-
 
 class TestHugePfr1Sensitivities:
     """PFR1^2 overflows, yet both tau-model derivatives are finite."""
@@ -399,17 +380,18 @@ class TestHugePfr1Sensitivities:
         want = surface.a * surface.b / 1e200 * decay
         report = _no_warnings(lambda: applications.sensitivity_report(dp, -1.0, surface,
                                                                       1e200, 100.0))
-        d1, d2 = _no_warnings(lambda: applications.sensitivity_tau_bands(surface, 1e200, 100.0))
-        for slope1, slope2 in ((report.dtau_dpfr1, report.dtau_dpfr2), (d1, d2)):
-            assert slope1 == 0.0 and math.copysign(1.0, slope1) == -1.0
-            assert slope2 == want and slope2 > 0.0
+        slope1, slope2 = report.dtau_dpfr1, report.dtau_dpfr2
+        assert slope1 == 0.0 and math.copysign(1.0, slope1) == -1.0
+        assert slope2 == want and slope2 > 0.0
 
     def test_finite_square_keeps_its_bits(self):
         surface = CANONICAL_SURFACE
         pfr1, pfr2 = 1e150, 3e150  # PFR1^2 = 1e300 is finite
         decay = math.exp(-surface.b * pfr2 / pfr1)
         ab = surface.a * surface.b
-        assert applications.sensitivity_tau_bands(surface, pfr1, pfr2) == (
+        report = applications.sensitivity_report(DerivedParams(dprime=80.0, h=180.0), -1.0,
+                                                  surface, pfr1, pfr2)
+        assert (report.dtau_dpfr1, report.dtau_dpfr2) == (
             -ab * pfr2 / pfr1**2 * decay, ab / pfr1 * decay)
 
     def test_cli_exits_0(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from sfrkit import (
     LagBand,
     RampBand,
     SystemConditions,
-    asymptotic_nadir,
     delta_f,
     integrate,
     lag_nadir,
@@ -109,10 +108,16 @@ class TestLag:
         assert delta_f(base_system, [LAG_BAND], 200.0) == pytest.approx(
             -0.375, abs=1e-12
         )
-        assert asymptotic_nadir(base_system, 270.0) == pytest.approx(-0.375, rel=1e-15)
+        # the settling value of the asymptotic regime: the same magnitude at tau = 0.4 s
+        settle = lag_nadir(base_system, LagBand(pfr=270.0, tau=0.4))
+        assert settle.kind == ASYMPTOTIC
+        assert settle.delta_f_nadir == pytest.approx(-0.375, rel=1e-15)
 
     def test_full_coverage_settles_at_zero(self, base_system):
-        assert asymptotic_nadir(base_system, 300.0) == 0.0
+        # K = 1 is asymptotic only where A <= B_EPS, for a band of (nearly) no delay
+        settle = lag_nadir(base_system, LagBand(pfr=300.0, tau=1e-9))
+        assert settle.kind == ASYMPTOTIC
+        assert settle.delta_f_nadir == 0.0
 
     def test_band_order_irrelevant(self, base_system):
         bands = [LagBand(130, 0.4), LagBand(80, 2.0)]
@@ -150,7 +155,7 @@ class TestSolvability:
         numeric = integrate(base_system, lambda t: total_pfr_value([band], t),
                             IntegrationSpec(t_end=60.0, dt=0.001))
         assert np.all(np.diff(numeric.samples) <= 1e-12)
-        settle = asymptotic_nadir(base_system, band.pfr)
+        settle = lag_nadir(base_system, band).delta_f_nadir
         assert abs(numeric.samples[-1] - settle) <= 1e-3
 
     def test_full_coverage_always_solvable(self, base_system):

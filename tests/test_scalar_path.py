@@ -41,10 +41,8 @@ from sfrkit import (
     max_contingency,
     required_ffr_share,
     sensitivity_report,
-    sensitivity_tau_bands,
 )
 from sfrkit import bandfit
-from sfrkit.applications import sensitivity_pcont
 from sfrkit.closedform import _a_ratio, _k_ratio, _nadir_terms, nadir_shape_factor
 from sfrkit.model import scenario_from_dict
 
@@ -371,7 +369,6 @@ class TestSensitivityReport:
         want = ref_sensitivity(dp, delta_f_max, CANONICAL_SURFACE, pfr1, pfr2)
         assert _bits(got.dp_dtau, got.dp_dh, got.dtau_dpfr1, got.dtau_dpfr2,
                      got.dp_dpfr1, got.dp_dpfr2) == _bits(*want)
-        assert _bits(*sensitivity_tau_bands(CANONICAL_SURFACE, pfr1, pfr2)) == _bits(*want[2:4])
 
     @pytest.mark.parametrize("dprime, pfr1, pfr2, message", [
         # the magnitudes come first, then D', tau, PFR1 > 0 and finite derivatives
@@ -430,10 +427,13 @@ class TestOneDecay:
             return
         dp = DerivedParams(dprime=dprime, h=h)
         report = sensitivity_report(dp, delta_f_max, model, pfr1, pfr2)
+        decay, ab = math.exp(-model.b * pfr2 / pfr1), model.a * model.b
         assert _bits(report.dtau_dpfr1, report.dtau_dpfr2) == \
-            _bits(*sensitivity_tau_bands(model, pfr1, pfr2))
-        assert _bits(report.dp_dtau, report.dp_dh) == \
-            _bits(*sensitivity_pcont(dp, delta_f_max, tau))
+            _bits(-ab * pfr2 / pfr1**2 * decay, ab / pfr1 * decay)
+        # at PFR2 = 0 a tau model gives tau1 exactly: the K = 1 cap's slopes at tau itself
+        at_tau = sensitivity_report(dp, delta_f_max, TauSurfaceModel(model.a, model.b, tau, tau),
+                                    1.0, 0.0)
+        assert _bits(report.dp_dtau, report.dp_dh) == _bits(at_tau.dp_dtau, at_tau.dp_dh)
 
 
 def _doc(**system):
