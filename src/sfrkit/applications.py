@@ -10,7 +10,9 @@ so the results transfer between systems: the maximum allowable contingency is
 f(A, K) * D' for a universal factor f. None of these expressions iterate --
 A and K are independent of the contingency size under a fixed-K policy. B and
 the branch come from closedform's one frame, `_nadir_terms`, and the tau model
-from bandfit's one checked path, `equivalent_tau`.
+from bandfit's one checked path, `equivalent_tau`. A calculator given a
+DerivedParams checks D' > 0 before its other inputs, except the sensitivity
+reports, which check the band magnitudes first, as equivalent_tau does.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ import math
 from .bandfit import TauSurfaceModel, _tau_and_decay, equivalent_tau
 from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping, _require_ratios
 from .errors import BranchError, InvalidInputError
-from .model import _FINITE_NONZERO, _FINITE_POSITIVE, DerivedParams, _record
+from .model import (_FINITE_NONZERO, _FINITE_POSITIVE, DerivedParams, _record,
+                    _require_float_range, _shown)
 
 __all__ = [
     "SecurityPolicy",
@@ -111,7 +114,8 @@ def min_effective_tau(dp: DerivedParams, k: float) -> float:
     """
     _require_damping(dp)
     if not k > 0:
-        raise InvalidInputError(f"K must be > 0, got {k}")
+        raise InvalidInputError(f"K must be > 0, got {_shown(k)}")
+    _require_float_range(K=k)
     return max((1.0 - 1.0 / k) * 2.0 * dp.h / dp.dprime, 0.0)
 
 
@@ -228,7 +232,7 @@ def required_ffr_share(model: TauSurfaceModel, tau_target: float) -> float:
         if tau_target != tau_target:
             raise InvalidInputError(f"tau_target must be a number, got {tau_target}")
         raise BranchError(
-            f"tau target {tau_target} outside the attainable range "
+            f"tau target {_shown(tau_target)} outside the attainable range "
             f"({model.tau1}, {model.tau1 + model.a})"
         )
     ratio = -math.log(1.0 - (tau_target - model.tau1) / model.a) / model.b

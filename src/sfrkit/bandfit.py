@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import FitError, InvalidInputError
 from .model import (_FINITE, _FINITE_NONNEGATIVE, _FINITE_POSITIVE, _MAX, FrequencyTrace,
-                    LagBand, _field_check, _grid_steps, _or_none, _record, _shown)
+                    LagBand, _field_check, _grid_steps, _or_none, _record, _require_float_range,
+                    _shown)
 
 __all__ = [
     "TwoBandPfr",
@@ -422,8 +423,13 @@ def _tau_and_decay(model: TauSurfaceModel, pfr1: float, pfr2: float):
     if pfr1 == 0:
         if pfr2 == 0:
             raise InvalidInputError("at least one band magnitude must be > 0")
+        _require_float_range(pfr2=pfr2)
         return float(model.tau2), None
-    decay = math.exp(-model.b * pfr2 / pfr1)
+    try:
+        decay = math.exp(-model.b * pfr2 / pfr1)
+    except OverflowError:  # an int beyond the float range met a float
+        _require_float_range(pfr1=pfr1, pfr2=pfr2)
+        raise
     return _tau_at(model, decay), decay
 
 
@@ -453,7 +459,8 @@ def canonical_equivalent(pfr1: float, pfr2: float,
     equivalent_tau checks the magnitudes first, then the record checks PFR1 +
     PFR2 before the tau.
     """
-    return EquivalentBand(pfr1 + pfr2, equivalent_tau(model, pfr1, pfr2))
+    tau = equivalent_tau(model, pfr1, pfr2)  # before the sum, which a huge int would overflow
+    return EquivalentBand(pfr1 + pfr2, tau)
 
 
 def _mape_arrays(exact: np.ndarray, approx: np.ndarray) -> float:

@@ -35,8 +35,8 @@ import math
 import numpy as np
 
 from .errors import BranchError, InvalidInputError
-from .model import (_BAND_KINDS, _KIND_NAMES, FrequencyTrace, LagBand, RampBand, SystemConditions,
-                    _as_times, _band_kind, _grid_steps, _record, _ret)
+from .model import (_BAND_KINDS, _KIND_NAMES, _MAX, FrequencyTrace, LagBand, RampBand,
+                    SystemConditions, _as_times, _band_kind, _grid_steps, _record, _ret, _shown)
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -77,17 +77,17 @@ def _require_damping(params) -> float:
 
 
 def _a_ratio(dprime: float, h: float, tau: float) -> float:
-    """A = D'*tau / (2H); tau must be > 0."""
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    """A = D'*tau / (2H); tau must be finite and > 0."""
+    if not 0 < tau <= _MAX:
+        raise InvalidInputError(f"tau must be {'finite' if tau > 0 else '> 0'}, got {_shown(tau)}")
     return dprime * tau / (2.0 * h)
 
 
 def _require_ratios(k: float, a: float) -> None:
     """A, then K, must be finite and > 0, as they are when D', tau and PFR are valid."""
     for name, value in (("A", a), ("K", k)):
-        if not 0 < value < math.inf:
-            raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
+        if not 0 < value <= _MAX:
+            raise InvalidInputError(f"{name} must be finite and > 0, got {_shown(value)}")
 
 
 def _nadir_terms(k: float, a: float):

@@ -72,6 +72,13 @@ def _shown(value):
     return value
 
 
+def _require_float_range(**values):
+    """Reject, naming it, the first of the named values that is an int beyond the float range."""
+    for name, value in values.items():
+        if _shown(value) is not value:
+            raise InvalidInputError(f"{name} must be within the float range, got {_shown(value)}")
+
+
 _CHECK_SCOPE = {"_MAX": _MAX, "_INF": math.inf, "_Invalid": InvalidInputError, "_shown": _shown}
 
 
@@ -275,8 +282,8 @@ def _grid_steps(t_end: float, dt: float, where: str = "t_end") -> int:
         raise InvalidInputError(f"need finite {where} >= dt > 0, "
                                 f"got {where}={_shown(t_end)}, dt={_shown(dt)}")
     if not t_end / dt <= _MAX_STEPS + 0.5:
-        raise InvalidInputError(f"{where}={t_end} s at dt={dt} s is {t_end / dt:.9g} steps, "
-                                f"more than {_MAX_STEPS}")
+        raise InvalidInputError(f"{where}={float(t_end)} s at dt={float(dt)} s is "
+                                f"{t_end / dt:.9g} steps, more than {_MAX_STEPS}")
     return round(t_end / dt)
 
 

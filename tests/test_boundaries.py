@@ -1,4 +1,5 @@
-"""Input boundaries: finite record fields, the surface pair rule, stray errors in main."""
+"""Input boundaries: finite record fields, the surface pair rule, stray errors in main,
+arguments beyond the float range and the package's public names."""
 import argparse
 import inspect
 import json
@@ -11,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sfrkit
 from sfrkit import (
+    BranchError,
     DerivedParams,
+    IntegrationSpec,
     InvalidInputError,
     LagBand,
     RampBand,
@@ -21,6 +25,8 @@ from sfrkit import (
     bandfit,
     cli,
     closedform,
+    model,
+    oracle,
     reports,
 )
 from sfrkit.bandfit import CANONICAL_SURFACE, build_tau_surface, mape_map
@@ -118,9 +124,8 @@ class TestFig4OneFit:
 
 
 class TestFiniteDifferenceStep:
-    @pytest.mark.parametrize("fn", [applications.sensitivity_report_fd])
-    def test_no_step_knob(self, fn):
-        assert "rel_step" not in inspect.signature(fn).parameters
+    def test_no_step_knob(self):
+        assert "rel_step" not in inspect.signature(applications.sensitivity_report_fd).parameters
 
 
 class TestGridCellCap:
@@ -409,3 +414,71 @@ class TestHugePfr1Sensitivities:
                      "--pfr1", "1e-200", "--pfr2", "100", "--out", str(out)]) == 1
         assert "the tau model's derivatives are not finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+HUGE = 10**400  # an int beyond the float range
+BIG = "an integer too large for a float"
+CAP_DP = DerivedParams(dprime=100.0, h=140.0)
+CAP_POLICY = applications.SecurityPolicy(k_policy=applications.WEM_K_POLICY, delta_f_max=-1.25)
+# (call, error, message); each raised a bare OverflowError, returned NaN or printed every digit
+OUT_OF_RANGE = {
+    "max_contingency-tau": (lambda: applications.max_contingency(CAP_DP, CAP_POLICY, HUGE),
+                            InvalidInputError, f"tau must be finite, got {BIG}"),
+    "max_contingency-inf-tau": (lambda: applications.max_contingency(CAP_DP, CAP_POLICY, math.inf),
+                                InvalidInputError, "tau must be finite, got inf"),
+    "min_effective_tau-K": (lambda: applications.min_effective_tau(CAP_DP, HUGE),
+                            InvalidInputError, f"K must be within the float range, got {BIG}"),
+    "equivalent_tau-pfr1": (lambda: bandfit.equivalent_tau(CANONICAL_SURFACE, HUGE, 1.0),
+                            InvalidInputError, f"pfr1 must be within the float range, got {BIG}"),
+    "equivalent_tau-pfr2": (lambda: bandfit.equivalent_tau(CANONICAL_SURFACE, 1.0, HUGE),
+                            InvalidInputError, f"pfr2 must be within the float range, got {BIG}"),
+    "canonical_equivalent-pfr1": (lambda: bandfit.canonical_equivalent(HUGE, 1.0),
+                                  InvalidInputError,
+                                  f"pfr1 must be within the float range, got {BIG}"),
+    "canonical_equivalent-pfr2-alone": (lambda: bandfit.canonical_equivalent(0.0, HUGE),
+                                        InvalidInputError,
+                                        f"pfr2 must be within the float range, got {BIG}"),
+    "sensitivity_report-pfr1": (
+        lambda: applications.sensitivity_report(CAP_DP, -1.25, CANONICAL_SURFACE, HUGE, 1.0),
+        InvalidInputError, f"pfr1 must be within the float range, got {BIG}"),
+    "sensitivity_report-pfr2": (
+        lambda: applications.sensitivity_report(CAP_DP, -1.25, CANONICAL_SURFACE, 1.0, HUGE),
+        InvalidInputError, f"pfr2 must be within the float range, got {BIG}"),
+    "universal_factor-A": (
+        lambda: applications.universal_max_contingency_factor(HUGE, 1.5, -1.25),
+        InvalidInputError, f"A must be finite and > 0, got {BIG}"),
+    "required_ffr_share-message": (
+        lambda: applications.required_ffr_share(CANONICAL_SURFACE, HUGE), BranchError,
+        f"tau target {BIG} outside the attainable range (0.4, 1.7141628999999998)"),
+    "grid_steps-int-t_end": (
+        lambda: IntegrationSpec(t_end=10**300, dt=0.001), InvalidInputError,
+        "t_end=1e+300 s at dt=0.001 s is 1e+303 steps, more than 10000000"),
+}
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+    def test_bad_input_names_the_field(self, case):
+        call, error, message = OUT_OF_RANGE[case]
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+REMOVED = {closedform: ["asymptotic_nadir"],
+           applications: ["sensitivity_pcont", "sensitivity_tau_bands",
+                          "max_contingency_k_sensitivity"]}
+MODULES = [applications, bandfit, cli, closedform, model, oracle, reports]
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("module, name",
+                             [(m, n) for m, names in REMOVED.items() for n in names],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_removed_name_is_gone(self, module, name):
+        assert not hasattr(sfrkit, name)
+        assert not hasattr(module, name) and name not in module.__all__
+
+    @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+    def test_every_listed_name_resolves(self, module):
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []
