@@ -27,10 +27,10 @@ between the exact and equivalent response curves, per grid cell. It depends
 on a cell only through PFR2/PFR1, so cells that are power-of-two multiples of
 one another share one computation. The classes, their first cells as
 representatives and each cell's class are found in whole arrays over the
-flattened grid, and every class's tau takes math.exp, the tau model's only
-exponential, of one element of a numpy argument array. The classes' curves are
-built a few rows at a time in reused buffers and reduced along each row,
-which gives every value the same bits as mape() on that cell alone. On the
+flattened grid, and every class's tau comes from equivalent_tau, the tau
+model's one checked path, as canonical_equivalent's does. The classes'
+curves are built a few rows at a time in reused buffers and reduced along
+each row, which gives every value the same bits as mape() on that cell alone. On the
 sampling grid every curve rises monotonically from 0, so its peak is its
 last sample and the samples it keeps are a suffix, found by binary search.
 """
@@ -430,26 +430,7 @@ def _tau_and_decay(model: TauSurfaceModel, pfr1: float, pfr2: float):
     except OverflowError:  # an int beyond the float range met a float
         _require_float_range(pfr1=pfr1, pfr2=pfr2)
         raise
-    return _tau_at(model, decay), decay
-
-
-def _tau_at(model: TauSurfaceModel, decay):
-    """The tau model a*(1 - decay) + tau1 at decay = math.exp(-b*PFR2/PFR1), or an array of them."""
-    return model.a * (1.0 - decay) + model.tau1
-
-
-def _equivalent_taus(model: TauSurfaceModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """canonical_equivalent(p1, p2, model).tau_eq of each element of 1-D arrays, bit for bit.
-
-    Magnitudes are >= 0 and not both 0. math.exp takes -b*p2/p1 an element
-    at a time (cli._MAX_CELLS bounds their number); PFR1 = 0 passes tau2
-    through, and its exp(-inf) or exp(nan) is never used. A ratio that
-    overflows gives exp(-inf) = 0, and a tau that overflows is inf, as a
-    float's are, without a warning.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        decay = np.fromiter(map(math.exp, (-model.b * p2 / p1).tolist()), float, len(p1))
-        return np.where(p1 > 0, _tau_at(model, decay), model.tau2)
+    return model.a * (1.0 - decay) + model.tau1, decay
 
 
 def canonical_equivalent(pfr1: float, pfr2: float,
@@ -556,7 +537,7 @@ def _class_mapes(reps: np.ndarray, model: TauSurfaceModel, t: np.ndarray) -> np.
     """MAPE of each representative row (p1, p2) of reps, as _mape_arrays gives it for its row.
 
     Every class's equivalent band is set up at once: tau_eq from
-    _equivalent_taus, with canonical_equivalent's bits, and
+    equivalent_tau, as canonical_equivalent takes it, and
     pfr_eq = p1 + p2; (p1, p2, tau_eq, pfr_eq) are the columns of one
     (classes, 4) array that each block slices. A band that is not finite
     fails as canonical_equivalent fails it. Rows are built _MAP_BLOCK at a
@@ -578,7 +559,7 @@ def _class_mapes(reps: np.ndarray, model: TauSurfaceModel, t: np.ndarray) -> np.
     columns = np.empty((len(reps), 4))
     columns[:, :2] = reps
     p1, p2 = reps.T
-    columns[:, 2] = _equivalent_taus(model, p1, p2)
+    columns[:, 2] = [equivalent_tau(model, p1, p2) for p1, p2 in reps.tolist()]
     with np.errstate(over="ignore"):
         columns[:, 3] = p1 + p2
     finite = np.isfinite(columns[:, 2:]).all(axis=1)

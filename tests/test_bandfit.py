@@ -728,7 +728,7 @@ class TestMapeMapBlocks:
 
 
 def map_classes(grid, model, monkeypatch):
-    """The (classes, 2) representatives that mape_map hands to _class_mapes."""
+    """The (classes, 2) representatives that mape_map hands to _class_mapes, and its report."""
     seen = []
     class_mapes = bandfit._class_mapes
 
@@ -737,39 +737,37 @@ def map_classes(grid, model, monkeypatch):
         return class_mapes(reps, *args)
 
     monkeypatch.setattr(bandfit, "_class_mapes", recording)
-    mape_map(model.tau1, model.tau2, pfr_grid=grid, model=model)
-    return seen[0]
+    report = mape_map(model.tau1, model.tau2, pfr_grid=grid, model=model)
+    return seen[0], report
 
 
-def assert_taus_are_canonical_equivalents(model, p1, p2):
-    taus = bandfit._equivalent_taus(model, np.asarray(p1, float), np.asarray(p2, float))
-    assert taus.shape == np.shape(p1)
-    for x, y, tau in zip(np.ravel(p1).tolist(), np.ravel(p2).tolist(), taus.ravel().tolist()):
-        assert tau.hex() == canonical_equivalent(x, y, model).tau_eq.hex(), (x, y)
+def assert_map_is_per_cell(report, grid, model):
+    want = per_cell_mape_map(model.tau1, model.tau2, grid, model, fit_times(model.tau2))
+    assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
 
 
 class TestClassTaus:
-    """math.exp, element by element, gives every class canonical_equivalent's bits."""
+    """Every class takes its tau from equivalent_tau, so every cell gets mape()'s bits."""
 
     @pytest.mark.parametrize("grid", [bandfit.DEFAULT_PFR_GRID, bandfit.DEFAULT_SWEEP_PFR_GRID])
     @pytest.mark.parametrize("surface", ["canonical", "fitted"])
     def test_every_class_of_the_default_grids(self, grid, surface, monkeypatch):
         model = (CANONICAL_SURFACE if surface == "canonical"
                  else build_tau_surface(0.3, 2.5, pfr_grid=bandfit.DEFAULT_SWEEP_PFR_GRID))
-        reps = map_classes(grid, model, monkeypatch)
+        reps, report = map_classes(grid, model, monkeypatch)
         assert len(reps) == {20: 300, 10: 75}[len(grid)]
-        assert_taus_are_canonical_equivalents(model, reps[:, 0], reps[:, 1])
+        assert_map_is_per_cell(report, grid, model)
 
+    # magnitudes of 1e-300 to 1e300: every cell's peak is a normal double and
+    # PFR1 + PFR2 is finite, so every cell's MAPE is defined
     @settings(max_examples=200, deadline=None)
     @given(magnitudes=st.lists(st.just(0.0) | st.floats(1e-3, 1e4) | st.floats(1e-300, 1e300),
-                               min_size=1, max_size=12),
+                               min_size=1, max_size=12).filter(any),
            a=st.floats(0.0, 5.0), b=st.floats(1e-6, 1e3))
     def test_any_magnitudes_and_coefficients(self, magnitudes, a, b):
         model = TauSurfaceModel(a=a, b=b, tau1=0.4, tau2=2.0)
-        grid = np.array(magnitudes)
-        p1, p2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-        keep = (p1 != 0) | (p2 != 0)
-        assert_taus_are_canonical_equivalents(model, p1[keep], p2[keep])
+        assert_map_is_per_cell(mape_map(0.4, 2.0, pfr_grid=magnitudes, model=model),
+                               magnitudes, model)
 
 
 class TestMapeMapSetUp:

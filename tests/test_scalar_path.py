@@ -42,7 +42,6 @@ from sfrkit import (
     required_ffr_share,
     sensitivity_report,
 )
-from sfrkit import bandfit
 from sfrkit.closedform import _a_ratio, _k_ratio, _nadir_terms, nadir_shape_factor
 from sfrkit.model import scenario_from_dict
 
@@ -421,8 +420,6 @@ class TestOneDecay:
             assert _bits(tau) == _bits(model.a * (1.0 - math.exp(-model.b * pfr2 / pfr1))
                                        + model.tau1)
         assert _bits(canonical_equivalent(pfr1, pfr2, model).tau_eq) == _bits(tau)
-        taus = bandfit._equivalent_taus(model, np.array([pfr1, 1.0]), np.array([pfr2, 0.0]))
-        assert _bits(*taus.tolist()) == _bits(tau, model.tau1)
         if pfr1 == 0:
             return
         dp = DerivedParams(dprime=dprime, h=h)
