@@ -12,7 +12,10 @@ A and K are independent of the contingency size under a fixed-K policy. B and
 the branch come from closedform's one frame, `_nadir_terms`, and the tau model
 from bandfit's one checked path, `equivalent_tau`. A calculator given a
 DerivedParams checks D' > 0 before its other inputs, except the sensitivity
-reports, which check the band magnitudes first, as equivalent_tau does.
+reports, which check the band magnitudes first, as equivalent_tau does. A
+bare K and delta_f_max meet SecurityPolicy's rules next, K first (A and K
+first in universal_max_contingency_factor); then tau, and then A, must be
+finite and > 0, and the branch comes last.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import math
 from .bandfit import TauSurfaceModel, _tau_and_decay, equivalent_tau
 from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping, _require_ratios
 from .errors import BranchError, InvalidInputError
-from .model import (_FINITE_NONZERO, _FINITE_POSITIVE, DerivedParams, _record,
+from .model import (_FINITE_NONZERO, _FINITE_POSITIVE, DerivedParams, _field_check, _record,
                     _require_float_range, _shown)
 
 __all__ = [
@@ -48,14 +51,20 @@ _FD_REL_STEP = 1e-5
 # first, leave under 1e-17 of the bracket at the band's edge
 _K1_BRACKET_BAND = 0.1
 _K1_BRACKET_SERIES = tuple((-1.0) ** (k + 1) / (k * (k - 1)) for k in range(16, 1, -1))
+# SecurityPolicy's field rules, also met by the calculators that take K or delta_f_max bare
+_POLICY_RULES = dict(k_policy=_FINITE_POSITIVE, delta_f_max=_FINITE_NONZERO)
 
 
-@_record(k_policy=_FINITE_POSITIVE, delta_f_max=_FINITE_NONZERO)
+@_record(**_POLICY_RULES)
 class SecurityPolicy:
     """PFR adequacy ratio and the deviation the system must never exceed."""
 
     k_policy: float       # PFR >= P_cont / k_policy
     delta_f_max: float    # Hz; negative for under-frequency limits
+
+
+_check_policy = _field_check(**_POLICY_RULES)
+_check_delta_f_max = _field_check(delta_f_max=_FINITE_NONZERO)
 
 
 def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
@@ -95,15 +104,19 @@ def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> fl
 def universal_max_contingency_factor(a: float, k: float, delta_f_max: float) -> float:
     """System-independent factor f(A, K): the cap equals f * D'.
 
-    A and K must be finite and > 0, as max_contingency's are when D' > 0.
+    A and K must be finite and > 0, as max_contingency's are when D' > 0, and
+    delta_f_max finite and nonzero, as a SecurityPolicy's is.
     """
-    _require_ratios(k, a)
+    _require_ratios(a, k)
+    _check_delta_f_max(delta_f_max)
     return _cap(k, a, delta_f_max, 1.0)
 
 
 def asymptotic_max_contingency(dp: DerivedParams, k_policy: float, delta_f_max: float) -> float:
     """Cap in the asymptotic regime: delta_f_max / (1/K - 1) * D', MW."""
-    return _asymptotic_cap(k_policy, delta_f_max, _require_damping(dp))
+    dprime = _require_damping(dp)
+    _check_policy(k_policy, delta_f_max)
+    return _asymptotic_cap(k_policy, delta_f_max, dprime)
 
 
 def min_effective_tau(dp: DerivedParams, k: float) -> float:
@@ -172,11 +185,13 @@ def sensitivity_report(dp: DerivedParams, delta_f_max: float, model: TauSurfaceM
     """The K = 1 cap's slopes at equivalent_tau's tau, the tau model's, and their products.
 
     With P the K = 1 cap and beta = (A-1-A lnA)/(A-1)^2, dP/dtau = P beta/tau
-    and dP/dH = -P beta/H. The checks are equivalent_tau's, D' > 0, tau, the
-    cap's branch and _tau_slopes', in that order; one math.exp serves tau and its slopes.
+    and dP/dH = -P beta/H. The checks are equivalent_tau's, D' > 0, delta_f_max,
+    tau and A, the cap's branch and _tau_slopes', in that order; one math.exp
+    serves tau and its slopes.
     """
     tau, decay = _tau_and_decay(model, pfr1, pfr2)
     dprime = _require_damping(dp)
+    _check_delta_f_max(delta_f_max)
     a = _a_ratio(dprime, dp.h, tau)
     common = _cap(1.0, a, delta_f_max, dprime) * _k1_bracket(a)
     dp_dtau, dp_dh = common / tau, -common / dp.h

@@ -30,9 +30,10 @@ representatives and each cell's class are found in whole arrays over the
 flattened grid, and every class's tau comes from equivalent_tau, the tau
 model's one checked path, as canonical_equivalent's does. The classes'
 curves are built a few rows at a time in reused buffers and reduced along
-each row, which gives every value the same bits as mape() on that cell alone. On the
-sampling grid every curve rises monotonically from 0, so its peak is its
-last sample and the samples it keeps are a suffix, found by binary search.
+each row, which gives every value the same bits as mape() on that cell
+alone. On the sampling grid every curve rises monotonically from 0, so its
+peak is its last sample and the samples it keeps are a suffix, found by
+binary search.
 """
 from __future__ import annotations
 

@@ -35,8 +35,9 @@ import math
 import numpy as np
 
 from .errors import BranchError, InvalidInputError
-from .model import (_BAND_KINDS, _KIND_NAMES, _MAX, FrequencyTrace, LagBand, RampBand,
-                    SystemConditions, _as_times, _band_kind, _grid_steps, _record, _ret, _shown)
+from .model import (_BAND_KINDS, _FINITE_POSITIVE, _KIND_NAMES, _MAX, FrequencyTrace, LagBand,
+                    RampBand, SystemConditions, _as_times, _band_kind, _field_check, _grid_steps,
+                    _record, _ret, _shown)
 
 __all__ = [
     "INTERIOR_MINIMUM",
@@ -56,6 +57,7 @@ INTERIOR_MINIMUM = "interior_minimum"
 ASYMPTOTIC = "asymptotic"
 
 _NO_DAMPING = "D' = d * p_load must be > 0 for this expression"
+_A_RANGE = "A = D'*tau/(2H) must be finite and > 0, got {} at tau = {} s"
 
 
 @_record
@@ -77,17 +79,17 @@ def _require_damping(params) -> float:
 
 
 def _a_ratio(dprime: float, h: float, tau: float) -> float:
-    """A = D'*tau / (2H); tau must be finite and > 0."""
+    """A = D'*tau / (2H); tau, then A, must be finite and > 0."""
     if not 0 < tau <= _MAX:
         raise InvalidInputError(f"tau must be {'finite' if tau > 0 else '> 0'}, got {_shown(tau)}")
-    return dprime * tau / (2.0 * h)
+    a = dprime * tau / (2.0 * h)
+    if not 0 < a <= _MAX:  # a finite tau whose A overflows or underflows
+        raise InvalidInputError(_A_RANGE.format(a, float(tau)))
+    return a
 
 
-def _require_ratios(k: float, a: float) -> None:
-    """A, then K, must be finite and > 0, as they are when D', tau and PFR are valid."""
-    for name, value in (("A", a), ("K", k)):
-        if not 0 < value <= _MAX:
-            raise InvalidInputError(f"{name} must be finite and > 0, got {_shown(value)}")
+# A, then K, must be finite and > 0, as they are when D', tau and PFR are valid
+_require_ratios = _field_check(A=_FINITE_POSITIVE, K=_FINITE_POSITIVE)
 
 
 def _nadir_terms(k: float, a: float):
@@ -198,7 +200,7 @@ def nadir_shape_factor(k: float, a: float) -> float:
     is negative whenever K > 0 (under- and over-frequency alike, by the sign
     convention). K and A must be finite and > 0.
     """
-    _require_ratios(k, a)
+    _require_ratios(a, k)
     shape = _nadir_terms(k, a)[2]
     if shape is None:
         raise BranchError("shape factor undefined: inputs are in the asymptotic regime")
@@ -219,7 +221,8 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     come from _nadir_terms, which also decides the branch. Otherwise the kind
     is ASYMPTOTIC, t_nadir is None and the depth is the settling value
     (PFR - P_cont)/D'. RoCoF is max_rocof's expression. Each field is read
-    once; the checks are _require_damping's and _k_ratio's, in that order.
+    once; the checks are _require_damping's, _k_ratio's and an A that
+    overflows, in that order (A = 0, at ke = inf, is valid).
     """
     dprime = sc.d * sc.p_load
     if not dprime > 0:
@@ -228,7 +231,10 @@ def lag_nadir(sc: SystemConditions, band: LagBand) -> NadirResult:
     p_cont, pfr, tau = sc.p_cont, band.pfr, band.tau
     k = _k_ratio(p_cont, pfr)
     rocof = -p_cont / h2
-    _, l, shape = _nadir_terms(k, dprime * tau / h2)
+    a = dprime * tau / h2
+    if not a <= _MAX:  # A = 0, at ke = inf, is valid
+        raise InvalidInputError(_A_RANGE.format(a, float(tau)))
+    _, l, shape = _nadir_terms(k, a)
     if l is None:
         return NadirResult(ASYMPTOTIC, None, (pfr - p_cont) / dprime, rocof)
     return NadirResult(INTERIOR_MINIMUM, tau * l, pfr / dprime * shape, rocof)

@@ -1,6 +1,7 @@
 """Input boundaries: finite record fields, the surface pair rule, stray errors in main,
 arguments beyond the float range and the package's public names."""
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -96,6 +97,15 @@ class TestStrayErrors:
                      "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not JSON compliant" in err
+        assert not out.exists()
+
+    def test_a_underflow_exits_1(self, tmp_path, capsys):
+        # A = D'*tau/(2H) = 0 gave a shape factor of 0 and a ZeroDivisionError
+        out = tmp_path / "cap.json"
+        assert main(["max-contingency", "--scenario", SCENARIO, "--delta-f-max", "-1",
+                     "--tau", "5e-324", "--k-policy", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: A = D'*tau/(2H) must be finite and > 0, got 0.0 at tau = 5e-324 s\n")
         assert not out.exists()
 
     def test_overflow_exits_1(self, monkeypatch, tmp_path, capsys):
@@ -420,7 +430,20 @@ HUGE = 10**400  # an int beyond the float range
 BIG = "an integer too large for a float"
 CAP_DP = DerivedParams(dprime=100.0, h=140.0)
 CAP_POLICY = applications.SecurityPolicy(k_policy=applications.WEM_K_POLICY, delta_f_max=-1.25)
-# (call, error, message); each raised a bare OverflowError, returned NaN or printed every digit
+FLAT_DP = DerivedParams(dprime=0.0, h=140.0)
+SLOW = bandfit.TauSurfaceModel(a=0.0, b=1.0, tau1=1e308, tau2=1e308)  # tau = 1e308: A overflows
+LAG_270MW = model.load_scenario(SCENARIO).system
+LIMIT = "delta_f_max must be finite and nonzero, got {}"
+A_RANGE = "A = D'*tau/(2H) must be finite and > 0, got {} at tau = {} s"
+# a cap's bare delta_f_max meets SecurityPolicy's rule
+LIMIT_CALLS = {
+    "asymptotic": lambda limit: applications.asymptotic_max_contingency(CAP_DP, 2.0, limit),
+    "universal": lambda limit: applications.universal_max_contingency_factor(0.5, 1.5, limit),
+    "sensitivity_report": lambda limit: applications.sensitivity_report(
+        CAP_DP, limit, CANONICAL_SURFACE, 1.0, 1.0),
+}
+# (call, error, message); each but the check-order cases raised a bare OverflowError,
+# ZeroDivisionError or BranchError, returned NaN, -0.0 or zero slopes, or printed every digit
 OUT_OF_RANGE = {
     "max_contingency-tau": (lambda: applications.max_contingency(CAP_DP, CAP_POLICY, HUGE),
                             InvalidInputError, f"tau must be finite, got {BIG}"),
@@ -453,6 +476,44 @@ OUT_OF_RANGE = {
     "grid_steps-int-t_end": (
         lambda: IntegrationSpec(t_end=10**300, dt=0.001), InvalidInputError,
         "t_end=1e+300 s at dt=0.001 s is 1e+303 steps, more than 10000000"),
+    **{f"{name}-delta_f_max-{label}": (functools.partial(call, limit), InvalidInputError,
+                                       LIMIT.format(model._shown(limit)))
+       for name, call in LIMIT_CALLS.items()
+       for label, limit in {"huge": HUGE, "nan": math.nan, "zero": 0.0}.items()},
+    **{f"asymptotic-K-{label}": (
+        functools.partial(applications.asymptotic_max_contingency, CAP_DP, k, -1.0),
+        InvalidInputError, f"k_policy must be finite and > 0, got {model._shown(k)}")
+       for label, k in {"huge": HUGE, "nan": math.nan, "negative": -2.0}.items()},
+    # a finite tau whose A = D'*tau/(2H) overflows or underflows
+    "max_contingency-A-overflow": (
+        lambda: applications.max_contingency(CAP_DP, CAP_POLICY, 1e308), InvalidInputError,
+        A_RANGE.format("inf", "1e+308")),
+    "max_contingency-A-underflow": (
+        lambda: applications.max_contingency(CAP_DP, applications.SecurityPolicy(0.5, -1.25),
+                                             5e-324),
+        InvalidInputError, A_RANGE.format("0.0", "5e-324")),
+    "lag_nadir-A-overflow": (
+        lambda: closedform.lag_nadir(LAG_270MW, LagBand(270.0, 1e308)), InvalidInputError,
+        A_RANGE.format("inf", "1e+308")),
+    # two bad arguments: the check order of the applications docstring
+    "asymptotic-damping-before-K": (
+        lambda: applications.asymptotic_max_contingency(FLAT_DP, math.nan, 0.0),
+        InvalidInputError, "D' = d * p_load must be > 0 for this expression"),
+    "asymptotic-K-before-delta_f_max": (
+        lambda: applications.asymptotic_max_contingency(CAP_DP, -2.0, 0.0), InvalidInputError,
+        "k_policy must be finite and > 0, got -2.0"),
+    "universal-K-before-delta_f_max": (
+        lambda: applications.universal_max_contingency_factor(0.5, math.nan, 0.0),
+        InvalidInputError, "K must be finite and > 0, got nan"),
+    "sensitivity_report-damping-before-delta_f_max": (
+        lambda: applications.sensitivity_report(FLAT_DP, 0.0, CANONICAL_SURFACE, 1.0, 1.0),
+        InvalidInputError, "D' = d * p_load must be > 0 for this expression"),
+    "sensitivity_report-delta_f_max-before-A": (
+        lambda: applications.sensitivity_report(CAP_DP, 0.0, SLOW, 1.0, 1.0),
+        InvalidInputError, LIMIT.format(0.0)),
+    "sensitivity_report-A-overflow": (
+        lambda: applications.sensitivity_report(CAP_DP, -1.0, SLOW, 1.0, 1.0),
+        InvalidInputError, A_RANGE.format("inf", "1e+308")),
 }
 
 

@@ -300,7 +300,7 @@ class TestSecurityCommands:
         )
 
     def test_sensitivities_zero_limit_exits_1(self, scenario, tmp_path, capsys):
-        # the finite differences take the cap of max-contingency, which rejects a zero limit
+        # sensitivity_report rejects a zero limit by SecurityPolicy's rule
         out = tmp_path / "sens.json"
         assert main(["sensitivities", "--scenario", scenario(BASE), "--delta-f-max", "0",
                      "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
