@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .bandfit import TauSurfaceModel, _tau_and_decay, equivalent_tau
-from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping, _require_ratios
+from .closedform import B_EPS, _a_ratio, _nadir_terms, _require_damping
 from .errors import BranchError, InvalidInputError
 from .model import (_FINITE_NONZERO, _FINITE_POSITIVE, DerivedParams, _field_check, _record,
                     _require_float_range, _shown)
@@ -65,6 +65,8 @@ class SecurityPolicy:
 
 _check_policy = _field_check(**_POLICY_RULES)
 _check_delta_f_max = _field_check(delta_f_max=_FINITE_NONZERO)
+# A, then K, must be finite and > 0, as they are when D', tau and PFR are valid
+_require_ratios = _field_check(A=_FINITE_POSITIVE, K=_FINITE_POSITIVE)
 
 
 def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:

@@ -89,62 +89,54 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("simulate", _cmd_simulate, "integrate the scenario numerically")
-    p.add_argument("--out", required=True)
     p.add_argument("--method", choices=[oracle.RK4, oracle.FORWARD_EULER], default=oracle.RK4)
 
-    p = add("compare", _cmd_compare, "closed form vs numerical integration")
-    p.add_argument("--out", required=True, help="prefix: writes <out>_closed.csv, <out>_oracle.csv")
+    add("compare", _cmd_compare, "closed form vs numerical integration")
 
     p = add("nadir", _cmd_nadir, "nadir classification, depth and RoCoF")
-    p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["closed", "oracle"], default="closed")
 
-    p = add("fit-band", _cmd_fit_band, "fit one equivalent band to two lag bands")
-    p.add_argument("--out", required=True)
+    add("fit-band", _cmd_fit_band, "fit one equivalent band to two lag bands")
 
     p = add("fit-surface", _cmd_fit_surface, "fit the equivalent-tau coefficients", scenario=False)
     p.add_argument("--tau1", type=float, required=True)
     p.add_argument("--tau2", type=float, required=True)
     _grid_flags(p)
-    p.add_argument("--out", required=True)
 
     p = add("mape-map", _cmd_mape_map, "approximation error per magnitude cell", scenario=False)
     p.add_argument("--tau1", type=float, default=0.4)
     p.add_argument("--tau2", type=float, default=2.0)
     p.add_argument("--surface", help="surface model JSON (default: canonical coefficients)")
     _grid_flags(p)
-    p.add_argument("--out", required=True)
 
     p = add("tau-sweep", _cmd_tau_sweep, "approximation validity across time constants",
             scenario=False)
     p.add_argument("--tau1-values", help="comma-separated tau1 list, s")
     p.add_argument("--tau2-values", help="comma-separated tau2 list, s")
     _grid_flags(p, default_min=20.0, default_step=20.0)
-    p.add_argument("--out", required=True)
 
     p = add("max-contingency", _cmd_max_contingency, "largest containable contingency")
     p.add_argument("--delta-f-max", type=float, required=True, help="Hz, negative for under-frequency")
     p.add_argument("--k-policy", type=float, default=apps.WEM_K_POLICY)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--surface", help="surface model JSON for the FFR share")
-    p.add_argument("--out", required=True)
 
     p = add("min-tau", _cmd_min_tau, "slowest tau that still shapes the nadir")
     p.add_argument("--k", type=float, required=True, help="P_cont / PFR ratio")
-    p.add_argument("--out", required=True)
 
     p = add("sensitivities", _cmd_sensitivities, "trade-off derivatives with FD checks")
     p.add_argument("--delta-f-max", type=float, required=True)
     p.add_argument("--pfr1", type=float, required=True)
     p.add_argument("--pfr2", type=float, required=True)
     p.add_argument("--surface")
-    p.add_argument("--out", required=True)
 
     p = add("reproduce-figure", _cmd_reproduce, "emit the data table behind a figure",
             scenario=False)
     p.add_argument("target", choices=sorted(_FIGURES))
-    p.add_argument("--out", required=True)
 
+    for name, p in sub.choices.items():
+        prefix = "prefix: writes <out>_closed.csv, <out>_oracle.csv"
+        p.add_argument("--out", required=True, help=prefix if name == "compare" else None)
     return parser
 
 
@@ -505,6 +497,3 @@ def _cmd_reproduce(args) -> int:
     reports.write_csv(args.out, header, rows)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,14 +15,14 @@ one kind, the first band's in model._BAND_KINDS, and call the kernel.
 
 The nadir algebra uses K = P_cont/PFR, A = D'*tau/(2H), B = 1 + K*(A - 1) and
 C = A/(A - 1). One frame, `_nadir_terms`, forms B and decides the branch for
-every caller (`lag_nadir`, `nadir_shape_factor` and the calculators in
-`applications`): an interior nadir iff B > B_EPS, where it also gives the
-nadir time in units of tau and the shape factor; else the deviation decays
-monotonically to its settling value ("asymptotic"). Only the contingency cap
-tells the boundary |B| <= B_EPS, where the caps of both branches meet, from
-the rest of the asymptotic regime. The D' > 0 guard and the K and A checks
-live here too (a LagBand's tau needs none); `_delta_f` takes checked times,
-and `trace` builds its grid from model._grid_steps.
+every caller (`lag_nadir` and the calculators in `applications`): an
+interior nadir iff B > B_EPS, where it also gives the nadir time in units of
+tau and the shape factor; else the deviation decays monotonically to its
+settling value ("asymptotic"). Only the contingency cap tells the boundary
+|B| <= B_EPS, where the caps of both branches meet, from the rest of the
+asymptotic regime. The D' > 0 guard and the K and A checks live here too (a
+LagBand's tau needs none); `_delta_f` takes checked times, and `trace`
+builds its grid from model._grid_steps.
 
 A = 1 is a removable singularity of the lag term and the nadir. Their expm1
 and log1p forms keep every digit through it, and only A - 1 == 0 exactly takes
@@ -34,17 +34,15 @@ import math
 
 import numpy as np
 
-from .errors import BranchError, InvalidInputError
-from .model import (_BAND_KINDS, _FINITE_POSITIVE, _KIND_NAMES, _MAX, FrequencyTrace, LagBand,
-                    RampBand, SystemConditions, _as_times, _band_kind, _field_check, _grid_steps,
-                    _record, _ret, _shown)
+from .errors import InvalidInputError
+from .model import (_BAND_KINDS, _KIND_NAMES, _MAX, FrequencyTrace, LagBand, RampBand,
+                    SystemConditions, _as_times, _band_kind, _grid_steps, _record, _ret, _shown)
 
 __all__ = [
     "INTERIOR_MINIMUM",
     "ASYMPTOTIC",
     "NadirResult",
     "delta_f",
-    "nadir_shape_factor",
     "max_rocof",
     "lag_nadir",
     "trace",
@@ -88,15 +86,13 @@ def _a_ratio(dprime: float, h: float, tau: float) -> float:
     return a
 
 
-# A, then K, must be finite and > 0, as they are when D', tau and PFR are valid
-_require_ratios = _field_check(A=_FINITE_POSITIVE, K=_FINITE_POSITIVE)
-
-
 def _nadir_terms(k: float, a: float):
     """(B, L, shape factor) for scalar K and A; L and the factor are None unless B > B_EPS.
 
-    L = ln(B)/(A - 1), K where K(A - 1) == 0, puts the nadir at tau L. With
-    z = -(A - 1)L, B^(-C/A) = e^-L and B^-C = e^-AL, so the factor is
+    The factor (C + K - 1) B^-C - C B^(-C/A) - K + 1, 1 - K - e^-K at A = 1,
+    times PFR/D' is the nadir depth. L = ln(B)/(A - 1), K where K(A - 1) == 0,
+    puts the nadir at tau L. With z = -(A - 1)L, B^(-C/A) = e^-L and
+    B^-C = e^-AL, so the factor is
     -(1 - K) expm1(-AL) - A L e^-L exprel(z): two terms of order K that keep
     their digits as K -> 0, where the factor is of order K^2.
     """
@@ -191,20 +187,6 @@ def _k_ratio(p_cont: float, pfr: float) -> float:
     if k < 0:
         raise InvalidInputError("band magnitude must share the sign of p_cont")
     return k
-
-
-def nadir_shape_factor(k: float, a: float) -> float:
-    """(C + K - 1) B^-C - C B^(-C/A) - K + 1 for B > B_EPS, in _nadir_terms' form.
-
-    1 - K - e^-K at A = 1. Multiplying by PFR/D' gives the nadir deviation; it
-    is negative whenever K > 0 (under- and over-frequency alike, by the sign
-    convention). K and A must be finite and > 0.
-    """
-    _require_ratios(a, k)
-    shape = _nadir_terms(k, a)[2]
-    if shape is None:
-        raise BranchError("shape factor undefined: inputs are in the asymptotic regime")
-    return shape
 
 
 def max_rocof(sc: SystemConditions) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -151,11 +152,16 @@ class TestUniversalFactor:
             universal_max_contingency_factor(0.1, 2.0, -1.25)
 
     @pytest.mark.parametrize("a, k, name", [
-        (0.0, 0.5, "A"), (-0.5, 1.5, "A"), (math.inf, 1.5, "A"), (math.nan, 1.5, "A"),
-        (0.5, 0.0, "K"), (0.5, -1.0, "K"), (0.5, math.inf, "K"), (0.5, math.nan, "K"),
+        (0.0, 0.5, "A"), (-0.0, 1.5, "A"), (-0.5, 1.5, "A"), (math.inf, 1.5, "A"),
+        (math.nan, 1.5, "A"), (0.5, 0.0, "K"), (0.5, -1.0, "K"), (0.5, math.inf, "K"),
+        (0.5, math.nan, "K"),
+        # A is checked before K
+        (math.nan, math.nan, "A"),
     ])
     def test_invalid_ratios_rejected(self, a, k, name):
-        with pytest.raises(InvalidInputError, match=f"^{name} must be finite and > 0"):
+        got = a if name == "A" else k
+        with pytest.raises(InvalidInputError,
+                           match="^" + re.escape(f"{name} must be finite and > 0, got {got}") + "$"):
             universal_max_contingency_factor(a, k, -1.25)
 
 

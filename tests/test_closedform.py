@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sfrkit import (
     ASYMPTOTIC,
-    BranchError,
     INTERIOR_MINIMUM,
     IntegrationSpec,
     InvalidInputError,
@@ -21,7 +20,6 @@ from sfrkit import (
     total_pfr_value,
     trace,
 )
-from sfrkit.closedform import nadir_shape_factor
 
 LAG_BAND = LagBand(pfr=270.0, tau=2.0)
 # frozen from independent evaluation of the analytic solution at the canonical
@@ -206,26 +204,6 @@ class TestNadir:
             band = LagBand(pfr=270.0, tau=4.5 * (1.0 + sign * 1e-6))
             t = lag_nadir(base_system, band).t_nadir
             assert abs(t - (300.0 / 270.0) * band.tau) <= 1e-5
-
-    def test_asymptotic_branch_raises(self, base_system):
-        # lag_nadir reports the regime as data; the shape factor has no value there
-        with pytest.raises(BranchError):
-            nadir_shape_factor(300.0 / 210.0, 80.0 * 0.4 / 360.0)
-
-    @pytest.mark.parametrize("k, a, message", [
-        (math.nan, 0.5, "K must be finite and > 0, got nan"),
-        (0.5, math.inf, "A must be finite and > 0, got inf"),
-        (-0.5, 0.5, "K must be finite and > 0, got -0.5"),
-        (0.0, 1.0, "K must be finite and > 0, got 0.0"),
-        (math.inf, 2.0, "K must be finite and > 0, got inf"),
-        (0.5, -0.0, "A must be finite and > 0, got -0.0"),
-        # A is checked before K, as universal_max_contingency_factor does
-        (math.nan, math.nan, "A must be finite and > 0, got nan"),
-    ], ids=["nan-K", "inf-A", "negative-K", "zero-K", "inf-K", "zero-A", "A-before-K"])
-    def test_invalid_ratios_rejected(self, k, a, message):
-        with pytest.raises(InvalidInputError) as err:
-            nadir_shape_factor(k, a)
-        assert str(err.value) == message
 
     def test_nadir_deviation(self, base_system):
         assert lag_nadir(base_system, LAG_BAND).delta_f_nadir == pytest.approx(DF_NADIR, rel=1e-12)

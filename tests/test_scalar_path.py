@@ -42,7 +42,7 @@ from sfrkit import (
     required_ffr_share,
     sensitivity_report,
 )
-from sfrkit.closedform import _a_ratio, _k_ratio, _nadir_terms, nadir_shape_factor
+from sfrkit.closedform import _a_ratio, _k_ratio, _nadir_terms
 from sfrkit.model import scenario_from_dict
 
 B_EPS = 1e-9    # closedform's guard band around B = 0
@@ -181,23 +181,21 @@ class TestLagNadir:
     @example(sys_params=(2000.0, 0.04, 9000.0), k=2.0, where=("b0", 0.0), p_cont=300.0, over=True)
     @example(sys_params=(2000.0, 0.04, 9000.0), k=1.5, where=("a1", 0.0), p_cont=300.0, over=True)
     def test_one_branch_rule(self, sys_params, k, where, p_cont, over):
-        """closedform's frame, lag_nadir and nadir_shape_factor decide the branch alike."""
+        """closedform's frame and lag_nadir decide the branch alike; the frame gives the shape."""
         sign = -1.0 if over else 1.0
         sc = _system(sys_params, sign * p_cont)
         band = LagBand(pfr=sign * p_cont / k, tau=_a(k, where) * 2.0 * sc.h / sc.dprime)
         frame_k, frame_a = _k_ratio(sc.p_cont, band.pfr), _a_ratio(sc.dprime, sc.h, band.tau)
-        b, l, _ = _nadir_terms(frame_k, frame_a)
+        b, l, shape = _nadir_terms(frame_k, frame_a)
         ratio_k = sc.p_cont / band.pfr
         ratio_a = sc.dprime * band.tau / (2.0 * sc.h)
         assert _bits(b) == _bits(1.0 + ratio_k * (ratio_a - 1.0))
         asymptotic = l is None
         assert asymptotic == (lag_nadir(sc, band).kind == ASYMPTOTIC)
         if asymptotic:
-            with pytest.raises(BranchError, match="asymptotic regime"):
-                nadir_shape_factor(frame_k, frame_a)
+            assert shape is None
         else:
-            assert _bits(nadir_shape_factor(frame_k, frame_a)) == \
-                _bits(ref_shape(ratio_k, ratio_a)[1])
+            assert _bits(shape) == _bits(ref_shape(ratio_k, ratio_a)[1])
 
     def test_validation_order_is_unchanged(self, base_system):
         flat = SystemConditions(f_n=50.0, ke=9000.0, p_load=2000.0, d=0.0, p_cont=300.0)

@@ -11,8 +11,8 @@ over the same offsets: there the shape factor is of order K^2 while the
 paper's terms are of order 1.
 
 Bounds:
-- nadir_shape_factor and lag_nadir's depth: 1e-13 relative, 1e-12 at the
-  small K;
+- the shape factor of closedform._nadir_terms and lag_nadir's depth: 1e-13
+  relative, 1e-12 at the small K;
 - lag_nadir's time: 1e-13 relative;
 - delta_f on a 0.5 s grid over 30 s and at the nadir time: 1e-15 of
   the largest |deviation| on the grid.
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from sfrkit import INTERIOR_MINIMUM, LagBand, SystemConditions, delta_f, lag_nadir
-from sfrkit.closedform import B_EPS, nadir_shape_factor
+from sfrkit.closedform import B_EPS, _nadir_terms
 
 DIGITS = 60
 SHAPE_REL = 1e-13
@@ -96,7 +96,7 @@ def test_shape_factor(k):
         ctx.prec = DIGITS
         for kk, a in _points():
             if kk == k:
-                worst = max(worst, _rel(nadir_shape_factor(k, a), ref_shape(_d(k), _d(a))))
+                worst = max(worst, _rel(_nadir_terms(k, a)[2], ref_shape(_d(k), _d(a))))
     assert worst <= _shape_rel(k)
 
 
