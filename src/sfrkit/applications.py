@@ -53,6 +53,7 @@ _K1_BRACKET_BAND = 0.1
 _K1_BRACKET_SERIES = tuple((-1.0) ** (k + 1) / (k * (k - 1)) for k in range(16, 1, -1))
 # SecurityPolicy's field rules, also met by the calculators that take K or delta_f_max bare
 _POLICY_RULES = dict(k_policy=_FINITE_POSITIVE, delta_f_max=_FINITE_NONZERO)
+_UNBOUNDED = "unbounded: with K <= 1 the settling deviation never crosses the limit"
 
 
 @_record(**_POLICY_RULES)
@@ -75,11 +76,16 @@ def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
     _nadir_terms gives the interior cap's shape factor; where it gives none,
     this is the one place that tells the boundary |B| <= B_EPS, where the
     branches meet in the asymptotic cap, from the asymptotic regime (a NaN B
-    included).
+    included). At K < 1 the interior cap grows without bound as A -> 0, so
+    one beyond every double (the factor may underflow to 0) is unbounded; at
+    K >= 1 only inputs beyond the float range overflow it, and it is returned.
     """
     b, _, shape = _nadir_terms(k, a)
     if shape is not None:
-        return k * scale * delta_f_max / shape
+        cap = k * scale * delta_f_max / shape if shape else math.inf
+        if -math.inf < cap < math.inf or k >= 1.0:
+            return cap
+        raise BranchError(_UNBOUNDED)
     if abs(b) <= B_EPS:
         return _asymptotic_cap(k, delta_f_max, scale)
     raise BranchError("asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency")
@@ -88,7 +94,7 @@ def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
 def _asymptotic_cap(k: float, delta_f_max: float, scale: float) -> float:
     """The settling-value cap delta_f_max / (1/K - 1) * scale; unbounded when K <= 1."""
     if k <= 1.0:
-        raise BranchError("unbounded: with K <= 1 the settling deviation never crosses the limit")
+        raise BranchError(_UNBOUNDED)
     return delta_f_max / (1.0 / k - 1.0) * scale
 
 
@@ -159,7 +165,7 @@ def _tau_slopes(model: TauSurfaceModel, pfr1: float, pfr2: float, decay: float):
         raise InvalidInputError("pfr1 must be > 0: the magnitude ratio is singular at 0")
     ab = model.a * model.b
     try:
-        sq = pfr1**2
+        sq = float(pfr1)**2  # an int's square would be exact, and too large for the division
     except OverflowError:  # Python's float power raises instead of returning inf
         sq = math.inf
     if sq > 0:

@@ -143,7 +143,10 @@ def _delta_f(sc: SystemConditions, bands, dprime: float, arr):
             work *= decay_exp
             work /= 2.0 * h
         else:  # exp(-t/tau) - E = -sign(A - 1) E_big expm1(-|A - 1| t/tau), E_big the larger one
-            np.multiply(arr, -abs(em1) / tau, out=work)
+            rate = abs(em1) / tau
+            if not rate <= _MAX:  # an infinite rate gives NaN at t = 0, or at every t
+                raise InvalidInputError(f"|A - 1|/tau must be finite, got {rate} at tau = {tau} s")
+            np.multiply(arr, -rate, out=work)
             if em1 < 0.0:
                 work += 0.0  # -0.0 at t = 0 becomes 0.0, the sign exp(-t/tau) - E has there
             np.expm1(work, out=work)

@@ -409,6 +409,13 @@ class TestHugePfr1Sensitivities:
         assert (report.dtau_dpfr1, report.dtau_dpfr2) == (
             -ab * pfr2 / pfr1**2 * decay, ab / pfr1 * decay)
 
+    @pytest.mark.filterwarnings("error")
+    def test_int_pfr1_gives_its_floats_report(self):
+        # an int PFR1's square is an exact int, too large to divide by
+        def report(pfr1):
+            return applications.sensitivity_report(CAP_DP, -1.0, CANONICAL_SURFACE, pfr1, 1.0)
+        assert report(10**200) == report(1e200)
+
     def test_cli_exits_0(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max", "-1",
@@ -435,6 +442,8 @@ SLOW = bandfit.TauSurfaceModel(a=0.0, b=1.0, tau1=1e308, tau2=1e308)  # tau = 1e
 LAG_270MW = model.load_scenario(SCENARIO).system
 LIMIT = "delta_f_max must be finite and nonzero, got {}"
 A_RANGE = "A = D'*tau/(2H) must be finite and > 0, got {} at tau = {} s"
+UNBOUNDED = "unbounded: with K <= 1 the settling deviation never crosses the limit"
+RATE = "|A - 1|/tau must be finite, got inf at tau = {} s"
 # a cap's bare delta_f_max meets SecurityPolicy's rule
 LIMIT_CALLS = {
     "asymptotic": lambda limit: applications.asymptotic_max_contingency(CAP_DP, 2.0, limit),
@@ -514,10 +523,42 @@ OUT_OF_RANGE = {
     "sensitivity_report-A-overflow": (
         lambda: applications.sensitivity_report(CAP_DP, -1.0, SLOW, 1.0, 1.0),
         InvalidInputError, A_RANGE.format("inf", "1e+308")),
+    # at K < 1 a subnormal A gives a cap beyond every double, or a factor that underflows to 0
+    "max_contingency-cap-overflow": (
+        lambda: applications.max_contingency(CAP_DP, applications.SecurityPolicy(0.5, -1.25),
+                                             1e-320),
+        BranchError, UNBOUNDED),
+    "max_contingency-shape-underflow": (
+        lambda: applications.max_contingency(CAP_DP, applications.SecurityPolicy(0.5, -1.25),
+                                             3e-323),
+        BranchError, UNBOUNDED),
+    "universal_factor-cap-overflow": (
+        lambda: applications.universal_max_contingency_factor(3.6e-319, 0.5, -1.25),
+        BranchError, UNBOUNDED),
+    # a lag decay rate |A - 1|/tau that overflows: through 1/tau, or through A itself
+    **{f"delta_f-rate-tau={tau}": (
+        functools.partial(closedform.delta_f, LAG_270MW, [LagBand(270.0, tau)], [0.0, 1.0, 10.0]),
+        InvalidInputError, RATE.format(tau)) for tau in (5e-324, 1e-310, 1e308)},
+    "trace-rate": (lambda: closedform.trace(LAG_270MW, [LagBand(270.0, 5e-324)], 1.0, 0.5),
+                   InvalidInputError, RATE.format(5e-324)),
 }
 
 
+class TestExtremeTauCli:
+    @pytest.mark.parametrize("argv, code, message", [
+        (["max-contingency", "--delta-f-max", "-1", "--tau", "1e-320", "--k-policy", "0.5"], 2,
+         "error: " + UNBOUNDED + "\n"),
+        (["compare", "--set", "bands.0.tau_s=5e-324"], 1, "error: " + RATE.format(5e-324) + "\n"),
+    ], ids=["max-contingency", "compare"])
+    def test_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--scenario", SCENARIO, "--out", str(out)]) == code
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutOfRangeArguments:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
     def test_bad_input_names_the_field(self, case):
         call, error, message = OUT_OF_RANGE[case]
