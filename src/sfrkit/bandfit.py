@@ -25,15 +25,14 @@ tau2 <= 20 000 s.
 Approximation quality is reported as the mean absolute percentage error
 between the exact and equivalent response curves, per grid cell. It depends
 on a cell only through PFR2/PFR1, so cells that are power-of-two multiples of
-one another share one computation. The classes, their first cells as
-representatives and each cell's class are found in whole arrays over the
-flattened grid, and every class's tau comes from equivalent_tau, the tau
-model's one checked path, as canonical_equivalent's does. The classes'
-curves are built a few rows at a time in reused buffers and reduced along
-each row, which gives every value the same bits as mape() on that cell
-alone. On the sampling grid every curve rises monotonically from 0, so its
-peak is its last sample and the samples it keeps are a suffix, found by
-binary search.
+one another share one computation. One dict pass over the cells in cell
+order makes each class's first cell its representative, and every class's
+tau comes from equivalent_tau, the tau model's one checked path, as
+canonical_equivalent's does. The classes' curves are built a few rows at a
+time in reused buffers and reduced along each row, which gives every value
+the same bits as mape() on that cell alone. On the sampling grid every curve
+rises monotonically from 0, so its peak is its last sample and the samples
+it keeps are a suffix, found by binary search.
 """
 from __future__ import annotations
 
@@ -503,32 +502,23 @@ def mape_map(tau1: float, tau2: float, pfr_grid=None,
     # rounding step unchanged. So each class of cells that are exact
     # power-of-two multiples of one another is computed once, bit for bit. Its
     # key is each magnitude's frexp mantissa and the difference of their
-    # exponents (0 where a magnitude is 0), which nothing can underflow; a
-    # stable sort of the keys puts each class's first cell, its
-    # representative, first in its run.
+    # exponents (0 where a magnitude is 0), which nothing can underflow. One
+    # dict pass in cell order makes each class's first cell its representative.
     n = len(grid)
     cells = np.empty((n, n, 2))
     cells[..., 0], cells[..., 1] = grid[:, None], grid
     cells = cells.reshape(-1, 2)
-    with np.errstate(over="ignore"):  # an infinite PFR1 + PFR2 fails in _class_mapes
-        total = cells[:, 0] + cells[:, 1]
-    if not total.all():  # magnitudes are >= 0, so this leaves out PFR1 = PFR2 = 0
-        keep = total != 0.0
-        cells, total = cells[keep], total[keep]
+    cells = cells[(cells != 0.0).any(axis=1)]  # magnitudes are >= 0: PFR1 = PFR2 = 0 is left out
     if len(cells) == 0:
         raise InvalidInputError("pfr grid left no usable cells")
     mantissas, exponents = np.frexp(cells)
     shift = exponents[:, 0] - exponents[:, 1]
     shift[(mantissas == 0.0).any(axis=1)] = 0  # a zero magnitude has no exponent to compare
-    keys = np.column_stack((mantissas, shift))
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    starts = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
-    # each cell's representative, then the representatives in cell order
-    rep = np.empty_like(order)
-    rep[order] = order[starts][starts.cumsum() - 1]
-    is_rep = rep == np.arange(len(rep))
-    mapes = _class_mapes(cells[is_rep], model, t)[is_rep.cumsum()[rep] - 1]
+    first = {}
+    keys = zip(*mantissas.T.tolist(), shift.tolist())
+    rep = [first.setdefault(key, i) for i, key in enumerate(keys)]
+    reps = np.fromiter(first.values(), int, len(first))  # ascending: each entered at its first cell
+    mapes = _class_mapes(cells[reps], model, t)[np.searchsorted(reps, rep)]
     p1, p2 = cells.T.tolist()
     return MapeReport(cells=tuple(map(MapeCell, p1, p2, mapes.tolist())),
                       mean_pct=float(mapes.mean()), max_pct=float(mapes.max()))

@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -690,14 +691,28 @@ def map_cases(draw):
     return tau1, tau2, model, (0.0, *draw(st.lists(magnitude, min_size=1, max_size=6)))
 
 
+# an unsorted grid with a duplicate and a 0
+UNSORTED_GRID = (60.0, 0.0, 30.0, 30.0, 120.0)
+
+
+def same_class(x, y):
+    """Whether cells x and y are exact power-of-two multiples of one another."""
+    if [u == 0.0 for u in x] != [v == 0.0 for v in y]:
+        return False
+    ratios = {Fraction(v) / Fraction(u) for u, v in zip(x, y) if u != 0.0}
+    if len(ratios) != 1:
+        return False
+    (r,) = ratios
+    return all(m & (m - 1) == 0 for m in (r.numerator, r.denominator))
+
+
 class TestMapeMapBlocks:
     @settings(max_examples=60, deadline=None)
     @given(case=map_cases(), row_by_row=st.none())
     # the tiny rows' thresholds sit at _MAPE_FLOOR, so the rows keep different
     # suffixes of samples and the block goes row by row
     @example(case=(0.4, 2.0, CANONICAL_SURFACE, (0.0, 1e-306, 100.0)), row_by_row=8)
-    # an unsorted grid with a duplicate and a 0
-    @example(case=(0.4, 2.0, CANONICAL_SURFACE, (60.0, 0.0, 30.0, 30.0, 120.0)), row_by_row=0)
+    @example(case=(0.4, 2.0, CANONICAL_SURFACE, UNSORTED_GRID), row_by_row=0)
     def test_matches_per_cell_recomputation(self, case, row_by_row):
         tau1, tau2, model, grid = case
         with mock.patch.object(bandfit, "_mape_arrays", wraps=bandfit._mape_arrays) as rows:
@@ -706,6 +721,18 @@ class TestMapeMapBlocks:
             assert rows.call_count == row_by_row
         want = per_cell_mape_map(tau1, tau2, grid, model, fit_times(tau2))
         assert [((c.pfr1, c.pfr2), c.mape_pct) for c in report.cells] == want
+
+    def test_unsorted_grid_classes_are_their_first_cells(self, monkeypatch):
+        # _class_mapes gets each class's first cell, in cell order
+        reps, report = map_classes(UNSORTED_GRID, CANONICAL_SURFACE, monkeypatch)
+        firsts = []
+        for cell in [(c.pfr1, c.pfr2) for c in report.cells]:
+            if not any(same_class(first, cell) for first in firsts):
+                firsts.append(cell)
+        assert reps.tolist() == [list(cell) for cell in firsts]
+        assert firsts == [(60.0, 60.0), (60.0, 0.0), (60.0, 30.0), (60.0, 120.0), (0.0, 60.0),
+                          (30.0, 120.0), (120.0, 30.0)]
+        assert_map_is_per_cell(report, UNSORTED_GRID, CANONICAL_SURFACE)
 
     @pytest.mark.parametrize("tau1, tau2", [(0.95, 1.0), (0.3, 2.5)])
     def test_sweep_cell_matches_per_cell_recomputation(self, tau1, tau2, monkeypatch):
