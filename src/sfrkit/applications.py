@@ -76,16 +76,15 @@ def _cap(k: float, a: float, delta_f_max: float, scale: float) -> float:
     _nadir_terms gives the interior cap's shape factor; where it gives none,
     this is the one place that tells the boundary |B| <= B_EPS, where the
     branches meet in the asymptotic cap, from the asymptotic regime (a NaN B
-    included). At K < 1 the interior cap grows without bound as A -> 0, so
-    one beyond every double (the factor may underflow to 0) is unbounded; at
-    K >= 1 only inputs beyond the float range overflow it, and it is returned.
+    included). A cap that is not finite (the factor may underflow to 0) fails
+    as _cap_overflow says.
     """
     b, _, shape = _nadir_terms(k, a)
     if shape is not None:
         cap = k * scale * delta_f_max / shape if shape else math.inf
-        if -math.inf < cap < math.inf or k >= 1.0:
+        if -math.inf < cap < math.inf:
             return cap
-        raise BranchError(_UNBOUNDED)
+        raise _cap_overflow(k, delta_f_max)
     if abs(b) <= B_EPS:
         return _asymptotic_cap(k, delta_f_max, scale)
     raise BranchError("asymptotic regime (A < 1 - 1/K): use asymptotic_max_contingency")
@@ -95,7 +94,22 @@ def _asymptotic_cap(k: float, delta_f_max: float, scale: float) -> float:
     """The settling-value cap delta_f_max / (1/K - 1) * scale; unbounded when K <= 1."""
     if k <= 1.0:
         raise BranchError(_UNBOUNDED)
-    return delta_f_max / (1.0 / k - 1.0) * scale
+    cap = delta_f_max / (1.0 / k - 1.0) * scale
+    if -math.inf < cap < math.inf:
+        return cap
+    raise _cap_overflow(k, delta_f_max)
+
+
+def _cap_overflow(k: float, delta_f_max: float) -> Exception:
+    """The error for a cap beyond every double: unbounded at K < 1, bad input at K >= 1.
+
+    At K < 1 the interior cap grows without bound as A -> 0; at K >= 1 only
+    inputs near the ends of the float range overflow it.
+    """
+    if k < 1.0:
+        return BranchError(_UNBOUNDED)
+    return InvalidInputError(f"the contingency cap overflows the float range at K = {k}, "
+                             f"delta_f_max = {delta_f_max}")
 
 
 def max_contingency(dp: DerivedParams, policy: SecurityPolicy, tau: float) -> float:

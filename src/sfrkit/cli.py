@@ -327,7 +327,7 @@ def _cmd_max_contingency(args) -> int:
     policy = apps.SecurityPolicy(k_policy=args.k_policy, delta_f_max=args.delta_f_max)
     try:
         cap = apps.max_contingency(dp, policy, args.tau)
-    except BranchError:
+    except BranchError:  # built here: in max_contingency it would slow asymptotic screening
         bound = apps.min_effective_tau(dp, args.k_policy)
         if not bound > 0:  # K <= 1: the cap is unbounded
             raise

@@ -90,10 +90,15 @@ class TestSurfacePairRule:
         assert out.exists()
 
 
+# a finite K = 1 cap whose slope dP/dH = -P beta/H overflows at a tiny H
+SLOPE_OVERFLOW = ["--set", "system.p_load_mw=1e-300", "--set", "system.d_relief=1",
+                  "--set", "system.ke_mws=1e-298", "--delta-f-max=-1e308"]
+
+
 class TestStrayErrors:
     def test_non_finite_json_result_exits_1(self, tmp_path, capsys):
         out = tmp_path / "s.json"
-        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max=-1e308",
+        assert main(["sensitivities", "--scenario", SCENARIO, *SLOPE_OVERFLOW,
                      "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not JSON compliant" in err
@@ -232,7 +237,7 @@ class TestNonFiniteJsonKey:
 
     def test_cli_names_the_field(self, tmp_path, capsys):
         out = tmp_path / "s.json"
-        assert main(["sensitivities", "--scenario", SCENARIO, "--delta-f-max=-1e308",
+        assert main(["sensitivities", "--scenario", SCENARIO, *SLOPE_OVERFLOW,
                      "--pfr1", "130", "--pfr2", "80", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: analytic.dp_dh_mw_per_mws_hz = inf: ")
         assert not out.exists()
@@ -444,6 +449,8 @@ LIMIT = "delta_f_max must be finite and nonzero, got {}"
 A_RANGE = "A = D'*tau/(2H) must be finite and > 0, got {} at tau = {} s"
 UNBOUNDED = "unbounded: with K <= 1 the settling deviation never crosses the limit"
 RATE = "|A - 1|/tau must be finite, got inf at tau = {} s"
+CAP_OVERFLOW = "the contingency cap overflows the float range at K = {}, delta_f_max = {}"
+HUGE_DP = DerivedParams(dprime=1e300, h=1e300)
 # a cap's bare delta_f_max meets SecurityPolicy's rule
 LIMIT_CALLS = {
     "asymptotic": lambda limit: applications.asymptotic_max_contingency(CAP_DP, 2.0, limit),
@@ -535,6 +542,20 @@ OUT_OF_RANGE = {
     "universal_factor-cap-overflow": (
         lambda: applications.universal_max_contingency_factor(3.6e-319, 0.5, -1.25),
         BranchError, UNBOUNDED),
+    # at K >= 1 only inputs near the ends of the float range give a cap beyond every double
+    "max_contingency-K>=1-cap-overflow": (
+        lambda: applications.max_contingency(HUGE_DP, applications.SecurityPolicy(2.0, -1e10),
+                                             3.0),
+        InvalidInputError, CAP_OVERFLOW.format(2.0, -1e10)),
+    "asymptotic-cap-overflow": (
+        lambda: applications.asymptotic_max_contingency(HUGE_DP, 2.0, -1e10), InvalidInputError,
+        CAP_OVERFLOW.format(2.0, -1e10)),
+    "universal_factor-K>=1-cap-overflow": (
+        lambda: applications.universal_max_contingency_factor(3.0, 2.0, -1.7e308),
+        InvalidInputError, CAP_OVERFLOW.format(2.0, -1.7e308)),
+    "sensitivity_report-cap-overflow": (
+        lambda: applications.sensitivity_report(HUGE_DP, -1e10, CANONICAL_SURFACE, 100.0, 50.0),
+        InvalidInputError, CAP_OVERFLOW.format(1.0, -1e10)),
     # a lag decay rate |A - 1|/tau that overflows: through 1/tau, or through A itself
     **{f"delta_f-rate-tau={tau}": (
         functools.partial(closedform.delta_f, LAG_270MW, [LagBand(270.0, tau)], [0.0, 1.0, 10.0]),
@@ -544,12 +565,23 @@ OUT_OF_RANGE = {
 }
 
 
+# at K >= 1 the cap was inf, and only the JSON writer refused it (or the NaN slope it gave)
+HUGE_SYSTEM = ["--set", "system.p_load_mw=1e300", "--set", "system.d_relief=1",
+               "--delta-f-max=-1e10"]
+
+
 class TestExtremeTauCli:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, code, message", [
         (["max-contingency", "--delta-f-max", "-1", "--tau", "1e-320", "--k-policy", "0.5"], 2,
          "error: " + UNBOUNDED + "\n"),
         (["compare", "--set", "bands.0.tau_s=5e-324"], 1, "error: " + RATE.format(5e-324) + "\n"),
-    ], ids=["max-contingency", "compare"])
+        (["max-contingency", *HUGE_SYSTEM, "--tau", "1"], 1,
+         "error: " + CAP_OVERFLOW.format(applications.WEM_K_POLICY, -1e10) + "\n"),
+        (["sensitivities", *HUGE_SYSTEM, "--pfr1", "100", "--pfr2", "50"], 1,
+         "error: " + CAP_OVERFLOW.format(1.0, -1e10) + "\n"),
+    ], ids=["max-contingency", "compare", "max-contingency-cap-overflow",
+            "sensitivities-cap-overflow"])
     def test_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--scenario", SCENARIO, "--out", str(out)]) == code

@@ -219,12 +219,11 @@ class TestTauSweepCli:
         assert header == ["tau1_s", "tau2_s", "mean_mape_pct", "max_mape_pct"]
         assert [(r[0], r[1]) for r in rows] == [(0.4, 0.8), (0.4, 1.6), (0.8, 0.8), (0.8, 1.6)]
 
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_repeat_run_gives_the_same_bytes(self, tmp_path):
         args = ["tau-sweep", "--tau1-values", "0.4", "--tau2-values", "1.2",
                 "--pfr-min", "80", "--pfr-max", "160", "--pfr-step", "80"]
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         main(args + ["--out", str(out1)])
-        monkeypatch.setenv("SFRKIT_THREADS", "3")
         main(args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
